@@ -1,10 +1,20 @@
 """Token-passing decoding over a compiled graph.
 
 One best token is kept per (unit instance, HMM state) per frame; tokens
-are stored as parallel arrays of partial scores and link indices.  When
-a token crosses a unit boundary a record (previous link, finished node,
-end frame) is appended to an arena; tracing the winning token's chain
-back yields the unit boundaries at O(1) per boundary.
+are stored as parallel arrays of partial scores and link indices.  Each
+frame first moves every token within its unit (stay or advance), then
+runs one vectorized unit-entry step: the incoming unit edges of all
+nodes form one CSR edge list (sources, weights, and the start of each
+target's run), every edge's candidate is the source's exit score plus the
+edge weight plus the target's prior, and np.maximum.reduceat picks each
+target's best.  When a token crosses a unit boundary its record (previous
+link, finished node, end frame) goes into the boundary arena, which holds
+one array of previous links and one of finished nodes per frame, in
+ascending target order; tracing the winning token's chain back yields the
+unit boundaries at O(1) per boundary.  Observation log-likelihoods come
+from one batched evaluation of every distinct unit state per sequence,
+gathered into graph-state order.  The layout behind all this is built on
+a graph's first decode and cached for as long as the graph lives.
 
 Decoding is exact by default: with the beam disabled the result is the
 maximum-probability pair of unit path and state path.  The optional beam
@@ -12,13 +22,17 @@ keeps the best scoring states per frame (ties at the cutoff survive),
 trading exactness for speed.
 
 Tie-breaking is deterministic everywhere.  A boundary-crossing entry
-beats a same-scored self-loop, earlier graph nodes beat later ones, and
-within a unit an advance beats a same-scored stay; together with the
-sorted graph build this makes results independent of model insertion
-order.
+beats a same-scored self-loop, earlier graph nodes beat later ones (the
+first edge reaching a target's best score wins, and edges are sorted by
+source), and within a unit an advance beats a same-scored stay; together
+with the sorted graph build this makes results independent of model
+insertion order.
 """
 from __future__ import annotations
 
+import bisect
+import threading
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -26,24 +40,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import (
-    FeatureSequence,
     Segmentation,
     Transcript,
     UnitLexicon,
     segmentation_to_transcript,
 )
 from .errors import BeamPrunedError, DataError, DecodeError, NoPathError
+from .gmm import GmmBank
 from .grammar import DecodingGraph, GraphNode
-from .hmm import UnitHmm
-
-
-def _frames(seq) -> np.ndarray:
-    if isinstance(seq, FeatureSequence):
-        return seq.frames
-    arr = np.asarray(seq, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataError(f"expected a (T, m) frame array, got shape {arr.shape}")
-    return arr
+from .hmm import UnitHmm, _frames
 
 
 @dataclass(eq=False)
@@ -68,11 +73,14 @@ class DecodeResult:
 
 
 class _Layout:
-    """Flattened state indexing for a graph: node i's states occupy
-    offsets[i] .. offsets[i] + n_i - 1."""
+    """Flattened state indexing, unit-entry edges and observation model of
+    one graph: node i's states occupy offsets[i] .. offsets[i] + n_i - 1.
+
+    It keeps no reference to the graph, so the per-graph cache below
+    never keeps a graph alive.
+    """
 
     def __init__(self, graph: DecodingGraph):
-        self.graph = graph
         self.offsets = np.empty(len(graph.nodes), dtype=np.int64)
         total = 0
         for i, node in enumerate(graph.nodes):
@@ -84,6 +92,7 @@ class _Layout:
         self.first = np.zeros(total, dtype=bool)
         self.exit_state = np.empty(len(graph.nodes), dtype=np.int64)
         self.exit_log = np.empty(len(graph.nodes))
+        self.terminal = [i for i, node in enumerate(graph.nodes) if node.terminal]
         for i, node in enumerate(graph.nodes):
             hmm = graph.hmms[node.unit_id]
             o = self.offsets[i]
@@ -92,32 +101,64 @@ class _Layout:
             self.first[o] = True
             self.exit_state[i] = o + hmm.n - 1
             self.exit_log[i] = hmm.log_next[-1]
-        # incoming unit-level edges per node, sorted by source for the
-        # deterministic first-wins argmax
+
+        # One column per distinct unit state; every graph state reads the
+        # column of its unit's state, however many nodes share the unit.
+        units = sorted({node.unit_id for node in graph.nodes})
+        col0 = {}
+        gmms = []
+        for u in units:
+            col0[u] = len(gmms)
+            gmms.extend(graph.hmms[u].obs)
+        self.bank = GmmBank(gmms)
+        self.state_col = np.concatenate(
+            [col0[node.unit_id] + np.arange(graph.hmms[node.unit_id].n) for node in graph.nodes]
+        )
+
+        # Incoming unit-level edges as one CSR list: the edges into
+        # entry_nodes[k] are e_src/e_w[e_start[k]:e_start[k + 1]], sorted
+        # by source for the deterministic first-wins maximum, and e_seg
+        # maps each edge back to k.
         incoming: list[list[tuple[int, float]]] = [[] for _ in graph.nodes]
         for node in graph.nodes:
             for j, w in node.edges:
                 incoming[j].append((node.index, w))
-        self.in_src = []
-        self.in_w = []
-        for lst in incoming:
+        entry_nodes, e_start, e_seg, e_src, e_w = [], [], [], [], []
+        for j, lst in enumerate(incoming):
+            if not lst:
+                continue
             lst.sort()
-            self.in_src.append(np.array([i for i, _ in lst], dtype=np.int64))
-            self.in_w.append(np.array([w for _, w in lst]))
+            e_start.append(len(e_src))
+            e_seg.extend([len(entry_nodes)] * len(lst))
+            entry_nodes.append(j)
+            e_src.extend(i for i, _ in lst)
+            e_w.extend(w for _, w in lst)
+        self.entry_nodes = np.array(entry_nodes, dtype=np.int64)
+        self.entry_first = self.offsets[self.entry_nodes]
+        self.e_start = np.array(e_start, dtype=np.int64)
+        self.e_seg = np.array(e_seg, dtype=np.int64)
+        self.e_src = np.array(e_src, dtype=np.int64)
+        self.e_w = np.array(e_w, dtype=np.float64)
+        self.e_index = np.arange(len(e_src))
 
     def obs_table(self, frames: np.ndarray) -> np.ndarray:
-        """(T, total) observation log-likelihoods; per-unit tables are
-        computed once and shared by all instances of the unit."""
-        by_unit = {}
-        for node in self.graph.nodes:
-            if node.unit_id not in by_unit:
-                by_unit[node.unit_id] = self.graph.hmms[node.unit_id].obs_log_prob(frames)
-        out = np.empty((frames.shape[0], self.total))
-        for i, node in enumerate(self.graph.nodes):
-            o = self.offsets[i]
-            tab = by_unit[node.unit_id]
-            out[:, o : o + tab.shape[1]] = tab
-        return out
+        """(T, total) observation log-likelihoods: one evaluation of every
+        distinct unit state, gathered into graph-state order."""
+        return self.bank.log_prob(frames)[:, self.state_col]
+
+
+# Layouts by graph.  Graphs are immutable, so a layout is built once, on
+# the graph's first decode; the entry goes away with the graph.
+_LAYOUTS: "weakref.WeakKeyDictionary[DecodingGraph, _Layout]" = weakref.WeakKeyDictionary()
+_LAYOUTS_LOCK = threading.Lock()
+
+
+def _layout(graph: DecodingGraph) -> _Layout:
+    with _LAYOUTS_LOCK:
+        lay = _LAYOUTS.get(graph)
+        if lay is None:
+            lay = _LAYOUTS[graph] = _Layout(graph)
+        return lay
 
 
 def _apply_beam(scores: np.ndarray, beam: int) -> None:
@@ -146,11 +187,18 @@ def decode(
     """
     if beam is not None and beam < 1:
         raise ValueError("beam must keep at least one state")
-    frames = _frames(seq)
+    lay = _layout(graph)
+    frames = _frames(seq, lay.bank.dim)
     T = frames.shape[0]
-    lay = _Layout(graph)
     obs = lay.obs_table(frames)
-    links: list[tuple[int, int, int]] = []
+    # boundary arena: link id arena_base[k] + r is the r-th entry made
+    # after frame arena_end[k]; it finished node arena_node[k][r] and
+    # continues the chain at link arena_prev[k][r]
+    arena_prev: list[np.ndarray] = []
+    arena_node: list[np.ndarray] = []
+    arena_end: list[int] = []
+    arena_base: list[int] = []
+    n_links = 0
 
     def fail(t: int):
         if beam is not None:
@@ -160,15 +208,15 @@ def decode(
             )
         raise NoPathError(f"no legal path covers all {T} frames")
 
-    def prior_of(node: GraphNode) -> float:
-        if priors is None:
-            return 0.0
-        return float(priors.get(node.unit_id, 0.0))
+    prior = np.array(
+        [0.0 if priors is None else float(priors.get(node.unit_id, 0.0)) for node in graph.nodes]
+    )
+    e_prior = prior[lay.entry_nodes][lay.e_seg]
 
     score = np.full(lay.total, -np.inf)
     link = np.full(lay.total, -1, dtype=np.int64)
     for j, w in graph.start_edges:
-        cand = w + prior_of(graph.nodes[j])
+        cand = w + prior[j]
         if cand > score[lay.offsets[j]]:
             score[lay.offsets[j]] = cand
     score += obs[0]
@@ -177,29 +225,32 @@ def decode(
     if not np.any(score > -np.inf):
         fail(0)
 
+    n_edges = lay.e_src.size
+    adv = np.full(lay.total, -np.inf)
     for t in range(1, T):
         stay = score + lay.log_self
-        adv = np.full(lay.total, -np.inf)
-        adv[1:] = score[:-1] + lay.log_next[:-1]
+        np.add(score[:-1], lay.log_next[:-1], out=adv[1:])
         adv[lay.first] = -np.inf
         take_adv = adv >= stay
         trans = np.where(take_adv, adv, stay)
-        new_link = np.where(take_adv, np.roll(link, 1), link)
+        new_link = np.where(take_adv, np.concatenate((link[-1:], link[:-1])), link)
 
-        exits = score[lay.exit_state] + lay.exit_log
-        exit_links = link[lay.exit_state]
-        for j in range(len(graph.nodes)):
-            src = lay.in_src[j]
-            if src.size == 0:
-                continue
-            cand = exits[src] + lay.in_w[j] + prior_of(graph.nodes[j])
-            k = int(np.argmax(cand))
-            best = cand[k]
-            o = lay.offsets[j]
-            if best > -np.inf and best >= trans[o]:
-                trans[o] = best
-                links.append((int(exit_links[src[k]]), int(src[k]), t - 1))
-                new_link[o] = len(links) - 1
+        if n_edges:
+            exits = score[lay.exit_state] + lay.exit_log
+            cand = (exits[lay.e_src] + lay.e_w) + e_prior
+            best = np.maximum.reduceat(cand, lay.e_start)
+            take = (best > -np.inf) & (best >= trans[lay.entry_first])
+            if take.any():
+                hit = np.where(cand == best[lay.e_seg], lay.e_index, n_edges)
+                src = lay.e_src[np.minimum.reduceat(hit, lay.e_start)[take]]
+                o = lay.entry_first[take]
+                trans[o] = best[take]
+                arena_prev.append(link[lay.exit_state[src]])
+                arena_node.append(src)
+                arena_end.append(t - 1)
+                arena_base.append(n_links)
+                new_link[o] = np.arange(n_links, n_links + src.size)
+                n_links += src.size
 
         score = trans + obs[t]
         link = new_link
@@ -210,9 +261,7 @@ def decode(
 
     best_i = -1
     best_score = -np.inf
-    for i, node in enumerate(graph.nodes):
-        if not node.terminal:
-            continue
+    for i in lay.terminal:
         s = score[lay.exit_state[i]] + lay.exit_log[i]
         if s > best_score:
             best_score = s
@@ -223,9 +272,10 @@ def decode(
     chain = [(best_i, T - 1)]
     cur = int(link[lay.exit_state[best_i]])
     while cur != -1:
-        prev, node_idx, end = links[cur]
-        chain.append((node_idx, end))
-        cur = prev
+        k = bisect.bisect_right(arena_base, cur) - 1
+        r = cur - arena_base[k]
+        chain.append((int(arena_node[k][r]), arena_end[k]))
+        cur = int(arena_prev[k][r])
     chain.reverse()
 
     segs = []

@@ -7,6 +7,7 @@ natural-log space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -59,13 +60,8 @@ class Gmm:
 
     def _component_log_prob(self, X: np.ndarray) -> np.ndarray:
         """(N, K) array of log w_k + log N(x | mu_k, var_k)."""
-        if X.shape[1] != self.dim:
-            raise ValueError(f"input dim {X.shape[1]} != model dim {self.dim}")
-        diff = X[:, None, :] - self.means[None, :, :]           # (N, K, m)
-        quad = np.sum(diff * diff / self.variances[None], axis=2)
-        logdet = np.sum(np.log(self.variances), axis=1)          # (K,)
-        const = self.dim * np.log(2.0 * np.pi)
-        return np.log(self.weights)[None, :] - 0.5 * (const + logdet[None, :] + quad)
+        _check_dim(X, self.dim)
+        return _component_log_prob(X, self.weights, self.means, self.variances)
 
     def responsibilities(self, X: np.ndarray) -> np.ndarray:
         """(N, K) posterior component probabilities for each row of X."""
@@ -95,6 +91,78 @@ class Gmm:
             and np.array_equal(self.means, other.means)
             and np.array_equal(self.variances, other.variances)
         )
+
+
+def _check_dim(X: np.ndarray, dim: int) -> None:
+    if X.shape[1] != dim:
+        raise ValueError(f"input dim {X.shape[1]} != model dim {dim}")
+
+
+def _component_log_prob(
+    X: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """log w_k + log N(x | mu_k, var_k) for the rows of X (N, m) against
+    components stacked as (..., K, m); returns (N, ..., K).
+
+    Every entry is computed by the same elementwise steps and last-axis
+    sums whatever the leading stack shape, so a stacked evaluation equals
+    the one-mixture evaluation bit for bit.
+    """
+    m = X.shape[1]
+    diff = X.reshape(X.shape[0], *(1,) * (means.ndim - 1), m) - means   # (N, ..., K, m)
+    quad = np.sum(diff * diff / variances, axis=-1)
+    logdet = np.sum(np.log(variances), axis=-1)                         # (..., K)
+    const = m * np.log(2.0 * np.pi)
+    return np.log(weights) - 0.5 * (const + logdet + quad)
+
+
+# Doubles of temporaries per row block in GmmBank.log_prob: a block's
+# (rows, states, K, m) differences plus about eight (rows, states, K)
+# arrays inside logsumexp stay near this size, which keeps blocks large
+# enough to amortize the per-call overhead and small enough that peak
+# memory does not grow.
+_BLOCK_ELEMS = 1 << 16
+
+
+class GmmBank:
+    """Many mixtures of one dimension, evaluated in one call.
+
+    log_prob(X)[:, s] equals gmms[s].log_prob(X) bit for bit.  Mixtures
+    are stacked by component count, and frames are taken in row blocks so
+    the broadcast temporaries stay bounded; neither changes any row's
+    arithmetic.
+    """
+
+    def __init__(self, gmms: Sequence[Gmm]):
+        self.size = len(gmms)
+        self.dim = gmms[0].dim
+        by_k: dict[int, list[int]] = {}
+        for s, g in enumerate(gmms):
+            if g.dim != self.dim:
+                raise ValueError(f"mixture {s} has dim {g.dim}, expected {self.dim}")
+            by_k.setdefault(g.n_components, []).append(s)
+        self._groups = [
+            (
+                np.array(cols),
+                np.stack([gmms[s].weights for s in cols]),
+                np.stack([gmms[s].means for s in cols]),
+                np.stack([gmms[s].variances for s in cols]),
+            )
+            for _, cols in sorted(by_k.items())
+        ]
+
+    def log_prob(self, X: np.ndarray) -> np.ndarray:
+        """(N, size) log mixture densities for the rows of X (N, m)."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        _check_dim(X, self.dim)
+        N = X.shape[0]
+        out = np.empty((N, self.size))
+        for cols, weights, means, variances in self._groups:
+            rows = max(1, _BLOCK_ELEMS // (means.size + 8 * weights.size))
+            for r in range(0, N, rows):
+                clp = _component_log_prob(X[r : r + rows], weights, means, variances)
+                out[r : r + rows, cols] = logsumexp(clp, axis=-1)
+        return out
 
 
 def log_gaussian(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import FeatureSequence, UnitLexicon
 from .errors import DataError, NoPathError
-from .gmm import Gmm, em_step, fit_em, variance_floor
+from .gmm import Gmm, GmmBank, em_step, fit_em, variance_floor
 from .util import derive_seed, read_json, write_json
 
 SELF_LOOP_INIT = 0.9
@@ -33,12 +33,16 @@ HMMSET_FORMAT = "hmm-set"
 HMMSET_VERSION = 1
 
 
-def _frames(seq) -> np.ndarray:
+def _frames(seq, dim: int | None = None) -> np.ndarray:
+    """The (T, m) frame array of a sequence; with dim given, m must equal it."""
     if isinstance(seq, FeatureSequence):
-        return seq.frames
-    arr = np.asarray(seq, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataError(f"expected a (T, m) frame array, got shape {arr.shape}")
+        arr = seq.frames
+    else:
+        arr = np.asarray(seq, dtype=np.float64)
+        if arr.ndim != 2:
+            raise DataError(f"expected a (T, m) frame array, got shape {arr.shape}")
+    if dim is not None and arr.shape[1] != dim:
+        raise DataError(f"input dim {arr.shape[1]} != model dim {dim}")
     return arr
 
 
@@ -120,7 +124,7 @@ class UnitHmm:
 
     def obs_log_prob(self, frames: np.ndarray) -> np.ndarray:
         """Per-frame, per-state observation log-likelihoods, shape (T, n)."""
-        return np.column_stack([g.log_prob(frames) for g in self.obs])
+        return GmmBank(self.obs).log_prob(frames)
 
     def copy(self) -> "UnitHmm":
         return UnitHmm(
@@ -211,6 +215,7 @@ def init_hmm(
     arrs = [_frames(s) for s in training_seqs]
     if not arrs:
         raise DataError("cannot initialize a unit HMM without training sequences")
+    arrs = [_frames(a, arrs[0].shape[1]) for a in arrs]
     lengths = [a.shape[0] for a in arrs]
     mean_len = float(np.mean(lengths))
     n = max(1, int(math.floor(mean_len / STATES_PER_UNIT_DIVISOR + 0.5)))
@@ -248,7 +253,7 @@ def viterbi_align(hmm: UnitHmm, seq) -> StatePath:
     returned path the lexicographically smallest optimum (frames sit in
     the lowest state index compatible with the best score).
     """
-    frames = _frames(seq)
+    frames = _frames(seq, hmm.dim)
     T, n = frames.shape[0], hmm.n
     if T < n:
         raise NoPathError(f"{T} frames cannot visit all {n} states")
@@ -279,7 +284,7 @@ def viterbi_align(hmm: UnitHmm, seq) -> StatePath:
 
 def forward_loglik(hmm: UnitHmm, seq) -> float:
     """Total log-probability summed over all legal paths (-inf when T < n)."""
-    frames = _frames(seq)
+    frames = _frames(seq, hmm.dim)
     T, n = frames.shape[0], hmm.n
     if T < n:
         return float("-inf")
@@ -298,14 +303,14 @@ def forward_loglik(hmm: UnitHmm, seq) -> float:
 # training
 
 
-def _usable_frames(model_n: int, seqs) -> list[np.ndarray]:
+def _usable_frames(model: UnitHmm, seqs) -> list[np.ndarray]:
     usable = []
     for s in seqs:
-        a = _frames(s)
-        if a.shape[0] < model_n:
+        a = _frames(s, model.dim)
+        if a.shape[0] < model.n:
             warnings.warn(
                 f"skipping a {a.shape[0]}-frame sequence shorter than the "
-                f"{model_n}-state model"
+                f"{model.n}-state model"
             )
             continue
         usable.append(a)
@@ -339,7 +344,7 @@ def viterbi_train(
     log-likelihood is appended to history when given.
     """
     model = hmm.copy()
-    usable = _usable_frames(model.n, seqs)
+    usable = _usable_frames(model, seqs)
     floor = variance_floor(np.concatenate(usable))
     n = model.n
 
@@ -396,7 +401,7 @@ def baum_welch(
     With max_iter = 0 an unchanged copy is returned.
     """
     model = hmm.copy()
-    usable = _usable_frames(model.n, seqs)
+    usable = _usable_frames(model, seqs)
     if max_iter <= 0:
         return model
     floor = variance_floor(np.concatenate(usable))

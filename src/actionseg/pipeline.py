@@ -176,11 +176,19 @@ def extract_segments(
     per_unit: dict[int, list[FeatureSequence]] = {}
     transcripts: list[tuple[str, Transcript]] = []
     counts: dict[int, int] = {}
+    dim = None
     for cid in sorted(clip_ids):
         clip = manifest.clip(cid)
         if clip.segmentation is None:
             raise DataError(f"clip {cid!r} has no frame annotation")
         seq = load_features(clip.features)
+        if dim is None:
+            dim = seq.frames.shape[1]
+        elif seq.frames.shape[1] != dim:
+            raise DataError(
+                f"clip {cid!r}: features have dim {seq.frames.shape[1]}, "
+                f"earlier clips have dim {dim}"
+            )
         seg = load_segmentation(clip.segmentation, lexicon)
         if seg.num_frames != seq.num_frames:
             raise DataError(

@@ -9,10 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from actionseg.data import (
+    FeatureSequence,
+    Segmentation,
+    Transcript,
+    UnitLexicon,
+    segmentation_to_transcript,
+)
+from actionseg.decoder import DecodeResult
+from actionseg.errors import BeamPrunedError, DataError, NoPathError
 from actionseg.gmm import Gmm
 from actionseg.grammar import DecodingGraph, Grammar, build_grammar, compose
 from actionseg.hmm import UnitHmm, left_right_log_trans
-from actionseg.data import Transcript, UnitLexicon
 
 
 def random_gmm(rng: np.random.Generator, K: int, m: int) -> Gmm:
@@ -155,3 +163,148 @@ def random_sentence_grammar(
 def compose_random_graph(rng, unit_names, hmms, n_sentences=2, max_inner=1):
     grammar, lexicon = random_sentence_grammar(rng, unit_names, n_sentences, max_inner)
     return compose(grammar, hmms), lexicon
+
+
+# ---------------------------------------------------------------------------
+# reference decoder
+
+
+def reference_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> DecodeResult:
+    """Token passing with a Python loop over graph nodes per frame and a
+    per-Gmm observation table: the straightforward form of
+    actionseg.decoder.decode, which must match it exactly."""
+    if beam is not None and beam < 1:
+        raise ValueError("beam must keep at least one state")
+    frames = seq.frames if isinstance(seq, FeatureSequence) else np.asarray(seq, dtype=np.float64)
+    if frames.ndim != 2:
+        raise DataError(f"expected a (T, m) frame array, got shape {frames.shape}")
+    T = frames.shape[0]
+    nodes = graph.nodes
+
+    offsets = np.empty(len(nodes), dtype=np.int64)
+    total = 0
+    for i, node in enumerate(nodes):
+        offsets[i] = total
+        total += graph.hmms[node.unit_id].n
+    log_self = np.empty(total)
+    log_next = np.empty(total)
+    first = np.zeros(total, dtype=bool)
+    exit_state = np.empty(len(nodes), dtype=np.int64)
+    exit_log = np.empty(len(nodes))
+    obs = np.empty((T, total))
+    for i, node in enumerate(nodes):
+        hmm = graph.hmms[node.unit_id]
+        o = offsets[i]
+        log_self[o : o + hmm.n] = hmm.log_self
+        log_next[o : o + hmm.n] = hmm.log_next
+        first[o] = True
+        exit_state[i] = o + hmm.n - 1
+        exit_log[i] = hmm.log_next[-1]
+        for k, g in enumerate(hmm.obs):
+            obs[:, o + k] = g.log_prob(frames)
+    incoming: list[list[tuple[int, float]]] = [[] for _ in nodes]
+    for node in nodes:
+        for j, w in node.edges:
+            incoming[j].append((node.index, w))
+    in_src, in_w = [], []
+    for lst in incoming:
+        lst.sort()
+        in_src.append(np.array([i for i, _ in lst], dtype=np.int64))
+        in_w.append(np.array([w for _, w in lst]))
+    links: list[tuple[int, int, int]] = []
+
+    def fail(t: int):
+        if beam is not None:
+            raise BeamPrunedError(
+                f"no surviving token at frame {t}; the beam ({beam}) may be "
+                "too tight, retry with a wider one"
+            )
+        raise NoPathError(f"no legal path covers all {T} frames")
+
+    def prior_of(node) -> float:
+        if priors is None:
+            return 0.0
+        return float(priors.get(node.unit_id, 0.0))
+
+    def apply_beam(scores: np.ndarray) -> None:
+        finite = scores > -np.inf
+        if int(finite.sum()) <= beam:
+            return
+        cutoff = np.partition(scores[finite], -beam)[-beam]
+        scores[scores < cutoff] = -np.inf
+
+    score = np.full(total, -np.inf)
+    link = np.full(total, -1, dtype=np.int64)
+    for j, w in graph.start_edges:
+        cand = w + prior_of(nodes[j])
+        if cand > score[offsets[j]]:
+            score[offsets[j]] = cand
+    score += obs[0]
+    if beam is not None:
+        apply_beam(score)
+    if not np.any(score > -np.inf):
+        fail(0)
+
+    for t in range(1, T):
+        stay = score + log_self
+        adv = np.full(total, -np.inf)
+        adv[1:] = score[:-1] + log_next[:-1]
+        adv[first] = -np.inf
+        take_adv = adv >= stay
+        trans = np.where(take_adv, adv, stay)
+        new_link = np.where(take_adv, np.roll(link, 1), link)
+
+        exits = score[exit_state] + exit_log
+        exit_links = link[exit_state]
+        for j in range(len(nodes)):
+            src = in_src[j]
+            if src.size == 0:
+                continue
+            cand = exits[src] + in_w[j] + prior_of(nodes[j])
+            k = int(np.argmax(cand))
+            best = cand[k]
+            o = offsets[j]
+            if best > -np.inf and best >= trans[o]:
+                trans[o] = best
+                links.append((int(exit_links[src[k]]), int(src[k]), t - 1))
+                new_link[o] = len(links) - 1
+
+        score = trans + obs[t]
+        link = new_link
+        if beam is not None:
+            apply_beam(score)
+        if not np.any(score > -np.inf):
+            fail(t)
+
+    best_i = -1
+    best_score = -np.inf
+    for i, node in enumerate(nodes):
+        if not node.terminal:
+            continue
+        s = score[exit_state[i]] + exit_log[i]
+        if s > best_score:
+            best_score = s
+            best_i = i
+    if best_i < 0 or best_score == -np.inf:
+        fail(T - 1)
+
+    chain = [(best_i, T - 1)]
+    cur = int(link[exit_state[best_i]])
+    while cur != -1:
+        prev, node_idx, end = links[cur]
+        chain.append((node_idx, end))
+        cur = prev
+    chain.reverse()
+
+    segs = []
+    start = 0
+    for node_idx, end in chain:
+        segs.append((nodes[node_idx].unit_id, start, end))
+        start = end + 1
+    segmentation = Segmentation(tuple(segs))
+    return DecodeResult(
+        activity=nodes[best_i].activity,
+        segmentation=segmentation,
+        transcript=segmentation_to_transcript(segmentation),
+        log_prob=float(best_score),
+    )

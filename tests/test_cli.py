@@ -5,10 +5,18 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from actionseg.cli import main
-from actionseg.data import load_manifest, read_segment_names, read_transcript_names
+from actionseg.data import (
+    FeatureSequence,
+    load_features,
+    load_manifest,
+    read_segment_names,
+    read_transcript_names,
+    save_features,
+)
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +67,26 @@ def test_missing_input_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_feature_dim_mismatch_exits_2(capsys, workspace, tmp_path):
+    root, data, model = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = load_manifest(copy / "manifest.json")
+    for split in ("test", "train"):
+        rec = manifest.clip(manifest.split_ids(split)[0])
+        seq = load_features(rec.features)
+        wide = np.hstack([seq.frames, seq.frames[:, :1]])
+        save_features(rec.features, FeatureSequence(wide, frame_rate=seq.frame_rate))
+    for argv in (
+        ["decode", "--model", str(model), "--split", "test"],
+        ["train", "--split", "train", "--out", str(tmp_path / "m"), "--gmm-k", "1", *TRAIN_SPEED],
+    ):
+        code, _, err = run_cli(capsys, *argv, "--manifest", str(copy / "manifest.json"))
+        assert code == 2, argv[0]
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "dim 3" in err and "Traceback" not in err
 
 
 def test_synth_summary(capsys, tmp_path):

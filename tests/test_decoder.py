@@ -1,12 +1,22 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from actionseg import decoder
 from actionseg.data import Transcript, UnitLexicon, frame_labels
 from actionseg.decoder import classify_activity, decode, force_align, majority_vote
 from actionseg.errors import BeamPrunedError, DataError, DecodeError, NoPathError
 from actionseg.grammar import Grammar, build_grammar, compose, unconstrained_graph
 from actionseg.hmm import UnitHmm, left_right_log_trans
-from helpers import compose_random_graph, oracle_decode_best, random_unit_hmm
+from helpers import (
+    compose_random_graph,
+    oracle_decode_best,
+    random_gmm,
+    random_unit_hmm,
+    reference_decode,
+)
 
 
 def fixed_obs_hmm(unit_id: int, n: int, mean: float, p_self: float = 0.6) -> UnitHmm:
@@ -249,3 +259,74 @@ def test_decode_result_to_dict_names():
     assert [row[2] for row in named["segments"]] == ["SIL", "a", "SIL"]
     raw = res.to_dict()
     assert [row[2] for row in raw["segments"]] == [0, 1, 0]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DecodeError as exc:
+        return exc
+
+
+def tie_prone_hmm(rng, unit_id: int, n: int, pool) -> UnitHmm:
+    """States drawn from a small shared pool of mixtures (so units and
+    states repeat, with different K), and self-loops of 1/2 half the time
+    (so stay and advance tie)."""
+    p_self = np.where(rng.random(n) < 0.5, 0.5, rng.uniform(0.2, 0.9, n))
+    return UnitHmm(
+        unit_id=unit_id,
+        log_trans=left_right_log_trans(np.log(p_self), np.log(1.0 - p_self)),
+        obs=[pool[int(rng.integers(len(pool)))] for _ in range(n)],
+    )
+
+
+def test_decode_matches_reference_decoder_exactly():
+    rng = np.random.default_rng(90)
+    for trial in range(400):
+        m = int(rng.integers(1, 3))
+        pool = [random_gmm(rng, int(rng.integers(1, 4)), m) for _ in range(3)]
+        hmms = {u: tie_prone_hmm(rng, u, int(rng.integers(1, 4)), pool) for u in range(4)}
+        if trial % 3 == 0:
+            graph = unconstrained_graph(hmms)
+        else:
+            graph, _ = compose_random_graph(rng, ["a", "b", "c"], hmms, n_sentences=3, max_inner=3)
+        frames = np.round(rng.normal(0.0, 2.0, size=(int(rng.integers(1, 14)), m)))
+        beam = [None, 1, 2, 5][trial % 4]
+        priors = None
+        if trial % 5 < 2:
+            priors = {u: float(rng.choice([0.0, np.log(0.5), np.log(0.25), -np.inf])) for u in range(4)}
+        want = _outcome(reference_decode, graph, frames, beam=beam, priors=priors)
+        got = _outcome(decode, graph, frames, beam=beam, priors=priors)
+        if isinstance(want, DecodeError):
+            assert type(got) is type(want) and str(got) == str(want), f"trial {trial}"
+            continue
+        assert got.to_dict() == want.to_dict(), f"trial {trial}"
+        assert got.log_prob.hex() == want.log_prob.hex(), f"trial {trial}"
+
+
+def test_layout_cache_holds_no_graph():
+    gc.collect()
+    before = len(decoder._LAYOUTS)
+    rng = np.random.default_rng(91)
+    hmms = {u: random_unit_hmm(rng, u, 2, 1, 2) for u in range(3)}
+    for _ in range(3):
+        force_align(hmms, (0, 1, 2, 0), rng.normal(size=(12, 2)))
+    gc.collect()
+    assert len(decoder._LAYOUTS) == before
+    graph = unconstrained_graph(hmms)
+    decode(graph, rng.normal(size=(6, 2)))
+    assert graph in decoder._LAYOUTS
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None
+    assert len(decoder._LAYOUTS) == before
+
+
+def test_decode_rejects_frames_of_another_dim():
+    rng = np.random.default_rng(92)
+    hmms = {u: random_unit_hmm(rng, u, 1, 1, 2) for u in range(2)}
+    with pytest.raises(DataError, match="input dim 3 != model dim 2"):
+        decode(unconstrained_graph(hmms), rng.normal(size=(5, 3)))
+    with pytest.raises(DataError, match="input dim 1 != model dim 2"):
+        force_align(hmms, (0, 1), rng.normal(size=(5, 1)))

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from actionseg import gmm as gmm_module
 from actionseg.gmm import (
     Gmm,
+    GmmBank,
     em_step,
     fit_em,
     log_gaussian,
@@ -152,3 +154,16 @@ def test_em_step_sample_weights_match_replication():
     assert np.allclose(weighted.means, replicated.means, atol=1e-10)
     assert np.allclose(weighted.variances, replicated.variances, atol=1e-10)
     assert np.allclose(weighted.weights, replicated.weights, atol=1e-10)
+
+
+def test_bank_equals_column_stacked_log_prob():
+    rng = np.random.default_rng(19)
+    m = 9  # numpy's pairwise summation starts at 8 elements
+    gmms = [random_gmm(rng, int(rng.integers(1, 5)), m) for _ in range(12)]
+    N = gmm_module._BLOCK_ELEMS // m + 5  # more than one row block in every group
+    X = rng.normal(0.0, 2.0, size=(N, m))
+    X[::3] = np.round(X[::3])
+    want = np.column_stack([g.log_prob(X) for g in gmms])
+    assert np.array_equal(GmmBank(gmms).log_prob(X), want)
+    with pytest.raises(ValueError, match="input dim 2 != model dim 9"):
+        GmmBank(gmms).log_prob(X[:, :2])

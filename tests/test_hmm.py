@@ -113,6 +113,20 @@ def test_init_hmm_empty_input():
         init_hmm(0, [], K=1)
 
 
+def test_unit_models_reject_frames_of_another_dim():
+    rng = np.random.default_rng(29)
+    hmm = random_unit_hmm(rng, 0, 2, 1, 2)
+    wide = rng.normal(size=(6, 3))
+    for fn in (viterbi_align, forward_loglik):
+        with pytest.raises(DataError, match="input dim 3 != model dim 2"):
+            fn(hmm, wide)
+    for fn in (viterbi_train, baum_welch):
+        with pytest.raises(DataError, match="input dim 3 != model dim 2"):
+            fn(hmm, [rng.normal(size=(6, 2)), wide])
+    with pytest.raises(DataError, match="input dim 3 != model dim 2"):
+        init_hmm(0, [rng.normal(size=(6, 2)), wide], K=1)
+
+
 def test_viterbi_matches_brute_force():
     rng = np.random.default_rng(33)
     for trial in range(40):
