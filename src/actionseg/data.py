@@ -313,7 +313,8 @@ def read_transcript_names(path: str | os.PathLike) -> list[str]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"transcript file not found: {path}")
-    names = [line.strip() for line in open(path, "r", encoding="utf-8") if line.strip()]
+    with open(path, "r", encoding="utf-8") as fh:
+        names = [line.strip() for line in fh if line.strip()]
     if not names:
         raise DataError(f"empty transcript file: {path}")
     return names
@@ -349,8 +350,16 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed manifest {path}: {exc}") from None
-    if not isinstance(doc, dict) or "clips" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("clips"), list):
         raise DataError(f"manifest {path} must be a JSON object with a 'clips' list")
+    splits = doc.get("splits") or {}
+    if not isinstance(splits, dict):
+        raise DataError(f"manifest {path}: 'splits' must map split names to clip id lists")
+    for name, members in splits.items():
+        if not isinstance(members, list) or not all(
+            isinstance(c, (str, int)) and not isinstance(c, bool) for c in members
+        ):
+            raise DataError(f"manifest {path}: split {name!r} must be a list of clip ids")
     root = path.parent
 
     def resolve(p: str | None) -> Path | None:
@@ -363,6 +372,11 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     for i, rec in enumerate(doc["clips"]):
         if not isinstance(rec, dict) or "id" not in rec or "features" not in rec:
             raise DataError(f"manifest {path}: clip record {i} needs 'id' and 'features'")
+        optional = (rec.get("segmentation"), rec.get("transcript"))
+        if not isinstance(rec["features"], str) or not all(
+            p is None or isinstance(p, str) for p in optional
+        ):
+            raise DataError(f"manifest {path}: clip record {i} paths must be strings")
         clips.append(
             ClipRecord(
                 clip_id=str(rec["id"]),
@@ -372,11 +386,10 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
                 transcript=resolve(rec.get("transcript")),
             )
         )
-    splits = {
-        str(name): tuple(str(c) for c in members)
-        for name, members in (doc.get("splits") or {}).items()
-    }
-    return DatasetManifest(clips=tuple(clips), splits=splits)
+    return DatasetManifest(
+        clips=tuple(clips),
+        splits={str(name): tuple(str(c) for c in members) for name, members in splits.items()},
+    )
 
 
 def save_manifest(path: str | os.PathLike, manifest: DatasetManifest) -> None:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .util import child_rng
 
@@ -55,7 +54,7 @@ class Gmm:
     def log_prob(self, X: np.ndarray) -> np.ndarray:
         """Log mixture density for each row of X; X is (N, m) or (m,)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        lp = logsumexp(self._component_log_prob(X), axis=1)
+        lp = _logsumexp(self._component_log_prob(X), axis=1)
         return lp
 
     def _component_log_prob(self, X: np.ndarray) -> np.ndarray:
@@ -66,7 +65,7 @@ class Gmm:
     def responsibilities(self, X: np.ndarray) -> np.ndarray:
         """(N, K) posterior component probabilities for each row of X."""
         clp = self._component_log_prob(np.atleast_2d(X))
-        return np.exp(clp - logsumexp(clp, axis=1, keepdims=True))
+        return np.exp(clp - _logsumexp(clp, axis=1, keepdims=True))
 
     def to_dict(self) -> dict:
         return {
@@ -93,6 +92,30 @@ class Gmm:
         )
 
 
+def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along one axis of a real array.
+
+    The arithmetic is that of scipy.special.logsumexp, step for step, so
+    results match it bit for bit: the maxima are taken out of the sum
+    (m tied maxima give log1p(s / m) + log(m) + max), and rows whose
+    result is not finite fall back to the direct log(sum(exp(a))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        ties = a == a_max
+        m = np.sum(ties, axis=axis, keepdims=True, dtype=np.float64)
+        shifted = np.where(ties, -np.inf, a)
+        np.subtract(shifted, a_max, out=shifted)
+        np.exp(shifted, out=shifted)
+        s = np.sum(shifted, axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
 def _check_dim(X: np.ndarray, dim: int) -> None:
     if X.shape[1] != dim:
         raise ValueError(f"input dim {X.shape[1]} != model dim {dim}")
@@ -110,15 +133,17 @@ def _component_log_prob(
     """
     m = X.shape[1]
     diff = X.reshape(X.shape[0], *(1,) * (means.ndim - 1), m) - means   # (N, ..., K, m)
-    quad = np.sum(diff * diff / variances, axis=-1)
+    np.multiply(diff, diff, out=diff)
+    np.divide(diff, variances, out=diff)
+    quad = np.sum(diff, axis=-1)
     logdet = np.sum(np.log(variances), axis=-1)                         # (..., K)
     const = m * np.log(2.0 * np.pi)
     return np.log(weights) - 0.5 * (const + logdet + quad)
 
 
 # Doubles of temporaries per row block in GmmBank.log_prob: a block's
-# (rows, states, K, m) differences plus about eight (rows, states, K)
-# arrays inside logsumexp stay near this size, which keeps blocks large
+# (rows, states, K, m) differences plus up to eight (rows, states, K)
+# arrays inside _logsumexp stay near this size, which keeps blocks large
 # enough to amortize the per-call overhead and small enough that peak
 # memory does not grow.
 _BLOCK_ELEMS = 1 << 16
@@ -161,7 +186,7 @@ class GmmBank:
             rows = max(1, _BLOCK_ELEMS // (means.size + 8 * weights.size))
             for r in range(0, N, rows):
                 clp = _component_log_prob(X[r : r + rows], weights, means, variances)
-                out[r : r + rows, cols] = logsumexp(clp, axis=-1)
+                out[r : r + rows, cols] = _logsumexp(clp, axis=-1)
         return out
 
 
@@ -283,7 +308,7 @@ def em_step(
     per-sample average log-likelihood of X under the *input* model."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     clp = gmm._component_log_prob(X)                       # (N, K)
-    row_ll = logsumexp(clp, axis=1)
+    row_ll = _logsumexp(clp, axis=1)
     resp = np.exp(clp - row_ll[:, None])                   # (N, K)
     if sample_weights is not None:
         w = np.asarray(sample_weights, dtype=np.float64)

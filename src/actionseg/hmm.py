@@ -243,6 +243,125 @@ def init_hmm(
 
 
 # ---------------------------------------------------------------------------
+# recursions
+#
+# The kernels run B sequences at once over a (T, B, n) observation table
+# padded past each sequence's end; lengths[b] frames of sequence b are
+# real, left-aligned from frame 0.  Every real entry takes the same
+# elementwise steps as a one-sequence recursion, so a batch reproduces the
+# per-sequence results bit for bit.  Entries past a sequence's end hold
+# filler that no result reads.
+
+
+def _ends_by_frame(lengths: np.ndarray) -> dict[int, np.ndarray]:
+    """Last frame -> indices of the sequences that end there."""
+    last = np.asarray(lengths) - 1
+    return {int(t): np.flatnonzero(last == t) for t in np.unique(last)}
+
+
+def _viterbi(
+    obs: np.ndarray, ls: np.ndarray, ln: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best paths: (T, B) states and (B,) log-probabilities, -inf or NaN
+    when a sequence has no path of finite probability.
+
+    On equal scores the advancing predecessor wins, which makes each path
+    the lexicographically smallest optimum (frames sit in the lowest state
+    index compatible with the best score).
+    """
+    T, B, n = obs.shape
+    ends = _ends_by_frame(lengths)
+    take_adv = np.zeros((T, B, n), dtype=bool)
+    adv = np.full((B, n), -np.inf)
+    delta = np.full((B, n), -np.inf)
+    delta[:, 0] = obs[0, :, 0]
+    final = np.empty(B)
+    for t in range(T):
+        if t:
+            stay = delta + ls
+            np.add(delta[:, :-1], ln[:-1], out=adv[:, 1:])
+            np.greater_equal(adv, stay, out=take_adv[t])
+            delta = np.where(take_adv[t], adv, stay) + obs[t]
+        if t in ends:
+            final[ends[t]] = delta[ends[t], n - 1]
+
+    states = np.empty((T, B), dtype=np.int64)
+    s = np.full(B, n - 1)
+    rows = np.arange(B)
+    for t in range(T - 1, -1, -1):
+        if t in ends:
+            s[ends[t]] = n - 1
+        states[t] = s
+        # Filler frames may step below state 0; clamp them so they index.
+        s = np.maximum(s - take_adv[t, rows, s], 0)
+    return states, final + ln[n - 1]
+
+
+def _forward(obs: np.ndarray, ls: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """(T, B, n) forward log-probabilities; a sequence's total is its
+    alpha[lengths[b] - 1, b, n - 1] + ln[n - 1]."""
+    T, B, n = obs.shape
+    alpha = np.empty((T, B, n))
+    alpha[0] = -np.inf
+    alpha[0, :, 0] = obs[0, :, 0]
+    adv = np.full((B, n), -np.inf)
+    for t in range(1, T):
+        np.add(alpha[t - 1, :, :-1], ln[:-1], out=adv[:, 1:])
+        np.logaddexp(alpha[t - 1] + ls, adv, out=alpha[t])
+        alpha[t] += obs[t]
+    return alpha
+
+
+def _backward(
+    obs: np.ndarray, ls: np.ndarray, ln: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """(T, B, n) backward log-probabilities; each sequence's recursion
+    starts at its own last frame, which leaves through the exit."""
+    T, B, n = obs.shape
+    ends = _ends_by_frame(lengths)
+    beta = np.empty((T, B, n))
+    beta[T - 1] = -np.inf
+    adv = np.full((B, n), -np.inf)
+    for t in range(T - 1, -1, -1):
+        if t < T - 1:
+            stay = ls + obs[t + 1] + beta[t + 1]
+            np.add(ln[:-1] + obs[t + 1, :, 1:], beta[t + 1, :, 1:], out=adv[:, :-1])
+            np.logaddexp(stay, adv, out=beta[t])
+        if t in ends:
+            beta[t, ends[t]] = -np.inf
+            beta[t, ends[t], n - 1] = ln[n - 1]
+    return beta
+
+
+class _Segments:
+    """A unit's training sequences, concatenated in order, with the index
+    maps between the concatenated rows and the padded (T, B) layout."""
+
+    def __init__(self, arrs: list[np.ndarray]):
+        self.count = len(arrs)
+        self.lengths = np.array([a.shape[0] for a in arrs])
+        self.frames = np.concatenate(arrs)
+        self.starts = np.concatenate([[0], np.cumsum(self.lengths)])
+        self.seg = np.repeat(np.arange(self.count), self.lengths)
+        self.time = np.arange(self.frames.shape[0]) - self.starts[self.seg]
+        # Frame pairs (t, t + 1) within a sequence, by the row of frame t;
+        # sequence b owns pairs pair_starts[b] .. pair_starts[b + 1] - 1.
+        paired = np.ones(self.frames.shape[0], dtype=bool)
+        paired[self.starts[1:] - 1] = False
+        self.cur = np.flatnonzero(paired)
+        self.pair_starts = self.starts - np.arange(self.count + 1)
+
+    def pad(self, rows: np.ndarray) -> np.ndarray:
+        """(N, k) concatenated rows -> (T_max, B, k), zero past each end."""
+        out = np.zeros((int(self.lengths.max()), self.count, rows.shape[1]))
+        out[self.time, self.seg] = rows
+        return out
+
+    def unpad(self, padded: np.ndarray) -> np.ndarray:
+        return padded[self.time, self.seg]
+
+
+# ---------------------------------------------------------------------------
 # inference
 
 
@@ -258,28 +377,10 @@ def viterbi_align(hmm: UnitHmm, seq) -> StatePath:
     if T < n:
         raise NoPathError(f"{T} frames cannot visit all {n} states")
     obs = hmm.obs_log_prob(frames)
-    ls, ln = hmm.log_self, hmm.log_next
-
-    delta = np.full((T, n), -np.inf)
-    psi = np.zeros((T, n), dtype=np.int64)
-    delta[0, 0] = obs[0, 0]
-    state_idx = np.arange(n)
-    for t in range(1, T):
-        stay = delta[t - 1] + ls
-        adv = np.full(n, -np.inf)
-        adv[1:] = delta[t - 1, :-1] + ln[:-1]
-        take_adv = adv >= stay
-        delta[t] = np.where(take_adv, adv, stay) + obs[t]
-        psi[t] = np.where(take_adv, state_idx - 1, state_idx)
-
-    total = delta[T - 1, n - 1] + ln[n - 1]
-    if not np.isfinite(total):
+    states, total = _viterbi(obs[:, None], hmm.log_self, hmm.log_next, np.array([T]))
+    if not np.isfinite(total[0]):
         raise NoPathError("no path of finite probability reaches the final state")
-    states = np.empty(T, dtype=np.int64)
-    states[T - 1] = n - 1
-    for t in range(T - 1, 0, -1):
-        states[t - 1] = psi[t, states[t]]
-    return StatePath(states=states, log_prob=float(total))
+    return StatePath(states=states[:, 0], log_prob=float(total[0]))
 
 
 def forward_loglik(hmm: UnitHmm, seq) -> float:
@@ -288,15 +389,8 @@ def forward_loglik(hmm: UnitHmm, seq) -> float:
     T, n = frames.shape[0], hmm.n
     if T < n:
         return float("-inf")
-    obs = hmm.obs_log_prob(frames)
-    ls, ln = hmm.log_self, hmm.log_next
-    alpha = np.full(n, -np.inf)
-    alpha[0] = obs[0, 0]
-    for t in range(1, T):
-        adv = np.full(n, -np.inf)
-        adv[1:] = alpha[:-1] + ln[:-1]
-        alpha = np.logaddexp(alpha + ls, adv) + obs[t]
-    return float(alpha[n - 1] + ln[n - 1])
+    alpha = _forward(hmm.obs_log_prob(frames)[:, None], hmm.log_self, hmm.log_next)
+    return float(alpha[T - 1, 0, n - 1] + hmm.log_next[n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -344,38 +438,33 @@ def viterbi_train(
     log-likelihood is appended to history when given.
     """
     model = hmm.copy()
-    usable = _usable_frames(model, seqs)
-    floor = variance_floor(np.concatenate(usable))
+    segs = _Segments(_usable_frames(model, seqs))
+    floor = variance_floor(segs.frames)
     n = model.n
+    cur = segs.cur
 
     prev_total = -np.inf
     for it in range(max_iter):
-        paths = [viterbi_align(model, a) for a in usable]
-        total = float(sum(p.log_prob for p in paths))
+        obs = segs.pad(model.obs_log_prob(segs.frames))
+        paths, totals = _viterbi(obs, model.log_self, model.log_next, segs.lengths)
+        if not np.all(np.isfinite(totals)):
+            raise NoPathError("no path of finite probability reaches the final state")
+        total = float(sum(totals.tolist()))
         if history is not None:
             history.append(total)
         if it > 0 and total - prev_total < tol:
             break
         prev_total = total
 
-        self_counts = np.zeros(n)
-        adv_counts = np.zeros(n)
-        per_state = [[] for _ in range(n)]
-        for a, p in zip(usable, paths):
-            s = p.states
-            for j in range(n):
-                sel = a[s == j]
-                if sel.shape[0]:
-                    per_state[j].append(sel)
-            if s.size > 1:
-                stayed = s[1:] == s[:-1]
-                np.add.at(self_counts, s[:-1][stayed], 1.0)
-                np.add.at(adv_counts, s[:-1][~stayed], 1.0)
-            adv_counts[n - 1] += 1.0
+        # Counts are small integers, so their summation order is immaterial.
+        s = segs.unpad(paths)
+        stayed = s[cur + 1] == s[cur]
+        self_counts = np.bincount(s[cur][stayed], minlength=n).astype(np.float64)
+        adv_counts = np.bincount(s[cur][~stayed], minlength=n).astype(np.float64)
+        adv_counts[n - 1] = segs.count  # every sequence leaves once
         new_obs = []
         for j in range(n):
-            X = np.concatenate(per_state[j])
-            g, _ = em_step(model.obs[j], X, floor)
+            g, _ = em_step(model.obs[j], segs.frames[s == j], floor)
             new_obs.append(g)
         model = UnitHmm(
             unit_id=model.unit_id,
@@ -399,79 +488,78 @@ def baum_welch(
     transitions stay at -inf.  The per-iteration total forward
     log-likelihood is appended to history when given; it never decreases.
     With max_iter = 0 an unchanged copy is returned.
+
+    All sequences run through one batched forward and backward pass.  The
+    sums whose rounding depends on their order (expected transitions and
+    the mixture statistics) are still taken one sequence at a time, in
+    input order.
     """
     model = hmm.copy()
     usable = _usable_frames(model, seqs)
     if max_iter <= 0:
         return model
-    floor = variance_floor(np.concatenate(usable))
+    segs = _Segments(usable)
+    floor = variance_floor(segs.frames)
     n, m = model.n, model.dim
+    squares = [a * a for a in usable]
+    cur, nxt = segs.cur, segs.cur + 1
+    last = segs.starts[1:] - 1
 
     prev_total = -np.inf
     for it in range(max_iter):
         ls, ln = model.log_self, model.log_next
+        obs = model.obs_log_prob(segs.frames)
+        padded = segs.pad(obs)
+        alpha = segs.unpad(_forward(padded, ls, ln))
+        ll = alpha[last, n - 1] + ln[n - 1]
         total = 0.0
-        self_exp = np.zeros(n)
-        adv_exp = np.zeros(n)
-        Rk = [np.zeros(g.n_components) for g in model.obs]
-        Sx = [np.zeros((g.n_components, m)) for g in model.obs]
-        Sxx = [np.zeros((g.n_components, m)) for g in model.obs]
-
-        for a in usable:
-            T = a.shape[0]
-            obs = model.obs_log_prob(a)
-            alpha = np.full((T, n), -np.inf)
-            alpha[0, 0] = obs[0, 0]
-            for t in range(1, T):
-                adv = np.full(n, -np.inf)
-                adv[1:] = alpha[t - 1, :-1] + ln[:-1]
-                alpha[t] = np.logaddexp(alpha[t - 1] + ls, adv) + obs[t]
-            ll = alpha[T - 1, n - 1] + ln[n - 1]
-            total += ll
-
-            beta = np.full((T, n), -np.inf)
-            beta[T - 1, n - 1] = ln[n - 1]
-            for t in range(T - 2, -1, -1):
-                stay = ls + obs[t + 1] + beta[t + 1]
-                adv = np.full(n, -np.inf)
-                adv[:-1] = ln[:-1] + obs[t + 1, 1:] + beta[t + 1, 1:]
-                beta[t] = np.logaddexp(stay, adv)
-
-            gamma_log = alpha + beta - ll
-            if T > 1:
-                self_exp += np.exp(alpha[:-1] + ls + obs[1:] + beta[1:] - ll).sum(axis=0)
-                adv_exp[:-1] += np.exp(
-                    alpha[:-1, :-1] + ln[:-1] + obs[1:, 1:] + beta[1:, 1:] - ll
-                ).sum(axis=0)
-            adv_exp[n - 1] += 1.0
-
-            for j in range(n):
-                comp = model.obs[j]._component_log_prob(a)
-                r = np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1])
-                Rk[j] += r.sum(axis=0)
-                Sx[j] += r.T @ a
-                Sxx[j] += r.T @ (a * a)
-
+        for v in ll:
+            total += v
         if history is not None:
             history.append(float(total))
         if it > 0 and total - prev_total < tol:
             break
         prev_total = total
 
+        beta = segs.unpad(_backward(padded, ls, ln, segs.lengths))
+        ll_rows = ll[segs.seg][:, None]
+        gamma_log = alpha + beta - ll_rows
+        xi_self = np.exp(alpha[cur] + ls + obs[nxt] + beta[nxt] - ll_rows[cur])
+        xi_adv = np.exp(
+            alpha[cur, :-1] + ln[:-1] + obs[nxt, 1:] + beta[nxt, 1:] - ll_rows[cur]
+        )
+        self_exp = np.zeros(n)
+        adv_exp = np.zeros(n)
+        for lo, hi in zip(segs.pair_starts[:-1], segs.pair_starts[1:]):
+            if hi > lo:
+                self_exp += xi_self[lo:hi].sum(axis=0)
+                adv_exp[:-1] += xi_adv[lo:hi].sum(axis=0)
+        adv_exp[n - 1] = segs.count  # every sequence leaves once
+
         new_obs = []
-        for j in range(n):
-            g = model.obs[j]
+        for j, g in enumerate(model.obs):
+            comp = g._component_log_prob(segs.frames)
+            r_all = np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1])
+            Rk = np.zeros(g.n_components)
+            Sx = np.zeros((g.n_components, m))
+            Sxx = np.zeros((g.n_components, m))
+            for b, (a, aa) in enumerate(zip(usable, squares)):
+                r = r_all[segs.starts[b] : segs.starts[b + 1]]
+                Rk += r.sum(axis=0)
+                Sx += r.T @ a
+                Sxx += r.T @ aa
+
             new_w = g.weights.copy()
             new_mu = g.means.copy()
             new_var = g.variances.copy()
-            alive = Rk[j] > 1e-12
-            new_w[alive] = Rk[j][alive] / Rk[j].sum()
+            alive = Rk > 1e-12
+            new_w[alive] = Rk[alive] / Rk.sum()
             new_w[~alive] = 1e-12
             new_w /= new_w.sum()
             for k in np.flatnonzero(alive):
-                mu = Sx[j][k] / Rk[j][k]
+                mu = Sx[k] / Rk[k]
                 new_mu[k] = mu
-                new_var[k] = np.maximum(Sxx[j][k] / Rk[j][k] - mu * mu, floor)
+                new_var[k] = np.maximum(Sxx[k] / Rk[k] - mu * mu, floor)
             new_obs.append(Gmm(weights=new_w, means=new_mu, variances=new_var))
         model = UnitHmm(
             unit_id=model.unit_id,

@@ -8,31 +8,31 @@ from typing import Any
 import numpy as np
 
 
-def child_rng(seed: int, *keys: int | str) -> np.random.Generator:
-    """Derive an independent generator from a root seed and a stable key path.
-
-    String keys are hashed with crc32 so the derivation does not depend on
-    Python's randomized ``hash``.  The same (seed, keys) always yields the
-    same stream, regardless of call order or thread count.
-    """
+def _key_words(seed: int, keys) -> list[int]:
+    """The 32-bit words of a (seed, keys) path; string keys are hashed
+    with crc32 so the words do not depend on Python's randomized hash."""
     words = [int(seed) & 0xFFFFFFFF]
     for k in keys:
         if isinstance(k, str):
             words.append(zlib.crc32(k.encode("utf-8")))
         else:
             words.append(int(k) & 0xFFFFFFFF)
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return words
+
+
+def child_rng(seed: int, *keys: int | str) -> np.random.Generator:
+    """Derive an independent generator from a root seed and a stable key path.
+
+    The same (seed, keys) always yields the same stream, regardless of
+    call order or thread count.
+    """
+    return np.random.default_rng(np.random.SeedSequence(_key_words(seed, keys)))
 
 
 def derive_seed(seed: int, *keys: int | str) -> int:
     """Stable integer sub-seed for the same (seed, keys) path as child_rng."""
-    words = [int(seed) & 0xFFFFFFFF]
-    for k in keys:
-        if isinstance(k, str):
-            words.append(zlib.crc32(k.encode("utf-8")))
-        else:
-            words.append(int(k) & 0xFFFFFFFF)
-    return int(np.random.SeedSequence(words).generate_state(1, np.uint32)[0])
+    state = np.random.SeedSequence(_key_words(seed, keys)).generate_state(1, np.uint32)
+    return int(state[0])
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:

@@ -18,9 +18,16 @@ from actionseg.data import (
 )
 from actionseg.decoder import DecodeResult
 from actionseg.errors import BeamPrunedError, DataError, NoPathError
-from actionseg.gmm import Gmm
+from actionseg.gmm import Gmm, em_step, variance_floor
 from actionseg.grammar import DecodingGraph, Grammar, build_grammar, compose
-from actionseg.hmm import UnitHmm, left_right_log_trans
+from actionseg.hmm import (
+    StatePath,
+    UnitHmm,
+    _frames,
+    _reestimate_transitions,
+    _usable_frames,
+    left_right_log_trans,
+)
 
 
 def random_gmm(rng: np.random.Generator, K: int, m: int) -> Gmm:
@@ -308,3 +315,184 @@ def reference_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> Decod
         transcript=segmentation_to_transcript(segmentation),
         log_prob=float(best_score),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference unit recursions and training
+
+
+def reference_viterbi_align(hmm: UnitHmm, seq) -> StatePath:
+    """One sequence, one Python loop over frames: the straightforward form
+    of actionseg.hmm.viterbi_align, which must match it exactly."""
+    frames = _frames(seq, hmm.dim)
+    T, n = frames.shape[0], hmm.n
+    if T < n:
+        raise NoPathError(f"{T} frames cannot visit all {n} states")
+    obs = hmm.obs_log_prob(frames)
+    ls, ln = hmm.log_self, hmm.log_next
+
+    delta = np.full((T, n), -np.inf)
+    psi = np.zeros((T, n), dtype=np.int64)
+    delta[0, 0] = obs[0, 0]
+    state_idx = np.arange(n)
+    for t in range(1, T):
+        stay = delta[t - 1] + ls
+        adv = np.full(n, -np.inf)
+        adv[1:] = delta[t - 1, :-1] + ln[:-1]
+        take_adv = adv >= stay
+        delta[t] = np.where(take_adv, adv, stay) + obs[t]
+        psi[t] = np.where(take_adv, state_idx - 1, state_idx)
+
+    total = delta[T - 1, n - 1] + ln[n - 1]
+    if not np.isfinite(total):
+        raise NoPathError("no path of finite probability reaches the final state")
+    states = np.empty(T, dtype=np.int64)
+    states[T - 1] = n - 1
+    for t in range(T - 1, 0, -1):
+        states[t - 1] = psi[t, states[t]]
+    return StatePath(states=states, log_prob=float(total))
+
+
+def reference_forward_loglik(hmm: UnitHmm, seq) -> float:
+    """The per-frame loop form of actionseg.hmm.forward_loglik."""
+    frames = _frames(seq, hmm.dim)
+    T, n = frames.shape[0], hmm.n
+    if T < n:
+        return float("-inf")
+    obs = hmm.obs_log_prob(frames)
+    ls, ln = hmm.log_self, hmm.log_next
+    alpha = np.full(n, -np.inf)
+    alpha[0] = obs[0, 0]
+    for t in range(1, T):
+        adv = np.full(n, -np.inf)
+        adv[1:] = alpha[:-1] + ln[:-1]
+        alpha = np.logaddexp(alpha + ls, adv) + obs[t]
+    return float(alpha[n - 1] + ln[n - 1])
+
+
+def reference_viterbi_train(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None) -> UnitHmm:
+    """actionseg.hmm.viterbi_train with one reference_viterbi_align call
+    per sequence and per-sequence statistics."""
+    model = hmm.copy()
+    usable = _usable_frames(model, seqs)
+    floor = variance_floor(np.concatenate(usable))
+    n = model.n
+
+    prev_total = -np.inf
+    for it in range(max_iter):
+        paths = [reference_viterbi_align(model, a) for a in usable]
+        total = float(sum(p.log_prob for p in paths))
+        if history is not None:
+            history.append(total)
+        if it > 0 and total - prev_total < tol:
+            break
+        prev_total = total
+
+        self_counts = np.zeros(n)
+        adv_counts = np.zeros(n)
+        per_state = [[] for _ in range(n)]
+        for a, p in zip(usable, paths):
+            s = p.states
+            for j in range(n):
+                sel = a[s == j]
+                if sel.shape[0]:
+                    per_state[j].append(sel)
+            if s.size > 1:
+                stayed = s[1:] == s[:-1]
+                np.add.at(self_counts, s[:-1][stayed], 1.0)
+                np.add.at(adv_counts, s[:-1][~stayed], 1.0)
+            adv_counts[n - 1] += 1.0
+        new_obs = []
+        for j in range(n):
+            X = np.concatenate(per_state[j])
+            g, _ = em_step(model.obs[j], X, floor)
+            new_obs.append(g)
+        model = UnitHmm(
+            unit_id=model.unit_id,
+            log_trans=_reestimate_transitions(self_counts, adv_counts),
+            obs=new_obs,
+        )
+    return model
+
+
+def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None) -> UnitHmm:
+    """actionseg.hmm.baum_welch with one forward-backward loop per sequence."""
+    model = hmm.copy()
+    usable = _usable_frames(model, seqs)
+    if max_iter <= 0:
+        return model
+    floor = variance_floor(np.concatenate(usable))
+    n, m = model.n, model.dim
+
+    prev_total = -np.inf
+    for it in range(max_iter):
+        ls, ln = model.log_self, model.log_next
+        total = 0.0
+        self_exp = np.zeros(n)
+        adv_exp = np.zeros(n)
+        Rk = [np.zeros(g.n_components) for g in model.obs]
+        Sx = [np.zeros((g.n_components, m)) for g in model.obs]
+        Sxx = [np.zeros((g.n_components, m)) for g in model.obs]
+
+        for a in usable:
+            T = a.shape[0]
+            obs = model.obs_log_prob(a)
+            alpha = np.full((T, n), -np.inf)
+            alpha[0, 0] = obs[0, 0]
+            for t in range(1, T):
+                adv = np.full(n, -np.inf)
+                adv[1:] = alpha[t - 1, :-1] + ln[:-1]
+                alpha[t] = np.logaddexp(alpha[t - 1] + ls, adv) + obs[t]
+            ll = alpha[T - 1, n - 1] + ln[n - 1]
+            total += ll
+
+            beta = np.full((T, n), -np.inf)
+            beta[T - 1, n - 1] = ln[n - 1]
+            for t in range(T - 2, -1, -1):
+                stay = ls + obs[t + 1] + beta[t + 1]
+                adv = np.full(n, -np.inf)
+                adv[:-1] = ln[:-1] + obs[t + 1, 1:] + beta[t + 1, 1:]
+                beta[t] = np.logaddexp(stay, adv)
+
+            gamma_log = alpha + beta - ll
+            if T > 1:
+                self_exp += np.exp(alpha[:-1] + ls + obs[1:] + beta[1:] - ll).sum(axis=0)
+                adv_exp[:-1] += np.exp(
+                    alpha[:-1, :-1] + ln[:-1] + obs[1:, 1:] + beta[1:, 1:] - ll
+                ).sum(axis=0)
+            adv_exp[n - 1] += 1.0
+
+            for j in range(n):
+                comp = model.obs[j]._component_log_prob(a)
+                r = np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1])
+                Rk[j] += r.sum(axis=0)
+                Sx[j] += r.T @ a
+                Sxx[j] += r.T @ (a * a)
+
+        if history is not None:
+            history.append(float(total))
+        if it > 0 and total - prev_total < tol:
+            break
+        prev_total = total
+
+        new_obs = []
+        for j in range(n):
+            g = model.obs[j]
+            new_w = g.weights.copy()
+            new_mu = g.means.copy()
+            new_var = g.variances.copy()
+            alive = Rk[j] > 1e-12
+            new_w[alive] = Rk[j][alive] / Rk[j].sum()
+            new_w[~alive] = 1e-12
+            new_w /= new_w.sum()
+            for k in np.flatnonzero(alive):
+                mu = Sx[j][k] / Rk[j][k]
+                new_mu[k] = mu
+                new_var[k] = np.maximum(Sxx[j][k] / Rk[j][k] - mu * mu, floor)
+            new_obs.append(Gmm(weights=new_w, means=new_mu, variances=new_var))
+        model = UnitHmm(
+            unit_id=model.unit_id,
+            log_trans=_reestimate_transitions(self_exp, adv_exp),
+            obs=new_obs,
+        )
+    return model

@@ -69,6 +69,29 @@ def test_missing_input_exits_2(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("mutate, needle", [
+    (lambda doc: doc.update(clips=5), "'clips' list"),
+    (lambda doc: doc["splits"].update(x="ab"), "split 'x' must be a list of clip ids"),
+    (lambda doc: doc.update(splits=["train"]), "'splits' must map"),
+    (lambda doc: doc["clips"][0].update(features=7), "paths must be strings"),
+], ids=["clips-not-a-list", "split-is-a-string", "splits-not-an-object", "path-not-a-string"])
+def test_malformed_manifest_exits_2(capsys, workspace, tmp_path, mutate, needle):
+    root, data, model = workspace
+    doc = json.loads((data / "manifest.json").read_text())
+    for rec in doc["clips"]:
+        for key in ("features", "segmentation", "transcript"):
+            rec[key] = str(data / rec[key])
+    mutate(doc)
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "decode", "--model", str(model), "--manifest", str(bad), "--split", "test"
+    )
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err and "Traceback" not in err
+
+
 def test_feature_dim_mismatch_exits_2(capsys, workspace, tmp_path):
     root, data, model = workspace
     copy = tmp_path / "data"

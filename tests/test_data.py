@@ -1,3 +1,7 @@
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from actionseg.data import (
     load_segmentation,
     load_transcript,
     read_segment_names,
+    read_transcript_names,
     save_features,
     save_manifest,
     save_segmentation,
@@ -155,6 +160,24 @@ def test_manifest_round_trip_with_relative_paths(tmp_path):
         back.clip("nope")
     with pytest.raises(DataError):
         back.split_ids("nope")
+
+
+def test_transcript_read_closes_its_file(tmp_path):
+    p = tmp_path / "c.tr"
+    p.write_text("SIL\nstir\n")
+    # A file left open warns when it is collected; as an error, that warning
+    # surfaces as an unraisable exception.
+    unraisable = []
+    hook = sys.unraisablehook
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        sys.unraisablehook = unraisable.append
+        try:
+            assert read_transcript_names(p) == ["SIL", "stir"]
+            gc.collect()
+        finally:
+            sys.unraisablehook = hook
+    assert not unraisable
 
 
 def test_manifest_rejects_unknown_split_members():

@@ -9,7 +9,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["decoding_graph_tour.py", "quickstart_synthetic.py"])
+@pytest.mark.parametrize(
+    "script", ["decoding_graph_tour.py", "quickstart_synthetic.py", "weak_supervision_walkthrough.py"]
+)
 def test_demo_exits_0(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal
 
 from actionseg import gmm as gmm_module
@@ -13,6 +19,45 @@ from actionseg.gmm import (
     variance_floor,
 )
 from helpers import random_gmm
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_logsumexp_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(14)
+    cases = 0
+    for trial in range(600):
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 5)), int(rng.integers(1, 9)))
+        a = rng.normal(0.0, 30.0, shape)
+        if trial % 2:
+            a = np.round(a)  # ties between the largest terms
+        if trial % 3 == 0:
+            a[rng.random(shape) < 0.3] = -np.inf
+        if trial % 5 == 0:
+            a[0, 0] = -np.inf  # a row of nothing but -inf
+        if trial % 7 == 0:
+            a[-1, -1, 0] = np.inf
+        flat = a.reshape(-1, shape[2])
+        for arr, axis, keepdims in (
+            (flat, 1, False), (flat, 1, True), (a, -1, False), (a, 2, True),
+        ):
+            got = gmm_module._logsumexp(arr, axis=axis, keepdims=keepdims)
+            want = scipy_logsumexp(arr, axis=axis, keepdims=keepdims)
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want)), (trial, axis, keepdims)
+            cases += 1
+    assert cases == 2400
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(gmm_module.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, actionseg, actionseg.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_log_gaussian_matches_scipy():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,15 @@ from actionseg.hmm import (
     viterbi_align,
     viterbi_train,
 )
-from helpers import oracle_forward, oracle_viterbi, random_unit_hmm
+from helpers import (
+    oracle_forward,
+    oracle_viterbi,
+    random_unit_hmm,
+    reference_baum_welch,
+    reference_forward_loglik,
+    reference_viterbi_align,
+    reference_viterbi_train,
+)
 
 
 def constant_obs_hmm(n: int, p_self: float = 0.5) -> UnitHmm:
@@ -261,6 +271,121 @@ def test_baum_welch_improves_mismatched_model():
     out = baum_welch(hmm, seqs, max_iter=10)
     after = sum(forward_loglik(out, s) for s in seqs)
     assert after > before
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call returns or raises, with the messages of the UserWarnings
+    it emits (the skipped short sequences)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args, **kwargs)
+        except Exception as exc:  # compared by type and message
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught if w.category is UserWarning]
+
+
+def _tied_hmm(n: int, m: int) -> UnitHmm:
+    """Identical states and even transitions: on integer frames, many
+    paths tie and only the tie-break decides."""
+    gmm = Gmm(weights=np.array([1.0]), means=np.zeros((1, m)), variances=np.ones((1, m)))
+    lt = left_right_log_trans(np.full(n, np.log(0.5)), np.full(n, np.log(0.5)))
+    return UnitHmm(unit_id=4, log_trans=lt, obs=[gmm] * n)
+
+
+def _random_segments(rng, n, m, count, short=0):
+    """count sequences of n .. n + 7 frames (one of exactly n), then the
+    same with `short` sequences too short for an n-state model mixed in."""
+    lengths = [n] + [int(rng.integers(n, n + 8)) for _ in range(count - 1)]
+    rng.shuffle(lengths)
+    seqs = [rng.normal(size=(T, m)) + rng.normal(0.0, 2.0, m) for T in lengths]
+    seqs = [FeatureSequence(a) if rng.random() < 0.5 else a for a in seqs]
+    mixed = list(seqs)
+    for _ in range(short):
+        mixed.insert(int(rng.integers(len(mixed) + 1)), rng.normal(size=(int(rng.integers(1, n)), m)))
+    return seqs, mixed
+
+
+def test_alignment_and_forward_match_reference_exactly():
+    rng = np.random.default_rng(50)
+    for trial in range(150):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 4))
+        hmm = random_unit_hmm(rng, 0, n, int(rng.integers(1, 4)), m)
+        T = int(rng.integers(max(1, n - 1), n + 9))
+        frames = rng.normal(size=(T, m)) * 2.0
+        if trial % 4 == 1:
+            hmm, frames = _tied_hmm(n, m), np.round(frames / 4.0)
+        if trial % 10 == 0:
+            frames[int(rng.integers(T))] = np.inf  # no path of finite probability
+        got, got_warn = _outcome(viterbi_align, hmm, frames)
+        want, want_warn = _outcome(reference_viterbi_align, hmm, frames)
+        assert got_warn == want_warn
+        if isinstance(want, StatePath):
+            assert np.array_equal(got.states, want.states), f"trial {trial}"
+            assert got.states.dtype == want.states.dtype
+            assert repr(got.log_prob) == repr(want.log_prob), f"trial {trial}"
+        else:
+            assert got == want, f"trial {trial}"
+        got_f = forward_loglik(hmm, frames)
+        want_f = reference_forward_loglik(hmm, frames)
+        assert repr(got_f) == repr(want_f), f"trial {trial}"
+
+
+@pytest.mark.parametrize("fn, ref", [
+    (viterbi_train, reference_viterbi_train),
+    (baum_welch, reference_baum_welch),
+])
+def test_training_matches_reference_exactly(fn, ref):
+    rng = np.random.default_rng(51 if fn is viterbi_train else 52)
+    for trial in range(40):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 4))
+        K = int(rng.integers(1, 4))
+        short = int(rng.integers(0, 3)) if n > 1 else 0
+        long, seqs = _random_segments(rng, n, m, int(rng.integers(1, 7)), short)
+        if trial % 5 == 1:
+            hmm = _tied_hmm(n, m)
+            seqs = [np.round(np.asarray(getattr(a, "frames", a)) / 4.0) for a in seqs]
+        elif trial % 3 == 0:
+            hmm = random_unit_hmm(rng, 4, n, K, m)
+        else:
+            hmm = init_hmm(4, long, K=K, seed=trial)
+        max_iter = [0, 1, 2, 4][trial % 4]
+        tol = [0.0, 1e-4][trial % 2]
+        hist_got: list[float] = []
+        hist_want: list[float] = []
+        got, got_warn = _outcome(fn, hmm, seqs, max_iter=max_iter, tol=tol, history=hist_got)
+        want, want_warn = _outcome(ref, hmm, seqs, max_iter=max_iter, tol=tol, history=hist_want)
+        assert got_warn == want_warn, f"trial {trial}"
+        assert [repr(v) for v in hist_got] == [repr(v) for v in hist_want], f"trial {trial}"
+        assert got.to_dict() == want.to_dict(), f"trial {trial}"
+        assert got == want
+        # a warm start from the trained model
+        got2, _ = _outcome(fn, got, seqs[::-1], max_iter=2, tol=0.0)
+        want2, _ = _outcome(ref, want, seqs[::-1], max_iter=2, tol=0.0)
+        assert got2.to_dict() == want2.to_dict(), f"trial {trial}"
+
+
+@pytest.mark.parametrize("fn, ref", [
+    (viterbi_train, reference_viterbi_train),
+    (baum_welch, reference_baum_welch),
+])
+def test_training_failures_match_reference(fn, ref):
+    rng = np.random.default_rng(53)
+    hmm = random_unit_hmm(rng, 0, 3, 2, 2)
+    cases = [
+        [rng.normal(size=(2, 2)), rng.normal(size=(1, 2))],   # nothing usable
+        [rng.normal(size=(6, 2)), rng.normal(size=(5, 3))],   # another dim
+        [],
+    ]
+    unreachable = rng.normal(size=(7, 2))
+    unreachable[3] = np.inf
+    cases.append([rng.normal(size=(6, 2)), unreachable])  # no finite path
+    for seqs in cases:
+        got = _outcome(fn, hmm, seqs, max_iter=2)
+        want = _outcome(ref, hmm, seqs, max_iter=2)
+        assert isinstance(got[0], tuple) and got == want
 
 
 def test_score_unit_and_classify():
