@@ -557,6 +557,11 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="root random seed")
     p.add_argument("--silence", default=DEFAULT_SILENCE,
                    help="background unit name (default %(default)s)")
+    _add_schedule_flags(p)
+
+
+def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
+    """The balancing and iteration flags shared by train, bootstrap and grid."""
     p.add_argument("--balance-lower", type=_positive_int, default=50, metavar="N",
                    help="oversample units below this many segments")
     p.add_argument("--balance-upper", type=_positive_int, default=80, metavar="N",
@@ -698,11 +703,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--prior", choices=("on", "off"), default="off")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--silence", default=DEFAULT_SILENCE)
-    p.add_argument("--balance-lower", type=_positive_int, default=50)
-    p.add_argument("--balance-upper", type=_positive_int, default=80)
-    p.add_argument("--jitter", type=_nonneg_float, default=0.01)
-    p.add_argument("--viterbi-iters", type=_nonneg_int, default=10)
-    p.add_argument("--baum-welch-iters", type=_nonneg_int, default=10)
+    _add_schedule_flags(p)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", required=True, metavar="DIR")
 

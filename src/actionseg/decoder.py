@@ -88,8 +88,8 @@ class _Layout:
             total += graph.hmms[node.unit_id].n
         self.total = total
         self.log_self = np.empty(total)
-        self.log_next = np.empty(total)
-        self.first = np.zeros(total, dtype=bool)
+        log_next = np.empty(total)
+        first = np.zeros(total, dtype=bool)
         self.exit_state = np.empty(len(graph.nodes), dtype=np.int64)
         self.exit_log = np.empty(len(graph.nodes))
         self.terminal = [i for i, node in enumerate(graph.nodes) if node.terminal]
@@ -97,10 +97,14 @@ class _Layout:
             hmm = graph.hmms[node.unit_id]
             o = self.offsets[i]
             self.log_self[o : o + hmm.n] = hmm.log_self
-            self.log_next[o : o + hmm.n] = hmm.log_next
-            self.first[o] = True
+            log_next[o : o + hmm.n] = hmm.log_next
+            first[o] = True
             self.exit_state[i] = o + hmm.n - 1
             self.exit_log[i] = hmm.log_next[-1]
+        # log_adv[s] scores the step from state s into state s + 1; it is
+        # -inf where s + 1 is a unit's first state, which only an entry
+        # reaches.
+        self.log_adv = np.where(first[1:], -np.inf, log_next[:-1])
 
         # One column per distinct unit state; every graph state reads the
         # column of its unit's state, however many nodes share the unit.
@@ -140,6 +144,9 @@ class _Layout:
         self.e_src = np.array(e_src, dtype=np.int64)
         self.e_w = np.array(e_w, dtype=np.float64)
         self.e_index = np.arange(len(e_src))
+        # Each edge's source exit: the exit state and its exit log-probability.
+        self.e_exit = self.exit_state[self.e_src]
+        self.e_exit_log = self.exit_log[self.e_src]
 
     def obs_table(self, frames: np.ndarray) -> np.ndarray:
         """(T, total) observation log-likelihoods: one evaluation of every
@@ -222,22 +229,25 @@ def decode(
     score += obs[0]
     if beam is not None:
         _apply_beam(score, beam)
-    if not np.any(score > -np.inf):
+    if not score.max() > -np.inf:
         fail(0)
 
     n_edges = lay.e_src.size
+    # adv[0] stays -inf: state 0 is a unit's first state.  A dead token
+    # there may take the advance and read shifted[0]; its link is never
+    # followed, so shifted[0] is never filled in.
     adv = np.full(lay.total, -np.inf)
+    shifted = np.full(lay.total, -1, dtype=np.int64)
     for t in range(1, T):
         stay = score + lay.log_self
-        np.add(score[:-1], lay.log_next[:-1], out=adv[1:])
-        adv[lay.first] = -np.inf
+        np.add(score[:-1], lay.log_adv, out=adv[1:])
         take_adv = adv >= stay
         trans = np.where(take_adv, adv, stay)
-        new_link = np.where(take_adv, np.concatenate((link[-1:], link[:-1])), link)
+        shifted[1:] = link[:-1]
+        new_link = np.where(take_adv, shifted, link)
 
         if n_edges:
-            exits = score[lay.exit_state] + lay.exit_log
-            cand = (exits[lay.e_src] + lay.e_w) + e_prior
+            cand = (score[lay.e_exit] + lay.e_exit_log + lay.e_w) + e_prior
             best = np.maximum.reduceat(cand, lay.e_start)
             take = (best > -np.inf) & (best >= trans[lay.entry_first])
             if take.any():
@@ -256,7 +266,7 @@ def decode(
         link = new_link
         if beam is not None:
             _apply_beam(score, beam)
-        if not np.any(score > -np.inf):
+        if not score.max() > -np.inf:
             fail(t)
 
     best_i = -1

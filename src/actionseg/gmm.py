@@ -3,6 +3,17 @@
 Used both as the per-state observation model of unit HMMs and as the
 codebook for Fisher-Vector encoding.  All probability arithmetic is done in
 natural-log space.
+
+Short axes.  The density sum over the m feature dimensions and the
+log-sum-exp over the K components are the innermost reductions of every
+evaluation, and on a short axis a numpy reduction costs one small
+inner-loop call per output element.  So when the reduced axis is shorter
+than _SHORT_AXIS (8), both kernels take one slice of the axis at a time
+and combine the slices with elementwise operations, adding them left to
+right.  That is the order in which np.sum adds fewer than eight terms (its
+pairwise summation only splits longer runs), so both forms give the same
+bits; tests/test_gmm.py pins this numpy behaviour.  Longer axes keep the
+np.sum and np.max reductions.
 """
 from __future__ import annotations
 
@@ -92,14 +103,50 @@ class Gmm:
         )
 
 
+# Reduced axes shorter than this are combined slice by slice, left to right,
+# which is the order np.sum uses below its pairwise-summation block size.
+_SHORT_AXIS = 8
+
+
 def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along one axis of a real array.
 
     The arithmetic is that of scipy.special.logsumexp, step for step, so
     results match it bit for bit: the maxima are taken out of the sum
     (m tied maxima give log1p(s / m) + log(m) + max), and rows whose
-    result is not finite fall back to the direct log(sum(exp(a))).
+    result is not finite fall back to the direct log(sum(exp(a))).  Axes
+    shorter than _SHORT_AXIS are reduced slice by slice (see the module
+    docstring), which gives the same values.
     """
+    n = a.shape[axis]
+    if not 0 < n < _SHORT_AXIS:
+        return _logsumexp_reduce(a, axis, keepdims)
+    head = (slice(None),) * (axis % a.ndim)
+    parts = [a[head + (k,)] for k in range(n)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = parts[0]
+        for p in parts[1:]:
+            a_max = np.maximum(a_max, p)
+        ties = parts[0] == a_max
+        m = ties.astype(np.float64)
+        s = np.exp(np.where(ties, -np.inf, parts[0]) - a_max)
+        for p in parts[1:]:
+            ties = p == a_max
+            m += ties
+            s += np.exp(np.where(ties, -np.inf, p) - a_max)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.exp(parts[0])
+            for p in parts[1:]:
+                direct += np.exp(p)
+            out = np.where(finite, out, np.log(direct))
+    return np.expand_dims(out, axis) if keepdims else out
+
+
+def _logsumexp_reduce(a: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
+    """_logsumexp by numpy reductions over the axis, for long axes."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=axis, keepdims=True)
         ties = a == a_max
@@ -127,22 +174,38 @@ def _component_log_prob(
     """log w_k + log N(x | mu_k, var_k) for the rows of X (N, m) against
     components stacked as (..., K, m); returns (N, ..., K).
 
-    Every entry is computed by the same elementwise steps and last-axis
-    sums whatever the leading stack shape, so a stacked evaluation equals
-    the one-mixture evaluation bit for bit.
+    Every entry is computed by the same elementwise steps and the same
+    order of additions over the m dimensions whatever the leading stack
+    shape, so a stacked evaluation equals the one-mixture evaluation bit
+    for bit.  A frame far enough from a component overflows its quadratic
+    term to inf, which is the right limit (log-density -inf), so that
+    overflow is not reported.
     """
-    m = X.shape[1]
-    diff = X.reshape(X.shape[0], *(1,) * (means.ndim - 1), m) - means   # (N, ..., K, m)
-    np.multiply(diff, diff, out=diff)
-    np.divide(diff, variances, out=diff)
-    quad = np.sum(diff, axis=-1)
-    logdet = np.sum(np.log(variances), axis=-1)                         # (..., K)
-    const = m * np.log(2.0 * np.pi)
-    return np.log(weights) - 0.5 * (const + logdet + quad)
+    N, m = X.shape
+    lead = (N,) + (1,) * (means.ndim - 1)
+    with np.errstate(over="ignore"):
+        if 0 < m < _SHORT_AXIS:
+            quad = None
+            for j in range(m):
+                d = X[:, j].reshape(lead) - means[..., j]                   # (N, ..., K)
+                np.multiply(d, d, out=d)
+                np.divide(d, variances[..., j], out=d)
+                quad = d if quad is None else np.add(quad, d, out=quad)
+        else:
+            diff = X.reshape(*lead, m) - means                              # (N, ..., K, m)
+            np.multiply(diff, diff, out=diff)
+            np.divide(diff, variances, out=diff)
+            quad = np.sum(diff, axis=-1)
+        logdet = np.sum(np.log(variances), axis=-1)                         # (..., K)
+        const = m * np.log(2.0 * np.pi)
+        np.add(quad, const + logdet, out=quad)
+        np.multiply(quad, 0.5, out=quad)
+        return np.subtract(np.log(weights), quad, out=quad)
 
 
 # Doubles of temporaries per row block in GmmBank.log_prob: a block's
-# (rows, states, K, m) differences plus up to eight (rows, states, K)
+# (rows, states, K, m) differences (short feature axes need only two
+# (rows, states, K) slices instead) plus up to eight (rows, states, K)
 # arrays inside _logsumexp stay near this size, which keeps blocks large
 # enough to amortize the per-call overhead and small enough that peak
 # memory does not grow.
@@ -328,9 +391,10 @@ def em_step(
     # Starved components keep their parameters at a tiny weight.
     new_w[~alive] = 1e-12
     new_w /= new_w.sum()
+    XX = X * X
     for k in np.flatnonzero(alive):
         mu = resp[:, k] @ X / Nk[k]
-        sq = resp[:, k] @ (X * X) / Nk[k]
+        sq = resp[:, k] @ XX / Nk[k]
         new_mu[k] = mu
         new_var[k] = np.maximum(sq - mu * mu, floor)
     return Gmm(weights=new_w, means=new_mu, variances=new_var), ll

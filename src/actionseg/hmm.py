@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import FeatureSequence, UnitLexicon
 from .errors import DataError, NoPathError
-from .gmm import Gmm, GmmBank, em_step, fit_em, variance_floor
+from .gmm import Gmm, GmmBank, _logsumexp, em_step, fit_em, variance_floor
 from .util import derive_seed, read_json, write_json
 
 SELF_LOOP_INIT = 0.9
@@ -508,7 +508,10 @@ def baum_welch(
     prev_total = -np.inf
     for it in range(max_iter):
         ls, ln = model.log_self, model.log_next
-        obs = model.obs_log_prob(segs.frames)
+        # One density pass per state: its component table gives both the
+        # observation column and, below, the component responsibilities.
+        comps = [g._component_log_prob(segs.frames) for g in model.obs]
+        obs = np.column_stack([_logsumexp(c, axis=1) for c in comps])
         padded = segs.pad(obs)
         alpha = segs.unpad(_forward(padded, ls, ln))
         ll = alpha[last, n - 1] + ln[n - 1]
@@ -537,8 +540,7 @@ def baum_welch(
         adv_exp[n - 1] = segs.count  # every sequence leaves once
 
         new_obs = []
-        for j, g in enumerate(model.obs):
-            comp = g._component_log_prob(segs.frames)
+        for j, (g, comp) in enumerate(zip(model.obs, comps)):
             r_all = np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1])
             Rk = np.zeros(g.n_components)
             Sx = np.zeros((g.n_components, m))

@@ -34,6 +34,8 @@ from .data import (
     read_transcript_names,
     save_manifest,
     segmentation_to_transcript,
+    write_segment_names,
+    write_transcript_names,
 )
 from .decoder import force_align
 from .errors import DataError
@@ -445,13 +447,9 @@ def split_units(
                 read_segment_names(clip.segmentation), k, silence, clip.clip_id
             )
             seg_path = out_dir / "annotations" / f"{clip.clip_id}.seg"
-            with open(seg_path, "w", encoding="utf-8") as fh:
-                for start, end, name in rows:
-                    fh.write(f"{start} {end} {name}\n")
+            write_segment_names(seg_path, rows)
             tr_path = out_dir / "annotations" / f"{clip.clip_id}.tr"
-            with open(tr_path, "w", encoding="utf-8") as fh:
-                for _, _, name in rows:
-                    fh.write(name + "\n")
+            write_transcript_names(tr_path, [name for _, _, name in rows])
         elif clip.transcript is not None:
             names = [
                 part
@@ -459,9 +457,7 @@ def split_units(
                 for part in expand_name(nm)
             ]
             tr_path = out_dir / "annotations" / f"{clip.clip_id}.tr"
-            with open(tr_path, "w", encoding="utf-8") as fh:
-                for name in names:
-                    fh.write(name + "\n")
+            write_transcript_names(tr_path, names)
         clips.append(
             ClipRecord(
                 clip_id=clip.clip_id,

@@ -49,6 +49,57 @@ def random_unit_hmm(rng: np.random.Generator, unit_id: int, n: int, K: int, m: i
 
 
 # ---------------------------------------------------------------------------
+# reference density kernels
+
+
+def reference_logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """actionseg.gmm._logsumexp by numpy reductions over the whole axis,
+    whatever its length: scipy.special.logsumexp's arithmetic."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        ties = a == a_max
+        m = np.sum(ties, axis=axis, keepdims=True, dtype=np.float64)
+        shifted = np.where(ties, -np.inf, a)
+        np.subtract(shifted, a_max, out=shifted)
+        np.exp(shifted, out=shifted)
+        s = np.sum(shifted, axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def reference_component_log_prob(
+    X: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """actionseg.gmm._component_log_prob as one broadcast (N, ..., K, m)
+    array summed over its last axis, whatever m."""
+    m = X.shape[1]
+    with np.errstate(over="ignore"):
+        diff = X.reshape(X.shape[0], *(1,) * (means.ndim - 1), m) - means
+        np.multiply(diff, diff, out=diff)
+        np.divide(diff, variances, out=diff)
+        quad = np.sum(diff, axis=-1)
+        logdet = np.sum(np.log(variances), axis=-1)
+        const = m * np.log(2.0 * np.pi)
+        return np.log(weights) - 0.5 * (const + logdet + quad)
+
+
+def reference_gmm_log_prob(gmm: Gmm, X: np.ndarray) -> np.ndarray:
+    """Gmm.log_prob through the reference kernels."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    comp = reference_component_log_prob(X, gmm.weights, gmm.means, gmm.variances)
+    return reference_logsumexp(comp, axis=1)
+
+
+def reference_obs_log_prob(hmm: UnitHmm, frames: np.ndarray) -> np.ndarray:
+    """UnitHmm.obs_log_prob one state at a time through the reference kernels."""
+    return np.column_stack([reference_gmm_log_prob(g, frames) for g in hmm.obs])
+
+
+# ---------------------------------------------------------------------------
 # single-unit path enumeration
 
 
@@ -178,8 +229,9 @@ def compose_random_graph(rng, unit_names, hmms, n_sentences=2, max_inner=1):
 
 def reference_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> DecodeResult:
     """Token passing with a Python loop over graph nodes per frame and a
-    per-Gmm observation table: the straightforward form of
-    actionseg.decoder.decode, which must match it exactly."""
+    per-Gmm observation table from the reference kernels: the
+    straightforward form of actionseg.decoder.decode, which must match it
+    exactly."""
     if beam is not None and beam < 1:
         raise ValueError("beam must keep at least one state")
     frames = seq.frames if isinstance(seq, FeatureSequence) else np.asarray(seq, dtype=np.float64)
@@ -208,7 +260,7 @@ def reference_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> Decod
         exit_state[i] = o + hmm.n - 1
         exit_log[i] = hmm.log_next[-1]
         for k, g in enumerate(hmm.obs):
-            obs[:, o + k] = g.log_prob(frames)
+            obs[:, o + k] = reference_gmm_log_prob(g, frames)
     incoming: list[list[tuple[int, float]]] = [[] for _ in nodes]
     for node in nodes:
         for j, w in node.edges:
@@ -328,7 +380,7 @@ def reference_viterbi_align(hmm: UnitHmm, seq) -> StatePath:
     T, n = frames.shape[0], hmm.n
     if T < n:
         raise NoPathError(f"{T} frames cannot visit all {n} states")
-    obs = hmm.obs_log_prob(frames)
+    obs = reference_obs_log_prob(hmm, frames)
     ls, ln = hmm.log_self, hmm.log_next
 
     delta = np.full((T, n), -np.inf)
@@ -359,7 +411,7 @@ def reference_forward_loglik(hmm: UnitHmm, seq) -> float:
     T, n = frames.shape[0], hmm.n
     if T < n:
         return float("-inf")
-    obs = hmm.obs_log_prob(frames)
+    obs = reference_obs_log_prob(hmm, frames)
     ls, ln = hmm.log_self, hmm.log_next
     alpha = np.full(n, -np.inf)
     alpha[0] = obs[0, 0]
@@ -436,7 +488,7 @@ def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None
 
         for a in usable:
             T = a.shape[0]
-            obs = model.obs_log_prob(a)
+            obs = reference_obs_log_prob(model, a)
             alpha = np.full((T, n), -np.inf)
             alpha[0, 0] = obs[0, 0]
             for t in range(1, T):
@@ -463,7 +515,8 @@ def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None
             adv_exp[n - 1] += 1.0
 
             for j in range(n):
-                comp = model.obs[j]._component_log_prob(a)
+                g = model.obs[j]
+                comp = reference_component_log_prob(a, g.weights, g.means, g.variances)
                 r = np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1])
                 Rk[j] += r.sum(axis=0)
                 Sx[j] += r.T @ a

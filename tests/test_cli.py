@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import actionseg
 from actionseg.cli import main
 from actionseg.data import (
     FeatureSequence,
@@ -377,3 +380,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "synthetic" in proc.stdout
+
+
+def test_decode_of_huge_frames_exits_3_with_one_line(workspace, tmp_path):
+    # Finite but huge frames overflow the density's quadratic term to inf,
+    # so no path has finite probability: exit 3, and no numpy warning.
+    root, data, model = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = load_manifest(copy / "manifest.json")
+    clip = manifest.split_ids("test")[0]
+    rec = manifest.clip(clip)
+    seq = load_features(rec.features)
+    huge = np.full((40, seq.dim), 1e300)
+    save_features(rec.features, FeatureSequence(huge, frame_rate=seq.frame_rate))
+    src = Path(actionseg.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "actionseg.cli", "decode", "--model", str(model),
+         "--manifest", str(copy / "manifest.json"), "--clip", clip],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: no legal path covers all 40 frames")

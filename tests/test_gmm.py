@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal
 
@@ -18,7 +20,12 @@ from actionseg.gmm import (
     log_mixture,
     variance_floor,
 )
-from helpers import random_gmm
+from helpers import (
+    random_gmm,
+    reference_component_log_prob,
+    reference_gmm_log_prob,
+    reference_logsumexp,
+)
 
 
 def _bits(a) -> np.ndarray:
@@ -203,12 +210,115 @@ def test_em_step_sample_weights_match_replication():
 
 def test_bank_equals_column_stacked_log_prob():
     rng = np.random.default_rng(19)
-    m = 9  # numpy's pairwise summation starts at 8 elements
-    gmms = [random_gmm(rng, int(rng.integers(1, 5)), m) for _ in range(12)]
-    N = gmm_module._BLOCK_ELEMS // m + 5  # more than one row block in every group
-    X = rng.normal(0.0, 2.0, size=(N, m))
-    X[::3] = np.round(X[::3])
-    want = np.column_stack([g.log_prob(X) for g in gmms])
-    assert np.array_equal(GmmBank(gmms).log_prob(X), want)
-    with pytest.raises(ValueError, match="input dim 2 != model dim 9"):
-        GmmBank(gmms).log_prob(X[:, :2])
+    # 9: numpy's pairwise summation starts at 8 elements; 2: the short-axis path
+    for m in (9, 2):
+        gmms = [random_gmm(rng, int(rng.integers(1, 5)), m) for _ in range(12)]
+        N = gmm_module._BLOCK_ELEMS // m + 5  # more than one row block in every group
+        X = rng.normal(0.0, 2.0, size=(N, m))
+        X[::3] = np.round(X[::3])
+        want = np.column_stack([g.log_prob(X) for g in gmms])
+        assert np.array_equal(GmmBank(gmms).log_prob(X), want)
+        with pytest.raises(ValueError, match=f"input dim 1 != model dim {m}"):
+            GmmBank(gmms).log_prob(X[:, :1])
+
+
+def test_numpy_sums_short_axes_left_to_right():
+    # The short-axis kernels add slices left to right because np.sum does
+    # exactly that below eight terms.  If a numpy release changes it, the
+    # kernels would silently change output bytes; this fails instead.
+    rng = np.random.default_rng(22)
+    for n in range(1, gmm_module._SHORT_AXIS):
+        a = rng.random((4000, 3, n)) * 10.0 ** rng.uniform(-8, 8, (4000, 3, n))
+        acc = a[..., 0].copy()
+        for j in range(1, n):
+            acc += a[..., j]
+        assert np.array_equal(_bits(np.sum(a, axis=-1)), _bits(acc)), n
+        assert np.array_equal(_bits(np.sum(a[..., None], axis=-2)[..., 0]), _bits(acc)), n
+
+
+def _mixture_stack(rng, stack, K, m, ties, tiny_weight, floor_var, integer):
+    means = rng.normal(0.0, 2.0, (*stack, K, m))
+    variances = rng.uniform(0.2, 1.5, (*stack, K, m))
+    weights = rng.uniform(0.2, 1.0, (*stack, K))
+    if integer:
+        means = np.round(means)
+    if floor_var:
+        variances[rng.random(variances.shape) < 0.3] = gmm_module.VAR_FLOOR_ABS
+    if tiny_weight:
+        weights[..., 0] = 1e-12
+    if ties and K > 1:
+        # copies of component 0 tie with it exactly, whatever the frame
+        copies = rng.random(K) < 0.5
+        means[..., copies, :] = means[..., :1, :]
+        variances[..., copies, :] = variances[..., :1, :]
+        weights[..., copies] = weights[..., :1]
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights, means, variances
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 12),
+    K=st.integers(1, 10),
+    stack=st.sampled_from([(), (1,), (3,), (5,)]),
+    N=st.integers(1, 40),
+    ties=st.booleans(),
+    tiny_weight=st.booleans(),
+    floor_var=st.booleans(),
+    integer=st.booleans(),
+    huge=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_equal_reference_bit_for_bit(
+    m, K, stack, N, ties, tiny_weight, floor_var, integer, huge, seed
+):
+    rng = np.random.default_rng(seed)
+    weights, means, variances = _mixture_stack(
+        rng, stack, K, m, ties, tiny_weight, floor_var, integer
+    )
+    X = rng.normal(0.0, 3.0, (N, m))
+    if integer:
+        X = np.round(X).astype(np.int64)
+    if huge:
+        X = X.astype(np.float64)
+        X[0] = 1e300  # overflows the quadratic term: log-density -inf
+    got = gmm_module._component_log_prob(X, weights, means, variances)
+    want = reference_component_log_prob(X, weights, means, variances)
+    assert got.shape == want.shape == (N, *stack, K)
+    assert np.array_equal(_bits(got), _bits(want))
+    for axis in range(-1, -got.ndim - 1, -1):
+        for keepdims in (False, True):
+            lse = gmm_module._logsumexp(want, axis=axis, keepdims=keepdims)
+            ref = reference_logsumexp(want, axis=axis, keepdims=keepdims)
+            assert lse.shape == ref.shape
+            assert np.array_equal(_bits(lse), _bits(ref)), (axis, keepdims)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 12),
+    Ks=st.lists(st.integers(1, 10), min_size=1, max_size=6),
+    N=st.integers(1, 60),
+    ties=st.booleans(),
+    tiny_weight=st.booleans(),
+    floor_var=st.booleans(),
+    integer=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bank_and_log_prob_equal_reference_bit_for_bit(
+    m, Ks, N, ties, tiny_weight, floor_var, integer, seed
+):
+    rng = np.random.default_rng(seed)
+    gmms = []
+    for K in Ks:
+        weights, means, variances = _mixture_stack(
+            rng, (), K, m, ties, tiny_weight, floor_var, integer
+        )
+        gmms.append(Gmm(weights=weights, means=means, variances=variances))
+    X = rng.normal(0.0, 3.0, (N, m))
+    if integer:
+        X = np.round(X).astype(np.int64)
+    want = np.column_stack([reference_gmm_log_prob(g, X) for g in gmms])
+    assert np.array_equal(_bits(GmmBank(gmms).log_prob(X)), _bits(want))
+    for s, g in enumerate(gmms):
+        assert np.array_equal(_bits(g.log_prob(X)), _bits(want[:, s]))
