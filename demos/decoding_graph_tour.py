@@ -45,7 +45,7 @@ def main():
     graph = compose(grammar, hmms)
     print(f"grammar graph: {len(graph.nodes)} nodes "
           f"(the shared SIL-reach prefix is stored once)")
-    free = unconstrained_graph(hmms, lexicon)
+    free = unconstrained_graph(hmms)
     print(f"unconstrained graph: {len(free.nodes)} nodes, any unit order")
 
     # frames that sweep through the reach states and back to silence

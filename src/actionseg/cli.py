@@ -26,6 +26,7 @@ from .data import (
     Segmentation,
     UnitLexicon,
     frame_labels,
+    label_runs,
     load_features,
     load_manifest,
     load_transcript,
@@ -53,6 +54,7 @@ from .pipeline import (
     BalanceConfig,
     BootstrapConfig,
     MirrorMap,
+    ModelBundle,
     TrainConfig,
     bootstrap,
     load_bundle,
@@ -150,36 +152,44 @@ def _segment_rows(seg: Segmentation, lexicon: UnitLexicon) -> list[tuple[int, in
     return [(s, e, lexicon.name_of(u)) for u, s, e in seg.segments]
 
 
-def _runs_to_rows(labels) -> list[tuple[int, int, str]]:
-    rows = []
-    start = 0
-    for t in range(1, len(labels)):
-        if labels[t] != labels[t - 1]:
-            rows.append((start, t - 1, labels[start]))
-            start = t
-    rows.append((start, len(labels) - 1, labels[start]))
-    return rows
+def _frame_names(path, clip_id: str, role: str, expect_frames: int | None = None) -> list[str]:
+    """Per-frame unit names of a .seg file, whose segments must tile the
+    clip from frame 0 (and cover expect_frames frames, when given)."""
+    names: list[str] = []
+    for start, end, name in read_segment_names(path):
+        if start != len(names) or end < start:
+            raise DataError(f"clip {clip_id!r}: {role} segments must tile the clip from frame 0")
+        names.extend([name] * (end - start + 1))
+    if expect_frames is not None and len(names) != expect_frames:
+        raise DataError(
+            f"clip {clip_id!r}: {role} covers {len(names)} frames, expected {expect_frames}"
+        )
+    return names
 
 
 def _reference_frame_names(rec: ClipRecord, expect_frames: int | None = None) -> list[str]:
     if rec.segmentation is None:
         raise DataError(f"clip {rec.clip_id!r} has no reference segmentation")
-    rows = read_segment_names(rec.segmentation)
-    names: list[str] = []
-    cursor = 0
-    for start, end, name in rows:
-        if start != cursor or end < start:
-            raise DataError(
-                f"clip {rec.clip_id!r}: segments must tile the clip from frame 0"
-            )
-        names.extend([name] * (end - start + 1))
-        cursor = end + 1
-    if expect_frames is not None and len(names) != expect_frames:
-        raise DataError(
-            f"clip {rec.clip_id!r}: reference covers {len(names)} frames, "
-            f"features have {expect_frames}"
-        )
-    return names
+    return _frame_names(rec.segmentation, rec.clip_id, "reference", expect_frames)
+
+
+def _load_clips(args) -> tuple[ModelBundle, list[ClipRecord]]:
+    """The model bundle and the selected clip records of decode, classify
+    and align."""
+    bundle = load_bundle(args.model)
+    return bundle, _select_records(load_manifest(args.manifest), args.split, args.clip)
+
+
+def _emit(args, doc: dict, doc_name: str, segs=(), lexicon: UnitLexicon | None = None) -> None:
+    """Print doc; with --out, also write one .seg file per (clip id,
+    segmentation) in segs and doc itself as doc_name there."""
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for clip_id, seg in segs:
+            write_segment_names(out / f"{clip_id}.seg", _segment_rows(seg, lexicon))
+        write_json(out / doc_name, doc)
+    _print_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +213,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_decode(args) -> None:
-    bundle = load_bundle(args.model)
-    manifest = load_manifest(args.manifest)
-    records = _select_records(manifest, args.split, args.clip)
+    bundle, records = _load_clips(args)
     graph = compose(bundle.grammar, bundle.hmms)
     priors = bundle.priors if args.prior == "on" else None
 
@@ -213,27 +221,13 @@ def cmd_decode(args) -> None:
         return decode(graph, load_features(rec.features), beam=args.beam, priors=priors)
 
     results = parallel_map(run, records, args.jobs)
-    doc = {
-        "clips": {
-            rec.clip_id: res.to_dict(bundle.lexicon)
-            for rec, res in zip(records, results)
-        }
-    }
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for rec, res in zip(records, results):
-            write_segment_names(
-                out / f"{rec.clip_id}.seg", _segment_rows(res.segmentation, bundle.lexicon)
-            )
-        write_json(out / "results.json", doc)
-    _print_json(doc)
+    doc = {"clips": {r.clip_id: res.to_dict(bundle.lexicon) for r, res in zip(records, results)}}
+    segs = [(rec.clip_id, res.segmentation) for rec, res in zip(records, results)]
+    _emit(args, doc, "results.json", segs, bundle.lexicon)
 
 
 def cmd_classify(args) -> None:
-    bundle = load_bundle(args.model)
-    manifest = load_manifest(args.manifest)
-    records = _select_records(manifest, args.split, args.clip)
+    bundle, records = _load_clips(args)
     graph = compose(bundle.grammar, bundle.hmms)
     priors = bundle.priors if args.prior == "on" else None
 
@@ -255,17 +249,11 @@ def cmd_classify(args) -> None:
         acc, confusion = accuracy(truth, [act for act, _ in results])
         doc["accuracy"] = acc
         doc["confusion"] = confusion.to_dict()
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "classification.json", doc)
-    _print_json(doc)
+    _emit(args, doc, "classification.json")
 
 
 def cmd_align(args) -> None:
-    bundle = load_bundle(args.model)
-    manifest = load_manifest(args.manifest)
-    records = _select_records(manifest, args.split, args.clip)
+    bundle, records = _load_clips(args)
     for rec in records:
         if rec.transcript is None:
             raise DataError(f"clip {rec.clip_id!r} has no transcript to align")
@@ -276,20 +264,9 @@ def cmd_align(args) -> None:
             bundle.hmms, transcript, load_features(rec.features), beam=args.beam
         )
 
-    segs = parallel_map(run, records, args.jobs)
-    doc = {
-        "clips": {
-            rec.clip_id: {"segments": [[s, e, bundle.lexicon.name_of(u)] for u, s, e in seg.segments]}
-            for rec, seg in zip(records, segs)
-        }
-    }
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for rec, seg in zip(records, segs):
-            write_segment_names(out / f"{rec.clip_id}.seg", _segment_rows(seg, bundle.lexicon))
-        write_json(out / "alignments.json", doc)
-    _print_json(doc)
+    segs = [(rec.clip_id, seg) for rec, seg in zip(records, parallel_map(run, records, args.jobs))]
+    doc = {"clips": {cid: {"segments": _segment_rows(seg, bundle.lexicon)} for cid, seg in segs}}
+    _emit(args, doc, "alignments.json", segs, bundle.lexicon)
 
 
 def cmd_bootstrap(args) -> None:
@@ -320,21 +297,9 @@ def cmd_eval(args) -> None:
     names: set[str] = {args.silence}
     for rec in records:
         gt_names = _reference_frame_names(rec)
-        pred_rows = read_segment_names(pred_dir / f"{rec.clip_id}.seg")
-        pred_names: list[str] = []
-        cursor = 0
-        for start, end, name in pred_rows:
-            if start != cursor or end < start:
-                raise DataError(
-                    f"prediction for clip {rec.clip_id!r} must tile the clip from frame 0"
-                )
-            pred_names.extend([name] * (end - start + 1))
-            cursor = end + 1
-        if len(pred_names) != len(gt_names):
-            raise DataError(
-                f"clip {rec.clip_id!r}: prediction covers {len(pred_names)} frames, "
-                f"reference covers {len(gt_names)}"
-            )
+        pred_names = _frame_names(
+            pred_dir / f"{rec.clip_id}.seg", rec.clip_id, "prediction", len(gt_names)
+        )
         names.update(gt_names)
         names.update(pred_names)
         pairs.append((rec.clip_id, gt_names, pred_names))
@@ -538,7 +503,7 @@ def cmd_grid(args) -> None:
     gt_pool, voted_pool = [], []
     for cid in test_ids:
         voted = majority_vote(hypotheses[cid])
-        write_segment_names(voted_dir / f"{cid}.seg", _runs_to_rows(voted))
+        write_segment_names(voted_dir / f"{cid}.seg", label_runs(voted))
         gt_pool.extend(gt_names[cid])
         voted_pool.extend(voted)
     voted_mof = mof(np.array(gt_pool), np.array(voted_pool))
@@ -570,6 +535,20 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
                    help="relative noise scale for oversampled copies")
     p.add_argument("--viterbi-iters", type=_nonneg_int, default=10, metavar="N")
     p.add_argument("--baum-welch-iters", type=_nonneg_int, default=10, metavar="N")
+
+
+def _add_clip_flags(p: argparse.ArgumentParser, out_help: str) -> None:
+    """The model, clip selection, search and output flags shared by decode,
+    classify and align."""
+    p.add_argument("--model", required=True, metavar="DIR")
+    p.add_argument("--manifest", required=True, metavar="JSON")
+    p.add_argument("--split", default=None)
+    p.add_argument("--clip", action="append", metavar="ID",
+                   help="process just this clip (repeatable)")
+    p.add_argument("--beam", type=_positive_int, default=None,
+                   help="keep this many active states per frame (default: exact)")
+    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--out", metavar="DIR", help=out_help)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -618,37 +597,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_train_flags(p)
 
     p = command("decode", "segment clips with the grammar-constrained decoder", cmd_decode)
-    p.add_argument("--model", required=True, metavar="DIR")
-    p.add_argument("--manifest", required=True, metavar="JSON")
-    p.add_argument("--split", default=None)
-    p.add_argument("--clip", action="append", metavar="ID",
-                   help="decode just this clip (repeatable)")
-    p.add_argument("--beam", type=_positive_int, default=None,
-                   help="keep this many active states per frame (default: exact)")
+    _add_clip_flags(p, "also write per-clip .seg files and results.json here")
     p.add_argument("--prior", choices=("on", "off"), default="off",
                    help="apply inverse-frequency unit priors at unit entry")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--out", metavar="DIR",
-                   help="also write per-clip .seg files and results.json here")
 
     p = command("classify", "pick each clip's activity by best decode score", cmd_classify)
-    p.add_argument("--model", required=True, metavar="DIR")
-    p.add_argument("--manifest", required=True, metavar="JSON")
-    p.add_argument("--split", default=None)
-    p.add_argument("--clip", action="append", metavar="ID")
-    p.add_argument("--beam", type=_positive_int, default=None)
-    p.add_argument("--prior", choices=("on", "off"), default="off")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--out", metavar="DIR")
+    _add_clip_flags(p, "also write classification.json here")
+    p.add_argument("--prior", choices=("on", "off"), default="off",
+                   help="apply inverse-frequency unit priors at unit entry")
 
     p = command("align", "fit each clip's known transcript to its frames", cmd_align)
-    p.add_argument("--model", required=True, metavar="DIR")
-    p.add_argument("--manifest", required=True, metavar="JSON")
-    p.add_argument("--split", default=None)
-    p.add_argument("--clip", action="append", metavar="ID")
-    p.add_argument("--beam", type=_positive_int, default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--out", metavar="DIR")
+    _add_clip_flags(p, "also write per-clip .seg files and alignments.json here")
 
     p = command("bootstrap", "extend training to transcript-only clips by re-alignment", cmd_bootstrap)
     p.add_argument("--manifest", required=True, metavar="JSON")

@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -263,8 +263,8 @@ def load_features(path: str | os.PathLike) -> FeatureSequence:
 
 def save_features(path: str | os.PathLike, seq: FeatureSequence) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for row in seq.frames:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        for row in seq.frames.tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def read_segment_names(path: str | os.PathLike) -> list[tuple[int, int, str]]:
@@ -303,12 +303,6 @@ def load_segmentation(path: str | os.PathLike, lexicon: UnitLexicon) -> Segmenta
     return Segmentation(tuple((lexicon.id_of(name), s, e) for s, e, name in rows))
 
 
-def save_segmentation(path: str | os.PathLike, seg: Segmentation, lexicon: UnitLexicon) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for unit_id, start, end in seg.segments:
-            fh.write(f"{start} {end} {lexicon.name_of(unit_id)}\n")
-
-
 def read_transcript_names(path: str | os.PathLike) -> list[str]:
     path = Path(path)
     if not path.exists():
@@ -329,12 +323,6 @@ def write_transcript_names(path: str | os.PathLike, names) -> None:
 
 def load_transcript(path: str | os.PathLike, lexicon: UnitLexicon) -> Transcript:
     return Transcript(tuple(lexicon.id_of(n) for n in read_transcript_names(path)))
-
-
-def save_transcript(path: str | os.PathLike, transcript: Transcript, lexicon: UnitLexicon) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for unit_id in transcript.units:
-            fh.write(lexicon.name_of(unit_id) + "\n")
 
 
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:
@@ -450,15 +438,19 @@ def frame_labels(seg: Segmentation, num_frames: int) -> list[int]:
     return labels
 
 
+def label_runs(labels: Sequence) -> Iterator[tuple[int, int, object]]:
+    """Maximal runs of equal labels as (start, end, label), end inclusive."""
+    start = 0
+    for t in range(1, len(labels)):
+        if labels[t] != labels[t - 1]:
+            yield start, t - 1, labels[start]
+            start = t
+    if len(labels):
+        yield start, len(labels) - 1, labels[start]
+
+
 def segmentation_from_labels(labels: Sequence[int]) -> Segmentation:
     """Inverse of frame_labels: maximal runs of equal labels become segments."""
     if len(labels) == 0:
         raise DataError("cannot build a segmentation from zero frames")
-    segs = []
-    start = 0
-    for t in range(1, len(labels)):
-        if labels[t] != labels[t - 1]:
-            segs.append((int(labels[start]), start, t - 1))
-            start = t
-    segs.append((int(labels[start]), start, len(labels) - 1))
-    return Segmentation(tuple(segs))
+    return Segmentation(tuple((int(lbl), s, e) for s, e, lbl in label_runs(labels)))

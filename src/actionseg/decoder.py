@@ -303,34 +303,20 @@ def decode(
 
 
 def classify_activity(
-    graphs: DecodingGraph | Mapping[str, DecodingGraph],
+    graph: DecodingGraph,
     seq,
     beam: int | None = None,
     priors: Mapping[int, float] | None = None,
 ) -> tuple[str, DecodeResult]:
     """Best activity label for a whole sequence.
 
-    A single union graph (all activities composed together) is decoded
-    in one pass, the winning path's activity tag decides; with a mapping
-    of per-activity graphs each is decoded and the best log_prob wins.
-    Ties go to the lexicographically first activity either way.
+    The union graph of all activities (as composed from a grammar) is
+    decoded in one pass and the winning path's activity tag decides.
     """
-    if isinstance(graphs, DecodingGraph):
-        result = decode(graphs, seq, beam=beam, priors=priors)
-        if result.activity is None:
-            raise DecodeError("graph carries no activity tags; compose it from a grammar")
-        return result.activity, result
-    best: tuple[str, DecodeResult] | None = None
-    for act in sorted(graphs):
-        try:
-            result = decode(graphs[act], seq, beam=beam, priors=priors)
-        except DecodeError:
-            continue
-        if best is None or result.log_prob > best[1].log_prob:
-            best = (act, result)
-    if best is None:
-        raise DecodeError("no activity admits a legal path for this sequence")
-    return best
+    result = decode(graph, seq, beam=beam, priors=priors)
+    if result.activity is None:
+        raise DecodeError("graph carries no activity tags; compose it from a grammar")
+    return result.activity, result
 
 
 def force_align(

@@ -174,20 +174,6 @@ def fisher_vector(X: np.ndarray, gmm: Gmm, signed_sqrt: bool = False) -> np.ndar
     return _signed_sqrt(fv) if signed_sqrt else fv
 
 
-def encode_fv(frames, cfg: FvEncoderConfig, t: int) -> np.ndarray:
-    """Fisher Vector of the window centered on frame t, clamped to the clip."""
-    X = frames.frames if isinstance(frames, FeatureSequence) else np.atleast_2d(
-        np.asarray(frames, dtype=np.float64)
-    )
-    T = X.shape[0]
-    if T < 1:
-        raise DataError("cannot encode an empty clip")
-    if not 0 <= t < T:
-        raise DataError(f"frame {t} outside clip of {T} frames")
-    lo, hi = _window_bounds(T, cfg.window, t)
-    return fisher_vector(X[lo : hi + 1], cfg.gmm, signed_sqrt=cfg.signed_sqrt)
-
-
 def _l2_normalize_columns(X: np.ndarray) -> np.ndarray:
     """Scale each column to unit L2 norm; all-zero columns stay zero."""
     norms = np.sqrt(np.sum(X * X, axis=0))

@@ -253,29 +253,6 @@ class GmmBank:
         return out
 
 
-def log_gaussian(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
-    """Log density of a diagonal-covariance normal at x."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    variance = np.asarray(variance, dtype=np.float64)
-    if x.shape != mean.shape or x.shape != variance.shape:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, mean {mean.shape}, variance {variance.shape}"
-        )
-    diff = x - mean
-    return float(
-        -0.5 * (x.size * np.log(2.0 * np.pi) + np.sum(np.log(variance)) + np.sum(diff * diff / variance))
-    )
-
-
-def log_mixture(gmm: Gmm, x: np.ndarray) -> float:
-    """Log mixture density at a single vector x (log-sum-exp over components)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("log_mixture expects a single vector")
-    return float(gmm.log_prob(x[None, :])[0])
-
-
 def variance_floor(samples: np.ndarray) -> np.ndarray:
     """Per-dimension variance floor derived from the sample's global variance."""
     global_var = np.var(np.asarray(samples, dtype=np.float64), axis=0)
@@ -361,40 +338,42 @@ def fit_em(
     return gmm
 
 
-def em_step(
-    gmm: Gmm,
-    X: np.ndarray,
-    floor: np.ndarray,
-    sample_weights: np.ndarray | None = None,
-) -> tuple[Gmm, float]:
-    """One (optionally weighted) EM update; returns the new model and the
-    per-sample average log-likelihood of X under the *input* model."""
+def em_step(gmm: Gmm, X: np.ndarray, floor: np.ndarray) -> tuple[Gmm, float]:
+    """One EM update; returns the new model and the per-sample average
+    log-likelihood of X under the *input* model."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     clp = gmm._component_log_prob(X)                       # (N, K)
     row_ll = _logsumexp(clp, axis=1)
     resp = np.exp(clp - row_ll[:, None])                   # (N, K)
-    if sample_weights is not None:
-        w = np.asarray(sample_weights, dtype=np.float64)
-        resp = resp * w[:, None]
-        total = w.sum()
-        ll = float(np.dot(row_ll, w) / max(total, 1e-300))
-    else:
-        total = float(X.shape[0])
-        ll = float(row_ll.mean())
+    # One product per component: a single resp.T @ X may round differently.
+    XX = X * X
+    Sx = np.array([resp[:, k] @ X for k in range(gmm.n_components)])
+    Sxx = np.array([resp[:, k] @ XX for k in range(gmm.n_components)])
+    new = gmm_from_stats(gmm, resp.sum(axis=0), Sx, Sxx, float(X.shape[0]), floor)
+    return new, float(row_ll.mean())
 
-    Nk = resp.sum(axis=0)                                  # (K,)
-    new_w = gmm.weights.copy()
-    new_mu = gmm.means.copy()
-    new_var = gmm.variances.copy()
+
+def gmm_from_stats(
+    prev: Gmm,
+    Nk: np.ndarray,
+    Sx: np.ndarray,
+    Sxx: np.ndarray,
+    total: float,
+    floor: np.ndarray,
+) -> Gmm:
+    """The M-step: the mixture implied by per-component responsibility
+    masses Nk (K,) and responsibility-weighted sums of the frames Sx and
+    of their squares Sxx (K, m).  Weights are Nk / total; variances are
+    floored.  Starved components keep prev's parameters at a tiny weight.
+    """
+    new_w = prev.weights.copy()
+    new_mu = prev.means.copy()
+    new_var = prev.variances.copy()
     alive = Nk > 1e-12
     new_w[alive] = Nk[alive] / total
-    # Starved components keep their parameters at a tiny weight.
     new_w[~alive] = 1e-12
     new_w /= new_w.sum()
-    XX = X * X
-    for k in np.flatnonzero(alive):
-        mu = resp[:, k] @ X / Nk[k]
-        sq = resp[:, k] @ XX / Nk[k]
-        new_mu[k] = mu
-        new_var[k] = np.maximum(sq - mu * mu, floor)
-    return Gmm(weights=new_w, means=new_mu, variances=new_var), ll
+    mu = Sx[alive] / Nk[alive, None]
+    new_mu[alive] = mu
+    new_var[alive] = np.maximum(Sxx[alive] / Nk[alive, None] - mu * mu, floor)
+    return Gmm(weights=new_w, means=new_mu, variances=new_var)

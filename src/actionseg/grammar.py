@@ -210,7 +210,6 @@ class DecodingGraph:
     start_edges: tuple[tuple[int, float], ...]
     hmms: Mapping[int, UnitHmm]
     kind: str
-    lexicon: UnitLexicon | None = None
 
     def __post_init__(self):
         if not self.nodes:
@@ -227,11 +226,6 @@ class DecodingGraph:
         for j, _ in self.start_edges:
             if not 0 <= j < count:
                 raise DataError(f"start edge to missing node {j}")
-
-    def unit_name(self, unit_id: int) -> str:
-        if self.lexicon is not None:
-            return self.lexicon.name_of(unit_id)
-        return str(unit_id)
 
 
 def compose(grammar: Grammar, hmms: Mapping[int, UnitHmm]) -> DecodingGraph:
@@ -276,14 +270,10 @@ def compose(grammar: Grammar, hmms: Mapping[int, UnitHmm]) -> DecodingGraph:
         start_edges=tuple(start),
         hmms=dict(hmms),
         kind="grammar",
-        lexicon=grammar.lexicon,
     )
 
 
-def unconstrained_graph(
-    hmms: Mapping[int, UnitHmm],
-    lexicon: UnitLexicon | None = None,
-) -> DecodingGraph:
+def unconstrained_graph(hmms: Mapping[int, UnitHmm]) -> DecodingGraph:
     """Fully connected unit-level graph: any unit may start, end, follow
     any unit (including itself), all with uniform weight."""
     if not hmms:
@@ -299,7 +289,6 @@ def unconstrained_graph(
         start_edges=all_edges,
         hmms=dict(hmms),
         kind="unconstrained",
-        lexicon=lexicon,
     )
 
 
@@ -322,21 +311,3 @@ def graph_sentences(graph: DecodingGraph) -> list[tuple[str | None, tuple[int, .
         walk(i, ())
     return out
 
-
-def graph_to_dict(graph: DecodingGraph) -> dict:
-    """Plain node/edge listing of a graph for inspection and debugging."""
-    return {
-        "kind": graph.kind,
-        "start": [[i, w] for i, w in graph.start_edges],
-        "nodes": [
-            {
-                "index": n.index,
-                "unit_id": n.unit_id,
-                "unit": graph.unit_name(n.unit_id),
-                "activity": n.activity,
-                "terminal": n.terminal,
-                "edges": [[j, w] for j, w in n.edges],
-            }
-            for n in graph.nodes
-        ],
-    }

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import FeatureSequence, UnitLexicon
 from .errors import DataError, NoPathError
-from .gmm import Gmm, GmmBank, _logsumexp, em_step, fit_em, variance_floor
+from .gmm import Gmm, GmmBank, _logsumexp, em_step, fit_em, gmm_from_stats, variance_floor
 from .util import derive_seed, read_json, write_json
 
 SELF_LOOP_INIT = 0.9
@@ -550,19 +550,7 @@ def baum_welch(
                 Rk += r.sum(axis=0)
                 Sx += r.T @ a
                 Sxx += r.T @ aa
-
-            new_w = g.weights.copy()
-            new_mu = g.means.copy()
-            new_var = g.variances.copy()
-            alive = Rk > 1e-12
-            new_w[alive] = Rk[alive] / Rk.sum()
-            new_w[~alive] = 1e-12
-            new_w /= new_w.sum()
-            for k in np.flatnonzero(alive):
-                mu = Sx[k] / Rk[k]
-                new_mu[k] = mu
-                new_var[k] = np.maximum(Sxx[k] / Rk[k] - mu * mu, floor)
-            new_obs.append(Gmm(weights=new_w, means=new_mu, variances=new_var))
+            new_obs.append(gmm_from_stats(g, Rk, Sx, Sxx, Rk.sum(), floor))
         model = UnitHmm(
             unit_id=model.unit_id,
             log_trans=_reestimate_transitions(self_exp, adv_exp),

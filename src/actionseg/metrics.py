@@ -55,38 +55,24 @@ def moc(gt, pred) -> float:
     return float(np.mean(recalls))
 
 
-def jaccard(
-    gt,
-    pred,
-    background=None,
-    per_class: bool = True,
-) -> float:
+def jaccard(gt, pred, background=None) -> float:
     """Jaccard index between two labelings of the same frames.
 
-    Per class: intersection over union of the class's frame sets.  The
-    default aggregates as the unweighted mean over classes present in the
-    ground truth; per_class=False pools intersections and unions globally
-    instead.  A label passed as background is dropped from the
-    aggregation (pass None to keep every class).
+    Per class: intersection over union of the class's frame sets,
+    aggregated as the unweighted mean over classes present in the ground
+    truth.  A label passed as background is dropped from the aggregation
+    (pass None to keep every class).
     """
     g, p = _paired(gt, pred)
     classes = [c for c in sorted(set(g.tolist())) if c != background]
     if not classes:
         raise DataError("no foreground class present in the ground truth")
-    inter_total = 0
-    union_total = 0
     scores = []
     for c in classes:
         gi = g == c
         pi = p == c
-        inter = int(np.sum(gi & pi))
-        union = int(np.sum(gi | pi))
-        inter_total += inter
-        union_total += union
-        scores.append(inter / union)
-    if per_class:
-        return float(np.mean(scores))
-    return inter_total / union_total
+        scores.append(int(np.sum(gi & pi)) / int(np.sum(gi | pi)))
+    return float(np.mean(scores))
 
 
 @dataclass(eq=False)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -274,6 +275,35 @@ def _train_unit(
     return baum_welch(model, segs, max_iter=cfg.baum_welch_iters, tol=cfg.tol)
 
 
+def _train_bundle(
+    per_unit: dict[int, list[FeatureSequence]],
+    transcripts: list[tuple[str, Transcript]],
+    counts: dict[int, int],
+    lexicon: UnitLexicon,
+    K: int,
+    cfg: TrainConfig,
+    config: dict,
+    jobs: int,
+    warm: Mapping[int, UnitHmm],
+) -> ModelBundle:
+    """Balance each unit's segments, train its model (from its model in
+    warm, else from a flat start), and bundle the models with the counted
+    lexicon and the grammar and priors of these transcripts."""
+    balanced = balance_units(per_unit, cfg.balance, lexicon)
+    uids = sorted(balanced)
+    models = parallel_map(
+        lambda u: _train_unit(u, balanced[u], K, cfg, warm=warm.get(u)), uids, jobs
+    )
+    lexicon = lexicon.with_counts(counts)
+    return ModelBundle(
+        hmms=dict(zip(uids, models)),
+        lexicon=lexicon,
+        grammar=build_grammar(transcripts, lexicon),
+        priors=unit_log_priors(lexicon),
+        config=config,
+    )
+
+
 def train_supervised(
     manifest: DatasetManifest,
     split,
@@ -300,23 +330,12 @@ def train_supervised(
         raise DataError(
             "units with no training segments in this split: " + ", ".join(untrained)
         )
-    balanced = balance_units(per_unit, cfg.balance, lexicon)
-    uids = sorted(balanced)
-    models = parallel_map(lambda u: _train_unit(u, balanced[u], K, cfg), uids, jobs)
-    lexicon = lexicon.with_counts(counts)
-    grammar = build_grammar(transcripts, lexicon)
     config = {
         "K": K,
         "split": list(split) if not isinstance(split, (str, type(None))) else split,
         **cfg.to_dict(),
     }
-    return ModelBundle(
-        hmms=dict(zip(uids, models)),
-        lexicon=lexicon,
-        grammar=grammar,
-        priors=unit_log_priors(lexicon),
-        config=config,
-    )
+    return _train_bundle(per_unit, transcripts, counts, lexicon, K, cfg, config, jobs, {})
 
 
 def bootstrap(
@@ -364,20 +383,9 @@ def bootstrap(
                 per_unit[unit_id].append(seq.slice(start, end, clip_id=f"{cid}:{i}"))
                 counts[unit_id] = counts.get(unit_id, 0) + 1
             transcripts.append((clip.activity, tr))
-        balanced = balance_units(per_unit, cfg.balance, lexicon)
-        uids = sorted(balanced)
-        models = parallel_map(
-            lambda u: _train_unit(u, balanced[u], K, cfg, warm=bundle.hmms[u]),
-            uids,
-            jobs,
-        )
-        lexicon = lexicon.with_counts(counts)
-        bundle = ModelBundle(
-            hmms=dict(zip(uids, models)),
-            lexicon=lexicon,
-            grammar=build_grammar(transcripts, lexicon),
-            priors=unit_log_priors(lexicon),
-            config={**bundle.config, "bootstrap_rounds": rnd + 1},
+        config = {**bundle.config, "bootstrap_rounds": rnd + 1}
+        bundle = _train_bundle(
+            per_unit, transcripts, counts, lexicon, K, cfg, config, jobs, bundle.hmms
         )
     return bundle
 

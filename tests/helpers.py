@@ -18,7 +18,8 @@ from actionseg.data import (
 )
 from actionseg.decoder import DecodeResult
 from actionseg.errors import BeamPrunedError, DataError, NoPathError
-from actionseg.gmm import Gmm, em_step, variance_floor
+from actionseg.features import FvEncoderConfig, _window_bounds, fisher_vector
+from actionseg.gmm import Gmm, _logsumexp, variance_floor
 from actionseg.grammar import DecodingGraph, Grammar, build_grammar, compose
 from actionseg.hmm import (
     StatePath,
@@ -92,6 +93,61 @@ def reference_gmm_log_prob(gmm: Gmm, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     comp = reference_component_log_prob(X, gmm.weights, gmm.means, gmm.variances)
     return reference_logsumexp(comp, axis=1)
+
+
+def log_gaussian(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
+    """Log density of a diagonal-covariance normal at x."""
+    x = np.asarray(x, dtype=np.float64)
+    mean = np.asarray(mean, dtype=np.float64)
+    variance = np.asarray(variance, dtype=np.float64)
+    if x.shape != mean.shape or x.shape != variance.shape:
+        raise ValueError(
+            f"dimension mismatch: x {x.shape}, mean {mean.shape}, variance {variance.shape}"
+        )
+    diff = x - mean
+    return float(
+        -0.5 * (x.size * np.log(2.0 * np.pi) + np.sum(np.log(variance)) + np.sum(diff * diff / variance))
+    )
+
+
+def reference_em_step(gmm: Gmm, X: np.ndarray, floor: np.ndarray) -> tuple[Gmm, float]:
+    """actionseg.gmm.em_step with its own M-step, one component at a time."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    clp = gmm._component_log_prob(X)
+    row_ll = _logsumexp(clp, axis=1)
+    resp = np.exp(clp - row_ll[:, None])
+    total = float(X.shape[0])
+    ll = float(row_ll.mean())
+
+    Nk = resp.sum(axis=0)
+    new_w = gmm.weights.copy()
+    new_mu = gmm.means.copy()
+    new_var = gmm.variances.copy()
+    alive = Nk > 1e-12
+    new_w[alive] = Nk[alive] / total
+    new_w[~alive] = 1e-12
+    new_w /= new_w.sum()
+    XX = X * X
+    for k in np.flatnonzero(alive):
+        mu = resp[:, k] @ X / Nk[k]
+        sq = resp[:, k] @ XX / Nk[k]
+        new_mu[k] = mu
+        new_var[k] = np.maximum(sq - mu * mu, floor)
+    return Gmm(weights=new_w, means=new_mu, variances=new_var), ll
+
+
+def encode_fv(frames, cfg: FvEncoderConfig, t: int) -> np.ndarray:
+    """Fisher Vector of the window centered on frame t, clamped to the clip."""
+    X = frames.frames if isinstance(frames, FeatureSequence) else np.atleast_2d(
+        np.asarray(frames, dtype=np.float64)
+    )
+    T = X.shape[0]
+    if T < 1:
+        raise DataError("cannot encode an empty clip")
+    if not 0 <= t < T:
+        raise DataError(f"frame {t} outside clip of {T} frames")
+    lo, hi = _window_bounds(T, cfg.window, t)
+    return fisher_vector(X[lo : hi + 1], cfg.gmm, signed_sqrt=cfg.signed_sqrt)
 
 
 def reference_obs_log_prob(hmm: UnitHmm, frames: np.ndarray) -> np.ndarray:
@@ -457,7 +513,7 @@ def reference_viterbi_train(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=N
         new_obs = []
         for j in range(n):
             X = np.concatenate(per_state[j])
-            g, _ = em_step(model.obs[j], X, floor)
+            g, _ = reference_em_step(model.obs[j], X, floor)
             new_obs.append(g)
         model = UnitHmm(
             unit_id=model.unit_id,

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 
 import actionseg
 from actionseg.cli import main
+from actionseg.decoder import majority_vote
 from actionseg.data import (
     FeatureSequence,
     load_features,
@@ -19,6 +21,7 @@ from actionseg.data import (
     read_segment_names,
     read_transcript_names,
     save_features,
+    write_segment_names,
 )
 
 
@@ -252,6 +255,36 @@ def test_eval_rejects_length_mismatch(capsys, workspace, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "side, shift", [("prediction", 1), ("prediction", -1), ("reference", 1)],
+    ids=["prediction-gap", "prediction-overlap", "reference-gap"],
+)
+def test_eval_rejects_untiled_segments_naming_the_clip(capsys, workspace, tmp_path, side, shift):
+    root, data, model = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = load_manifest(copy / "manifest.json")
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for cid in manifest.split_ids("test"):
+        shutil.copy(manifest.clip(cid).segmentation, pred / f"{cid}.seg")
+    cid = manifest.split_ids("test")[-1]
+    target = pred / f"{cid}.seg" if side == "prediction" else manifest.clip(cid).segmentation
+    rows = read_segment_names(target)
+    start, end, name = rows[1]
+    assert end > start
+    rows[1] = (start + shift, end, name)  # +1 leaves a one-frame gap, -1 overlaps
+    write_segment_names(target, rows)
+    code, out, err = run_cli(
+        capsys, "eval", "--manifest", str(copy / "manifest.json"), "--split", "test",
+        "--pred", str(pred),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1, err
+    assert f"clip {cid!r}: {side} segments must tile" in err
+
+
 def test_decode_tight_beam_exits_3(capsys, workspace):
     root, data, model = workspace
     code, _, err = run_cli(
@@ -365,11 +398,29 @@ def test_grid_votes_over_settings(capsys, workspace, tmp_path):
     assert lines[0] == "metric,split,K,value"
     metrics = [ln.split(",")[0] for ln in lines[1:]]
     assert metrics == ["mof/k1_dfull", "mof/k1_dfull_m", "mof/voted"]
-    manifest = load_manifest(data / "manifest.json")
-    for cid in manifest.split_ids("test"):
-        assert (out_dir / "voted" / f"{cid}.seg").exists()
     # the plain setting on clean data reconstructs the test clips
     assert doc["settings"][0]["mof"] > 0.9
+    # each voted .seg holds the runs of the frame-wise vote over the settings' decodes
+    hypotheses = {}
+    for tag in tags:
+        sdir = out_dir / "settings" / tag
+        dec = tmp_path / f"decode_{tag}"
+        assert quiet_main([
+            "decode", "--model", str(sdir / "model"), "--manifest", str(sdir / "manifest.json"),
+            "--split", "test", "--out", str(dec),
+        ]) == 0
+        for seg in sorted(dec.glob("*.seg")):
+            frames = [n for s, e, n in read_segment_names(seg) for _ in range(e - s + 1)]
+            hypotheses.setdefault(seg.stem, []).append(frames)
+    manifest = load_manifest(data / "manifest.json")
+    assert sorted(hypotheses) == sorted(manifest.split_ids("test"))
+    for cid, hyps in hypotheses.items():
+        runs, t = [], 0
+        for name, group in itertools.groupby(majority_vote(hyps)):
+            n = len(list(group))
+            runs.append((t, t + n - 1, name))
+            t += n
+        assert read_segment_names(out_dir / "voted" / f"{cid}.seg") == runs
 
 
 def test_module_entry_point():

@@ -13,6 +13,7 @@ from actionseg.data import (
     Transcript,
     UnitLexicon,
     frame_labels,
+    label_runs,
     load_features,
     load_manifest,
     load_segmentation,
@@ -21,8 +22,6 @@ from actionseg.data import (
     read_transcript_names,
     save_features,
     save_manifest,
-    save_segmentation,
-    save_transcript,
     segmentation_from_labels,
     segmentation_to_transcript,
     write_segment_names,
@@ -103,6 +102,15 @@ def test_features_file_round_trip(tmp_path):
         load_features(tmp_path / "missing.feat")
 
 
+def test_features_file_writes_shortest_round_trip_repr(tmp_path):
+    values = [-0.0, 5e-324, 1e300, 0.1, 3.0]
+    p = tmp_path / "a.feat"
+    save_features(p, FeatureSequence(np.array([values, values[::-1]])))
+    want = "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in [values, values[::-1]])
+    assert p.read_bytes() == want.encode("utf-8")
+    assert p.read_text().splitlines()[0] == "-0.0 5e-324 1e+300 0.1 3.0"
+
+
 def test_features_file_rejects_ragged_rows(tmp_path):
     p = tmp_path / "bad.feat"
     p.write_text("1.0 2.0\n3.0\n")
@@ -114,7 +122,7 @@ def test_segmentation_file_round_trip(tmp_path):
     lex = UnitLexicon.from_names(["SIL", "pour"])
     seg = Segmentation(((0, 0, 3), (1, 4, 7), (0, 8, 9)))
     p = tmp_path / "a.seg"
-    save_segmentation(p, seg, lex)
+    write_segment_names(p, [(s, e, lex.name_of(u)) for u, s, e in seg.segments])
     assert load_segmentation(p, lex) == seg
     assert read_segment_names(p) == [(0, 3, "SIL"), (4, 7, "pour"), (8, 9, "SIL")]
     write_segment_names(p, [(0, 1, "pour")])
@@ -131,7 +139,7 @@ def test_transcript_file_round_trip(tmp_path):
     lex = UnitLexicon.from_names(["SIL", "pour", "stir"])
     tr = Transcript((0, 2, 1, 0))
     p = tmp_path / "a.tr"
-    save_transcript(p, tr, lex)
+    write_transcript_names(p, [lex.name_of(u) for u in tr.units])
     assert load_transcript(p, lex) == tr
     write_transcript_names(p, ["pour"])
     assert load_transcript(p, lex) == Transcript((1,))
@@ -206,3 +214,14 @@ def test_label_conversions_round_trip():
         frame_labels(seg, 8)
     with pytest.raises(DataError):
         segmentation_from_labels([])
+
+
+def test_label_runs():
+    assert list(label_runs([])) == []
+    assert list(label_runs([7])) == [(0, 0, 7)]
+    assert list(label_runs(["a"])) == [(0, 0, "a")]
+    assert list(label_runs([4, 4, 4])) == [(0, 2, 4)]
+    assert list(label_runs(["x", "x", "x"])) == [(0, 2, "x")]
+    assert list(label_runs([1, 2, 1, 2])) == [(0, 0, 1), (1, 1, 2), (2, 2, 1), (3, 3, 2)]
+    assert list(label_runs(["a", "b", "a"])) == [(0, 0, "a"), (1, 1, "b"), (2, 2, "a")]
+    assert list(label_runs(np.array([0, 0, 3]))) == [(0, 1, 0), (2, 2, 3)]

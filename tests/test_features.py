@@ -9,7 +9,6 @@ from actionseg.features import (
     PcaModel,
     apply_pca,
     encode_clip,
-    encode_fv,
     fisher_vector,
     fit_fv_codebook,
     fit_pca,
@@ -17,7 +16,7 @@ from actionseg.features import (
     save_encoder,
     window_fv_matrix,
 )
-from helpers import random_gmm
+from helpers import encode_fv, random_gmm
 
 
 def manual_fisher_vector(X: np.ndarray, gmm) -> np.ndarray:

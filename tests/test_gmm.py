@@ -16,14 +16,14 @@ from actionseg.gmm import (
     GmmBank,
     em_step,
     fit_em,
-    log_gaussian,
-    log_mixture,
     variance_floor,
 )
 from helpers import (
+    log_gaussian,
     random_gmm,
     reference_component_log_prob,
     reference_gmm_log_prob,
+    reference_em_step,
     reference_logsumexp,
 )
 
@@ -78,7 +78,7 @@ def test_log_gaussian_matches_scipy():
         assert log_gaussian(x, mean, var) == pytest.approx(want, abs=1e-10)
 
 
-def test_log_mixture_matches_manual_logsumexp():
+def test_gmm_log_prob_matches_manual_logsumexp():
     rng = np.random.default_rng(12)
     gmm = random_gmm(rng, 3, 2)
     x = rng.normal(size=2)
@@ -88,7 +88,7 @@ def test_log_mixture_matches_manual_logsumexp():
     ]
     peak = max(parts)
     want = peak + np.log(sum(np.exp(p - peak) for p in parts))
-    assert log_mixture(gmm, x) == pytest.approx(want, abs=1e-10)
+    assert gmm.log_prob(x)[0] == pytest.approx(want, abs=1e-10)
     batch = gmm.log_prob(np.stack([x, x + 1.0]))
     assert batch[0] == pytest.approx(want, abs=1e-10)
 
@@ -197,15 +197,33 @@ def test_em_step_starved_component_keeps_parameters():
     assert new.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_em_step_sample_weights_match_replication():
+def test_em_step_equals_reference_bit_for_bit():
     rng = np.random.default_rng(21)
-    gmm = random_gmm(rng, 2, 1)
-    X = rng.normal(size=(6, 1))
-    weighted, _ = em_step(gmm, X, floor=np.full(1, 1e-10), sample_weights=np.full(6, 3.0))
-    replicated, _ = em_step(gmm, np.tile(X, (3, 1)), floor=np.full(1, 1e-10))
-    assert np.allclose(weighted.means, replicated.means, atol=1e-10)
-    assert np.allclose(weighted.variances, replicated.variances, atol=1e-10)
-    assert np.allclose(weighted.weights, replicated.weights, atol=1e-10)
+    cases = 0
+    for K in range(1, 9):
+        for m in range(1, 13):
+            gmm = random_gmm(rng, K, m)
+            N = int(rng.integers(K, 60))
+            X = rng.normal(0.0, 2.0, size=(N, m))
+            floor = variance_floor(X)
+            inputs = [(gmm, X, floor)]
+            # integer frames
+            inputs.append((gmm, np.round(X), floor))
+            # a starved component, far from every frame
+            far = Gmm(gmm.weights, gmm.means.copy(), gmm.variances)
+            far.means[K - 1] = 1e8
+            inputs.append((far, X, floor))
+            # variances at the floor: the frames sit on a few repeated points
+            points = X[: min(N, 3)]
+            inputs.append((gmm, points[rng.integers(len(points), size=N)], np.full(m, 0.5)))
+            for g, x, fl in inputs:
+                got, got_ll = em_step(g, x, fl)
+                want, want_ll = reference_em_step(g, x, fl)
+                assert got_ll == want_ll
+                for name in ("weights", "means", "variances"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (K, m, name)
+                cases += 1
+    assert cases == 8 * 12 * 4
 
 
 def test_bank_equals_column_stacked_log_prob():

@@ -11,7 +11,6 @@ from actionseg.grammar import (
     compose,
     export_ebnf,
     graph_sentences,
-    graph_to_dict,
     parse_ebnf,
     unconstrained_graph,
 )
@@ -154,7 +153,7 @@ def test_compose_missing_model_lists_names():
 def test_unconstrained_graph_is_complete():
     rng = np.random.default_rng(74)
     lex = small_lexicon()
-    graph = unconstrained_graph(make_hmms(rng, lex), lexicon=lex)
+    graph = unconstrained_graph(make_hmms(rng, lex))
     assert graph.kind == "unconstrained"
     assert len(graph.nodes) == 3
     everywhere = tuple((i, 0.0) for i in range(3))
@@ -180,12 +179,3 @@ def test_decoding_graph_validation():
     with pytest.raises(DataError):
         DecodingGraph(nodes=(good,), start_edges=((0, 0.0),), hmms={}, kind="x")
 
-
-def test_graph_to_dict_resolves_names():
-    rng = np.random.default_rng(76)
-    lex = small_lexicon()
-    g = build_grammar([("cook", (0, 1, 0))], lex)
-    doc = graph_to_dict(compose(g, make_hmms(rng, lex)))
-    assert doc["kind"] == "grammar"
-    assert [n["unit"] for n in doc["nodes"]] == ["SIL", "pour", "SIL"]
-    assert doc["nodes"][2]["terminal"] is True

@@ -219,7 +219,7 @@ def test_viterbi_train_skips_short_sequences():
     assert hmm.n == 3
     with pytest.warns(UserWarning):
         viterbi_train(hmm, long + [FeatureSequence(rng.normal(size=(2, 1)))], max_iter=2)
-    with pytest.raises(DataError):
+    with pytest.warns(UserWarning), pytest.raises(DataError):
         viterbi_train(hmm, [FeatureSequence(rng.normal(size=(2, 1)))])
 
 

@@ -56,7 +56,6 @@ def test_jaccard_hand_computed():
     pred = ["a", "b", "b", "b"]
     # a: 1/2, b: 2/3
     assert jaccard(gt, pred) == pytest.approx((0.5 + 2 / 3) / 2)
-    assert jaccard(gt, pred, per_class=False) == pytest.approx(3 / 5)
     assert jaccard(gt, pred, background="a") == pytest.approx(2 / 3)
     assert jaccard(gt, gt) == 1.0
     with pytest.raises(DataError):
