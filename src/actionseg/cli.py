@@ -80,34 +80,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _at_least(convert, low, kind: str, bounded: str):
+    """An argparse type: convert the text, then require a value >= low."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"expected {bounded}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {value}")
-    return value
+_positive_int = _at_least(int, 1, "an integer", "a positive integer")
+_nonneg_int = _at_least(int, 0, "an integer", "a non-negative integer")
+_nonneg_float = _at_least(float, 0, "a number", "a non-negative number")
 
 
 def _int_list(text: str) -> list[int]:
@@ -257,14 +247,11 @@ def cmd_align(args) -> None:
     for rec in records:
         if rec.transcript is None:
             raise DataError(f"clip {rec.clip_id!r} has no transcript to align")
-
-    def run(rec: ClipRecord):
-        transcript = load_transcript(rec.transcript, bundle.lexicon)
-        return force_align(
-            bundle.hmms, transcript, load_features(rec.features), beam=args.beam
-        )
-
-    segs = [(rec.clip_id, seg) for rec, seg in zip(records, parallel_map(run, records, args.jobs))]
+    pairs = [
+        (load_transcript(r.transcript, bundle.lexicon), load_features(r.features)) for r in records
+    ]
+    aligned = force_align(bundle.hmms, [t for t, _ in pairs], [s for _, s in pairs], beam=args.beam)
+    segs = [(rec.clip_id, seg) for rec, seg in zip(records, aligned)]
     doc = {"clips": {cid: {"segments": _segment_rows(seg, bundle.lexicon)} for cid, seg in segs}}
     _emit(args, doc, "alignments.json", segs, bundle.lexicon)
 
@@ -672,6 +659,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def _apply_config(argv: list[str], parser, children) -> None:
     scan = _Parser(add_help=False)
     scan.add_argument("--config", default=None)
+    scan.add_argument("command", nargs="?")
     found, _ = scan.parse_known_args(argv)
     if found.config is None:
         return
@@ -691,9 +679,26 @@ def _apply_config(argv: list[str], parser, children) -> None:
     unknown = sorted(set(doc) - known)
     if unknown:
         parser.error("unknown config keys: " + ", ".join(unknown))
-    for p in [parser, *children.values()]:
-        dests = {a.dest for a in p._actions}
-        p.set_defaults(**{k: v for k, v in doc.items() if k in dests})
+    p = children.get(found.command)
+    actions = {a.dest: a for a in p._actions} if p is not None else {}
+    for key in [k for k in doc if k in actions]:
+        try:
+            p.set_defaults(**{key: _config_value(p, actions[key], doc[key])})
+        except argparse.ArgumentError as exc:
+            raise DataError(f"config key {key!r}: {exc.message}") from None
+
+
+def _config_value(p: argparse.ArgumentParser, action: argparse.Action, value):
+    """A config value for one flag of p, through the flag's own type and
+    choices as its command-line spelling would go."""
+    if value is None and action.default is None or action.nargs == 0 and isinstance(value, bool):
+        return value  # null leaves an optional flag unset; a switch takes true or false
+    if value is None or action.nargs == 0:
+        raise argparse.ArgumentError(action, f"cannot take {json.dumps(value)}")
+    texts = [str(v) for v in value] if isinstance(value, list) else [str(value)]
+    if isinstance(action, argparse._AppendAction):
+        return [p._get_values(action, [text]) for text in texts]
+    return p._get_values(action, [",".join(texts)])
 
 
 def main(argv=None) -> int:

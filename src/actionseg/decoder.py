@@ -47,8 +47,8 @@ from .data import (
 )
 from .errors import BeamPrunedError, DataError, DecodeError, NoPathError
 from .gmm import GmmBank
-from .grammar import DecodingGraph, GraphNode
-from .hmm import UnitHmm, _frames
+from .grammar import DecodingGraph
+from .hmm import UnitHmm, _apply_beam, _frames, _Segments, _viterbi
 
 
 @dataclass(eq=False)
@@ -72,6 +72,22 @@ class DecodeResult:
         }
 
 
+def _chain(hmms: Mapping[int, UnitHmm], units: Sequence[int]) -> tuple:
+    """The states of these units' models end to end: where each unit's
+    states start, their self-loop and advance log-probabilities, and a
+    GmmBank holding each distinct unit's states once, with the bank column
+    of every chain state."""
+    sizes = [hmms[u].n for u in units]
+    offsets = np.cumsum(sizes) - sizes
+    ls, ln = np.empty(sum(sizes)), np.empty(sum(sizes))
+    for u, o, n in zip(units, offsets, sizes):
+        ls[o : o + n], ln[o : o + n] = hmms[u].log_self, hmms[u].log_next
+    distinct = sorted(set(units))
+    col0 = dict(zip(distinct, np.cumsum([0] + [hmms[u].n for u in distinct]).tolist()))
+    bank = GmmBank([g for u in distinct for g in hmms[u].obs])
+    return offsets, ls, ln, bank, np.concatenate([col0[u] + np.arange(hmms[u].n) for u in units])
+
+
 class _Layout:
     """Flattened state indexing, unit-entry edges and observation model of
     one graph: node i's states occupy offsets[i] .. offsets[i] + n_i - 1.
@@ -81,43 +97,18 @@ class _Layout:
     """
 
     def __init__(self, graph: DecodingGraph):
-        self.offsets = np.empty(len(graph.nodes), dtype=np.int64)
-        total = 0
-        for i, node in enumerate(graph.nodes):
-            self.offsets[i] = total
-            total += graph.hmms[node.unit_id].n
-        self.total = total
-        self.log_self = np.empty(total)
-        log_next = np.empty(total)
-        first = np.zeros(total, dtype=bool)
-        self.exit_state = np.empty(len(graph.nodes), dtype=np.int64)
-        self.exit_log = np.empty(len(graph.nodes))
+        units = [node.unit_id for node in graph.nodes]
+        self.offsets, self.log_self, log_next, self.bank, self.state_col = _chain(graph.hmms, units)
+        self.total = self.log_self.size
+        self.exit_state = np.append(self.offsets[1:], self.total) - 1
+        self.exit_log = log_next[self.exit_state]
         self.terminal = [i for i, node in enumerate(graph.nodes) if node.terminal]
-        for i, node in enumerate(graph.nodes):
-            hmm = graph.hmms[node.unit_id]
-            o = self.offsets[i]
-            self.log_self[o : o + hmm.n] = hmm.log_self
-            log_next[o : o + hmm.n] = hmm.log_next
-            first[o] = True
-            self.exit_state[i] = o + hmm.n - 1
-            self.exit_log[i] = hmm.log_next[-1]
         # log_adv[s] scores the step from state s into state s + 1; it is
         # -inf where s + 1 is a unit's first state, which only an entry
         # reaches.
+        first = np.zeros(self.total, dtype=bool)
+        first[self.offsets] = True
         self.log_adv = np.where(first[1:], -np.inf, log_next[:-1])
-
-        # One column per distinct unit state; every graph state reads the
-        # column of its unit's state, however many nodes share the unit.
-        units = sorted({node.unit_id for node in graph.nodes})
-        col0 = {}
-        gmms = []
-        for u in units:
-            col0[u] = len(gmms)
-            gmms.extend(graph.hmms[u].obs)
-        self.bank = GmmBank(gmms)
-        self.state_col = np.concatenate(
-            [col0[node.unit_id] + np.arange(graph.hmms[node.unit_id].n) for node in graph.nodes]
-        )
 
         # Incoming unit-level edges as one CSR list: the edges into
         # entry_nodes[k] are e_src/e_w[e_start[k]:e_start[k + 1]], sorted
@@ -168,15 +159,14 @@ def _layout(graph: DecodingGraph) -> _Layout:
         return lay
 
 
-def _apply_beam(scores: np.ndarray, beam: int) -> None:
-    """Keep the beam best finite scores (ties at the cutoff survive);
-    everything else drops to -inf.  In place."""
-    finite = scores > -np.inf
-    count = int(finite.sum())
-    if count <= beam:
-        return
-    cutoff = np.partition(scores[finite], -beam)[-beam]
-    scores[scores < cutoff] = -np.inf
+def _no_path(beam: int | None, T: int, t: int) -> DecodeError:
+    """The failure of a T-frame search that lost its last token at frame t."""
+    if beam is not None:
+        return BeamPrunedError(
+            f"no surviving token at frame {t}; the beam ({beam}) may be "
+            "too tight, retry with a wider one"
+        )
+    return NoPathError(f"no legal path covers all {T} frames")
 
 
 def decode(
@@ -207,14 +197,6 @@ def decode(
     arena_base: list[int] = []
     n_links = 0
 
-    def fail(t: int):
-        if beam is not None:
-            raise BeamPrunedError(
-                f"no surviving token at frame {t}; the beam ({beam}) may be "
-                "too tight, retry with a wider one"
-            )
-        raise NoPathError(f"no legal path covers all {T} frames")
-
     prior = np.array(
         [0.0 if priors is None else float(priors.get(node.unit_id, 0.0)) for node in graph.nodes]
     )
@@ -230,7 +212,7 @@ def decode(
     if beam is not None:
         _apply_beam(score, beam)
     if not score.max() > -np.inf:
-        fail(0)
+        raise _no_path(beam, T, 0)
 
     n_edges = lay.e_src.size
     # adv[0] stays -inf: state 0 is a unit's first state.  A dead token
@@ -267,7 +249,7 @@ def decode(
         if beam is not None:
             _apply_beam(score, beam)
         if not score.max() > -np.inf:
-            fail(t)
+            raise _no_path(beam, T, t)
 
     best_i = -1
     best_score = -np.inf
@@ -277,7 +259,7 @@ def decode(
             best_score = s
             best_i = i
     if best_i < 0 or best_score == -np.inf:
-        fail(T - 1)
+        raise _no_path(beam, T, T - 1)
 
     chain = [(best_i, T - 1)]
     cur = int(link[lay.exit_state[best_i]])
@@ -319,47 +301,77 @@ def classify_activity(
     return result.activity, result
 
 
+# force_align runs the sequences of a transcript, longest first, in padded
+# batches of at most this many (frame, row, state) cells.
+_ALIGN_CELLS = 1 << 16
+
+
 def force_align(
     hmms: Mapping[int, UnitHmm],
-    transcript: Transcript,
-    seq,
+    transcripts: Sequence,
+    seqs: Sequence,
     beam: int | None = None,
-) -> Segmentation:
-    """Optimal boundaries for a fixed unit order.
+) -> list[Segmentation]:
+    """Optimal boundaries for each sequence's fixed unit order.
 
-    Equivalent to decoding a single-sentence graph of exactly this
-    transcript (no silence bracketing is required here).
+    Each result equals decoding a single-sentence graph of exactly its
+    transcript (no silence bracketing is required here).  On that chain a
+    unit entry is a 0-weight advance out of the previous unit, so the
+    sequences of each transcript run together through the Viterbi kernel
+    of unit training.  The first sequence, in input order, that cannot be
+    aligned raises what aligning it alone would raise.
     """
-    units = transcript.units if isinstance(transcript, Transcript) else tuple(transcript)
-    if not units:
-        raise DataError("cannot align an empty transcript")
-    for u in units:
-        if u not in hmms:
-            raise DataError(f"no trained model for unit id {u}")
-    frames = _frames(seq)
-    need = sum(hmms[u].n for u in units)
-    if need > frames.shape[0]:
-        raise NoPathError(
-            f"transcript needs at least {need} frames, sequence has {frames.shape[0]}"
-        )
-    last = len(units) - 1
-    nodes = tuple(
-        GraphNode(
-            index=i,
-            unit_id=u,
-            activity=None,
-            terminal=(i == last),
-            edges=((i + 1, 0.0),) if i < last else (),
-        )
-        for i, u in enumerate(units)
-    )
-    graph = DecodingGraph(
-        nodes=nodes,
-        start_edges=((0, 0.0),),
-        hmms=dict(hmms),
-        kind="grammar",
-    )
-    return decode(graph, frames, beam=beam).segmentation
+    checked: list[tuple[tuple, np.ndarray]] = []
+    invalid = None
+    try:
+        for transcript, seq in zip(transcripts, seqs, strict=True):
+            units = transcript.units if isinstance(transcript, Transcript) else tuple(transcript)
+            if not units:
+                raise DataError("cannot align an empty transcript")
+            for u in units:
+                if u not in hmms:
+                    raise DataError(f"no trained model for unit id {u}")
+            frames = _frames(seq)
+            need = sum(hmms[u].n for u in units)
+            if need > frames.shape[0]:
+                raise NoPathError(
+                    f"transcript needs at least {need} frames, sequence has {frames.shape[0]}"
+                )
+            if beam is not None and beam < 1:
+                raise ValueError("beam must keep at least one state")
+            checked.append((units, _frames(frames, hmms[min(units)].dim)))
+    except (DataError, DecodeError, ValueError) as exc:  # an earlier failing row wins
+        invalid = exc
+
+    groups: dict[tuple, list[int]] = {}
+    for i, (units, _) in enumerate(checked):
+        groups.setdefault(units, []).append(i)
+    out: list = [None] * len(checked)
+    for units, rows in groups.items():
+        offsets, ls, ln, bank, cols = _chain(hmms, units)
+        rows.sort(key=lambda i: -len(checked[i][1]))
+        while rows:
+            # longest first, so each block's first row sets its padded length
+            size = max(1, _ALIGN_CELLS // (ls.size * len(checked[rows[0]][1])))
+            block, rows = rows[:size], rows[size:]
+            segs = _Segments([checked[i][1] for i in block])
+            obs = segs.pad(bank.log_prob(segs.frames)[:, cols])
+            states, totals, dead = _viterbi(obs, ls, ln, segs.lengths, beam)
+            for b, i in enumerate(block):
+                # A row that loses every finite score never regains one, and
+                # a NaN observation (from a non-finite frame or parameter)
+                # leaves a chain no finite path: the total tells each failure.
+                T = int(segs.lengths[b])
+                if not totals[b] > -np.inf:
+                    out[i] = _no_path(beam, T, T - 1 if dead is None else min(int(dead[b]), T - 1))
+                    continue
+                starts = np.searchsorted(states[:T, b], offsets)
+                ends = np.append(starts[1:], T) - 1
+                out[i] = Segmentation(tuple(zip(units, starts.tolist(), ends.tolist())))
+    for result in [*out, invalid]:
+        if isinstance(result, Exception):
+            raise result
+    return out
 
 
 def majority_vote(hypotheses: Sequence[Sequence]) -> list:

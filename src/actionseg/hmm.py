@@ -259,22 +259,37 @@ def _ends_by_frame(lengths: np.ndarray) -> dict[int, np.ndarray]:
     return {int(t): np.flatnonzero(last == t) for t in np.unique(last)}
 
 
+def _apply_beam(scores: np.ndarray, beam: int) -> None:
+    """Keep the beam best finite scores of each row (the last axis; ties at
+    the cutoff survive) and drop the rest to -inf, in place.  A row holding
+    NaN gets an arbitrary cutoff; every search fails on a NaN score anyway."""
+    k = scores.shape[-1] - beam
+    if k > 0:
+        cutoff = np.partition(scores, k, axis=-1)[..., k : k + 1]
+        scores[scores < cutoff] = -np.inf
+
+
 def _viterbi(
-    obs: np.ndarray, ls: np.ndarray, ln: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best paths: (T, B) states and (B,) log-probabilities, -inf or NaN
-    when a sequence has no path of finite probability.
+    obs: np.ndarray, ls: np.ndarray, ln: np.ndarray, lengths: np.ndarray, beam: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Best paths: (T, B) states, (B,) log-probabilities (-inf or NaN when
+    a sequence has no path of finite probability), and dead (see below).
 
     On equal scores the advancing predecessor wins, which makes each path
     the lexicographically smallest optimum (frames sit in the lowest state
-    index compatible with the best score).
+    index compatible with the best score).  With a beam, every frame's
+    scores are pruned row by row by _apply_beam, and dead[b] is the first
+    frame at which sequence b has no score above -inf (a NaN counts as
+    none), or lengths[b] if that never happens; without one, dead is None.
     """
     T, B, n = obs.shape
     ends = _ends_by_frame(lengths)
     take_adv = np.zeros((T, B, n), dtype=bool)
     adv = np.full((B, n), -np.inf)
     delta = np.full((B, n), -np.inf)
-    delta[:, 0] = obs[0, :, 0]
+    delta[:, 0] = 0.0  # every path enters at state 0
+    delta += obs[0]
+    dead = None if beam is None else np.array(lengths)
     final = np.empty(B)
     for t in range(T):
         if t:
@@ -282,6 +297,9 @@ def _viterbi(
             np.add(delta[:, :-1], ln[:-1], out=adv[:, 1:])
             np.greater_equal(adv, stay, out=take_adv[t])
             delta = np.where(take_adv[t], adv, stay) + obs[t]
+        if beam is not None:
+            _apply_beam(delta, beam)
+            dead[~(delta.max(axis=1) > -np.inf) & (dead > t)] = t
         if t in ends:
             final[ends[t]] = delta[ends[t], n - 1]
 
@@ -294,7 +312,7 @@ def _viterbi(
         states[t] = s
         # Filler frames may step below state 0; clamp them so they index.
         s = np.maximum(s - take_adv[t, rows, s], 0)
-    return states, final + ln[n - 1]
+    return states, final + ln[n - 1], dead
 
 
 def _forward(obs: np.ndarray, ls: np.ndarray, ln: np.ndarray) -> np.ndarray:
@@ -377,7 +395,7 @@ def viterbi_align(hmm: UnitHmm, seq) -> StatePath:
     if T < n:
         raise NoPathError(f"{T} frames cannot visit all {n} states")
     obs = hmm.obs_log_prob(frames)
-    states, total = _viterbi(obs[:, None], hmm.log_self, hmm.log_next, np.array([T]))
+    states, total, _ = _viterbi(obs[:, None], hmm.log_self, hmm.log_next, np.array([T]))
     if not np.isfinite(total[0]):
         raise NoPathError("no path of finite probability reaches the final state")
     return StatePath(states=states[:, 0], log_prob=float(total[0]))
@@ -446,7 +464,7 @@ def viterbi_train(
     prev_total = -np.inf
     for it in range(max_iter):
         obs = segs.pad(model.obs_log_prob(segs.frames))
-        paths, totals = _viterbi(obs, model.log_self, model.log_next, segs.lengths)
+        paths, totals, _ = _viterbi(obs, model.log_self, model.log_next, segs.lengths)
         if not np.all(np.isfinite(totals)):
             raise NoPathError("no path of finite probability reaches the final state")
         total = float(sum(totals.tolist()))

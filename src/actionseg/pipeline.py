@@ -318,6 +318,14 @@ def train_supervised(
     (there would be no model for it at decode time).
     """
     cfg = cfg if cfg is not None else TrainConfig()
+    return _train_supervised(manifest, split, K, cfg, jobs)[0]
+
+
+def _train_supervised(
+    manifest: DatasetManifest, split, K: int, cfg: TrainConfig, jobs: int
+) -> tuple[ModelBundle, dict[int, list[FeatureSequence]], list[tuple[str, Transcript]], dict]:
+    """train_supervised's bundle, and the unit segments, transcripts and
+    segment counts it was trained on."""
     ids = _resolve_clip_ids(manifest, split)
     if not ids:
         raise DataError("training split selects no clips")
@@ -335,7 +343,8 @@ def train_supervised(
         "split": list(split) if not isinstance(split, (str, type(None))) else split,
         **cfg.to_dict(),
     }
-    return _train_bundle(per_unit, transcripts, counts, lexicon, K, cfg, config, jobs, {})
+    bundle = _train_bundle(per_unit, transcripts, counts, lexicon, K, cfg, config, jobs, {})
+    return bundle, per_unit, transcripts, counts
 
 
 def bootstrap(
@@ -350,39 +359,45 @@ def bootstrap(
     models and re-estimate models, grammar, and priors on the union.
 
     With no transcript-only clips (or zero rounds) the supervised bundle
-    is returned as is.
+    is returned as is.  Every clip is read once.
     """
     cfg = cfg if cfg is not None else TrainConfig()
-    bundle = train_supervised(manifest, bcfg.annotated_clip_ids, K, cfg, jobs)
+    bundle, base_units, base_transcripts, base_counts = _train_supervised(
+        manifest, bcfg.annotated_clip_ids, K, cfg, jobs
+    )
     if not bcfg.transcript_clip_ids or bcfg.rounds == 0:
         return bundle
     lexicon = bundle.lexicon
-    base_units, base_transcripts, base_counts = extract_segments(
-        manifest, bcfg.annotated_clip_ids, lexicon
-    )
-    for rnd in range(bcfg.rounds):
-        per_unit = {u: list(v) for u, v in base_units.items()}
-        transcripts = list(base_transcripts)
-        counts = dict(base_counts)
-        for cid in sorted(bcfg.transcript_clip_ids):
+    clip_ids = sorted(bcfg.transcript_clip_ids)
+    trs: list[Transcript] = []
+    seqs: list[FeatureSequence] = []
+    for cid in clip_ids:
+        try:
             clip = manifest.clip(cid)
             if clip.transcript is None:
                 raise DataError(f"clip {cid!r} has no transcript")
             tr = load_transcript(clip.transcript, lexicon)
-            missing = sorted(
-                {lexicon.name_of(u) for u in tr.units if u not in bundle.hmms}
-            )
+            missing = sorted({lexicon.name_of(u) for u in set(tr.units) - bundle.hmms.keys()})
             if missing:
                 raise DataError(
                     f"clip {cid!r} uses units absent from the annotated subset "
                     f"(no model to seed them): " + ", ".join(missing)
                 )
             seq = load_features(clip.features)
-            seg = force_align(bundle.hmms, tr, seq)
+        except (DataError, OSError, ValueError):
+            force_align(bundle.hmms, trs, seqs)  # an earlier clip that fails to align reports first
+            raise
+        trs.append(tr)
+        seqs.append(seq)
+    for rnd in range(bcfg.rounds):
+        per_unit = {u: list(v) for u, v in base_units.items()}
+        transcripts = list(base_transcripts)
+        counts = dict(base_counts)
+        for cid, tr, seq, seg in zip(clip_ids, trs, seqs, force_align(bundle.hmms, trs, seqs)):
             for i, (unit_id, start, end) in enumerate(seg.segments):
                 per_unit[unit_id].append(seq.slice(start, end, clip_id=f"{cid}:{i}"))
                 counts[unit_id] = counts.get(unit_id, 0) + 1
-            transcripts.append((clip.activity, tr))
+            transcripts.append((manifest.clip(cid).activity, tr))
         config = {**bundle.config, "bootstrap_rounds": rnd + 1}
         bundle = _train_bundle(
             per_unit, transcripts, counts, lexicon, K, cfg, config, jobs, bundle.hmms

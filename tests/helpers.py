@@ -20,7 +20,7 @@ from actionseg.decoder import DecodeResult
 from actionseg.errors import BeamPrunedError, DataError, NoPathError
 from actionseg.features import FvEncoderConfig, _window_bounds, fisher_vector
 from actionseg.gmm import Gmm, _logsumexp, variance_floor
-from actionseg.grammar import DecodingGraph, Grammar, build_grammar, compose
+from actionseg.grammar import DecodingGraph, Grammar, GraphNode, build_grammar, compose
 from actionseg.hmm import (
     StatePath,
     UnitHmm,
@@ -423,6 +423,46 @@ def reference_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> Decod
         transcript=segmentation_to_transcript(segmentation),
         log_prob=float(best_score),
     )
+
+
+def reference_force_align(hmms, transcript, seq, beam=None) -> Segmentation:
+    """Forced alignment of one sequence as a graph decode: a chain graph
+    with one node per transcript unit and 0-weight edges, decoded by
+    reference_decode.  The input checks come first, in the order in which
+    actionseg.decoder.force_align must report them."""
+    units = transcript.units if isinstance(transcript, Transcript) else tuple(transcript)
+    if not units:
+        raise DataError("cannot align an empty transcript")
+    for u in units:
+        if u not in hmms:
+            raise DataError(f"no trained model for unit id {u}")
+    frames = _frames(seq)
+    need = sum(hmms[u].n for u in units)
+    if need > frames.shape[0]:
+        raise NoPathError(
+            f"transcript needs at least {need} frames, sequence has {frames.shape[0]}"
+        )
+    if beam is not None and beam < 1:
+        raise ValueError("beam must keep at least one state")
+    _frames(frames, hmms[min(units)].dim)
+    return reference_decode(chain_graph(hmms, units), frames, beam=beam).segmentation
+
+
+def chain_graph(hmms, units) -> DecodingGraph:
+    """The single-sentence graph of a transcript: one node per unit, each
+    joined to the next by a 0-weight edge."""
+    last = len(units) - 1
+    nodes = tuple(
+        GraphNode(
+            index=i,
+            unit_id=u,
+            activity=None,
+            terminal=(i == last),
+            edges=((i + 1, 0.0),) if i < last else (),
+        )
+        for i, u in enumerate(units)
+    )
+    return DecodingGraph(nodes=nodes, start_edges=((0, 0.0),), hmms=dict(hmms), kind="grammar")
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,29 @@ def test_config_file_rejects_unknown_keys(capsys, workspace, tmp_path):
                    "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "o"))[0] == 1
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("decode", "beam", -1),
+    ("decode", "jobs", 0),
+    ("train", "seed", 1.5),
+    ("decode", "prior", "maybe"),
+    ("train", "silence", None),
+])
+def test_config_values_pass_the_flag_checks(capsys, workspace, tmp_path, command, key, value):
+    root, data, model = workspace
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({key: value}))
+    if command == "decode":
+        args = ["--model", str(model), "--split", "test"]
+    else:
+        args = ["--split", "train", "--out", str(tmp_path / "o")]
+    code, out, err = run_cli(
+        capsys, command, "--config", str(cfg), "--manifest", str(data / "manifest.json"), *args
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and f"config key {key!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_jobs_byte_identical(capsys, workspace, tmp_path):
     root, data, model = workspace
     out4 = tmp_path / "model-j4"

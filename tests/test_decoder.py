@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionseg import decoder
 from actionseg.data import Transcript, UnitLexicon, frame_labels
@@ -11,11 +13,13 @@ from actionseg.errors import BeamPrunedError, DataError, DecodeError, NoPathErro
 from actionseg.grammar import Grammar, build_grammar, compose, unconstrained_graph
 from actionseg.hmm import UnitHmm, left_right_log_trans
 from helpers import (
+    chain_graph,
     compose_random_graph,
     oracle_decode_best,
     random_gmm,
     random_unit_hmm,
     reference_decode,
+    reference_force_align,
 )
 
 
@@ -162,23 +166,11 @@ def test_force_align_matches_chain_oracle():
         need = sum(hmms[u].n for u in units)
         T = need + int(rng.integers(0, 4))
         frames = rng.normal(size=(T, 2))
-        seg = force_align(hmms, Transcript(units), frames)
+        [seg] = force_align(hmms, [Transcript(units)], [frames])
         assert tuple(u for u, _, _ in seg.segments) == units
         assert seg.num_frames == T
-        # rebuild the same chain graph and enumerate
-        from actionseg.grammar import DecodingGraph, GraphNode
-
-        nodes = tuple(
-            GraphNode(
-                index=i,
-                unit_id=u,
-                activity=None,
-                terminal=(i == len(units) - 1),
-                edges=((i + 1, 0.0),) if i < len(units) - 1 else (),
-            )
-            for i, u in enumerate(units)
-        )
-        graph = DecodingGraph(nodes=nodes, start_edges=((0, 0.0),), hmms=hmms, kind="grammar")
+        # enumerate the paths of the same chain graph
+        graph = chain_graph(hmms, units)
         _, want_labels = oracle_decode_best(graph, frames)
         assert frame_labels(seg, T) == oracle_unit_frames(graph, want_labels)
 
@@ -188,11 +180,93 @@ def test_force_align_errors():
     hmms = {0: random_unit_hmm(rng, 0, 2, 1, 1)}
     frames = rng.normal(size=(10, 1))
     with pytest.raises(DataError):
-        force_align(hmms, Transcript((0, 1, 0)), frames)
+        force_align(hmms, [Transcript((0, 1, 0))], [frames])
     with pytest.raises(DataError):
-        force_align(hmms, (), frames)
+        force_align(hmms, [()], [frames])
     with pytest.raises(NoPathError):
-        force_align(hmms, (0, 0, 0), rng.normal(size=(5, 1)))
+        force_align(hmms, [(0, 0, 0)], [rng.normal(size=(5, 1))])
+    assert force_align(hmms, [], []) == []
+
+
+@st.composite
+def align_batches(draw):
+    """Models, a batch of (transcript, frames) clips and a beam.  Clips
+    share a few transcripts (units may repeat), run from below their
+    transcript's state count to a few frames above it, and some are made
+    to fail: a frame far from every mean, features of the wrong dim, a
+    unit without a model, an empty transcript.  Tied models copy one state
+    everywhere and see integer frames."""
+    n_units = draw(st.integers(1, 3))
+    states = draw(st.lists(st.integers(1, 3), min_size=n_units, max_size=n_units))
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    hmms = {u: random_unit_hmm(rng, u, n, int(rng.integers(1, 3)), 2) for u, n in enumerate(states)}
+    if tied:
+        hmms = {
+            u: UnitHmm(u, left_right_log_trans(np.full(n, np.log(0.5)), np.full(n, np.log(0.5))),
+                       [hmms[0].obs[0]] * n)
+            for u, n in enumerate(states)
+        }
+    unit_lists = st.lists(st.integers(0, n_units - 1), min_size=1, max_size=4).map(tuple)
+    pool = draw(st.lists(unit_lists, min_size=1, max_size=3))
+    spec = st.tuples(st.sampled_from(pool), st.integers(-2, 6), st.integers(0, 11))
+    clips = []
+    for units, extra, kind in draw(st.lists(spec, min_size=1, max_size=8)):
+        T = max(1, sum(hmms[u].n for u in units) + extra)
+        frames = rng.integers(-2, 3, size=(T, 2)).astype(float) if tied else rng.normal(size=(T, 2))
+        if kind == 0:
+            frames[int(rng.integers(T))] = 1e200
+        elif kind == 1:
+            frames = frames[:, :1]
+        elif kind == 2:
+            units = units + (n_units,)
+        elif kind == 3:
+            units = ()
+        clips.append((units, frames))
+    beam = draw(st.one_of(st.none(), st.integers(1, 6), st.just(40)))
+    return hmms, clips, beam
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(align_batches())
+def test_force_align_batch_matches_graph_oracle(batch):
+    hmms, clips, beam = batch
+    want = [_result_or_error(reference_force_align, hmms, u, f, beam) for u, f in clips]
+    got = _result_or_error(force_align, hmms, [u for u, _ in clips], [f for _, f in clips], beam)
+    failures = [w for w in want if isinstance(w, tuple)]
+    # the first clip that cannot be aligned reports, as if aligned alone
+    assert got == (failures[0] if failures else want)
+    good = [clip for clip, w in zip(clips, want) if not isinstance(w, tuple)]
+    assert force_align(hmms, [u for u, _ in good], [f for _, f in good], beam) == [
+        w for w in want if not isinstance(w, tuple)
+    ]
+
+
+def test_force_align_fails_on_nan_as_a_chain_decode_does():
+    # reference_decode does not model NaN scores, so compare with decode
+    rng = np.random.default_rng(93)
+    hmms = {u: random_unit_hmm(rng, u, 2, 1, 2) for u in range(2)}
+    bad_mean = hmms[1].copy()
+    bad_mean.obs[1].means[0, 0] = np.nan
+    units = (0, 1, 0)
+    for models in (hmms, {0: hmms[0], 1: bad_mean}):
+        for t in (None, 0, 3, 8):
+            frames = rng.normal(size=(9, 2))
+            if t is not None:
+                frames[t, 1] = np.nan
+            for beam in (None, 1, 2, 50):
+                want = _result_or_error(
+                    lambda: decode(chain_graph(models, units), frames, beam=beam).segmentation
+                )
+                got = _result_or_error(force_align, models, [units], [frames], beam)
+                assert got == (want if isinstance(want, tuple) else [want]), (t, beam)
 
 
 def test_classify_union_and_mapping_agree():
@@ -308,9 +382,14 @@ def test_layout_cache_holds_no_graph():
     before = len(decoder._LAYOUTS)
     rng = np.random.default_rng(91)
     hmms = {u: random_unit_hmm(rng, u, 2, 1, 2) for u in range(3)}
-    for _ in range(3):
-        force_align(hmms, (0, 1, 2, 0), rng.normal(size=(12, 2)))
-    gc.collect()
+    lex = UnitLexicon.from_names(["SIL", "a", "b"])
+    grammar = build_grammar([("act", (0, 1, 2, 0))], lex)
+    for make in (lambda: compose(grammar, hmms), lambda: unconstrained_graph(hmms)):
+        decode(make(), rng.normal(size=(12, 2)))
+        gc.collect()
+        assert len(decoder._LAYOUTS) == before
+    # forced alignment builds no graph and caches nothing
+    force_align(hmms, [(0, 1, 2, 0)] * 3, [rng.normal(size=(12, 2)) for _ in range(3)])
     assert len(decoder._LAYOUTS) == before
     graph = unconstrained_graph(hmms)
     decode(graph, rng.normal(size=(6, 2)))
@@ -328,4 +407,4 @@ def test_decode_rejects_frames_of_another_dim():
     with pytest.raises(DataError, match="input dim 3 != model dim 2"):
         decode(unconstrained_graph(hmms), rng.normal(size=(5, 3)))
     with pytest.raises(DataError, match="input dim 1 != model dim 2"):
-        force_align(hmms, (0, 1), rng.normal(size=(5, 1)))
+        force_align(hmms, [(0, 1)], [rng.normal(size=(5, 1))])

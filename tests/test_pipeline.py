@@ -1,6 +1,11 @@
+import dataclasses
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from actionseg import pipeline
 from actionseg.data import (
     ClipRecord,
     DatasetManifest,
@@ -15,7 +20,7 @@ from actionseg.data import (
     write_transcript_names,
 )
 from actionseg.decoder import decode
-from actionseg.errors import DataError
+from actionseg.errors import DataError, NoPathError
 from actionseg.grammar import compose
 from actionseg.pipeline import (
     BalanceConfig,
@@ -266,6 +271,51 @@ def test_bootstrap_requires_models_for_transcript_units(tmp_path):
         BootstrapConfig(("c0",), ("c0",))
     with pytest.raises(DataError):
         BootstrapConfig(("c0",), ("c1",), rounds=-1)
+
+
+def test_bootstrap_reads_each_clip_once_and_aligns_once_per_round(tmp_path, monkeypatch):
+    rng = np.random.default_rng(103)
+    _, manifest = make_dataset(tmp_path, rng)
+    loads = Counter()
+    aligns = []
+    real_load, real_align = pipeline.load_features, pipeline.force_align
+
+    def counting_load(path):
+        loads[Path(path).name] += 1
+        return real_load(path)
+
+    def recording_align(*args, **kwargs):
+        aligns.append(args)
+        return real_align(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_features", counting_load)
+    monkeypatch.setattr(pipeline, "force_align", recording_align)
+    bcfg = BootstrapConfig(("c0", "c2"), ("c1", "c3"), rounds=2)
+    bundle = bootstrap(manifest, bcfg, K=1, cfg=quick_cfg())
+    assert bundle.config["bootstrap_rounds"] == 2
+    assert loads == {f"{c}.feat": 1 for c in ("c0", "c1", "c2", "c3")}
+    # one batch per round; the sequences go positionally, as a list
+    assert len(aligns) == 2
+    assert all(isinstance(args[2], list) and len(args[2]) == 2 for args in aligns)
+
+
+def test_bootstrap_reports_the_first_bad_clip_in_sorted_order(tmp_path):
+    rng = np.random.default_rng(104)
+    root, manifest = make_dataset(tmp_path, rng)
+    # c1 is too short for its transcript; c3 has no transcript at all
+    short = FeatureSequence(load_features(manifest.clip("c1").features).frames[:3])
+    save_features(manifest.clip("c1").features, short)
+    clips = [
+        dataclasses.replace(c, transcript=None) if c.clip_id == "c3" else c
+        for c in manifest.clips
+    ]
+    manifest = DatasetManifest(clips=tuple(clips), splits=manifest.splits)
+    bcfg = BootstrapConfig(("c0", "c2"), ("c1", "c3"), rounds=1)
+    with pytest.raises(NoPathError, match="sequence has 3"):
+        bootstrap(manifest, bcfg, K=1, cfg=quick_cfg())
+    bcfg = BootstrapConfig(("c0", "c2"), ("c3",), rounds=1)
+    with pytest.raises(DataError, match="clip 'c3' has no transcript"):
+        bootstrap(manifest, bcfg, K=1, cfg=quick_cfg())
 
 
 def test_split_units_divides_segments(tmp_path):
