@@ -100,6 +100,11 @@ _nonneg_int = _at_least(int, 0, "an integer", "a non-negative integer")
 _nonneg_float = _at_least(float, 0, "a number", "a non-negative number")
 
 
+# Every command runs in the calling thread; --jobs stays accepted so that
+# existing scripts keep working.
+_JOBS_HELP = "accepted for compatibility; has no effect"
+
+
 def _int_list(text: str) -> list[int]:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
@@ -188,9 +193,7 @@ def _emit(args, doc: dict, doc_name: str, segs=(), lexicon: UnitLexicon | None =
 
 def cmd_train(args) -> None:
     manifest = load_manifest(args.manifest)
-    bundle = train_supervised(
-        manifest, args.split, args.gmm_k, _train_config(args), jobs=args.jobs
-    )
+    bundle = train_supervised(manifest, args.split, args.gmm_k, _train_config(args))
     save_bundle(args.out, bundle)
     _print_json(
         {
@@ -210,7 +213,7 @@ def cmd_decode(args) -> None:
     def run(rec: ClipRecord):
         return decode(graph, load_features(rec.features), beam=args.beam, priors=priors)
 
-    results = parallel_map(run, records, args.jobs)
+    results = parallel_map(run, records)
     doc = {"clips": {r.clip_id: res.to_dict(bundle.lexicon) for r, res in zip(records, results)}}
     segs = [(rec.clip_id, res.segmentation) for rec, res in zip(records, results)]
     _emit(args, doc, "results.json", segs, bundle.lexicon)
@@ -227,7 +230,7 @@ def cmd_classify(args) -> None:
         )
         return act, res.log_prob
 
-    results = parallel_map(run, records, args.jobs)
+    results = parallel_map(run, records)
     doc = {
         "clips": {
             rec.clip_id: {"activity": act, "log_prob": float(lp)}
@@ -263,7 +266,7 @@ def cmd_bootstrap(args) -> None:
         transcript_clip_ids=manifest.split_ids(args.transcript_split),
         rounds=args.rounds,
     )
-    bundle = bootstrap(manifest, bcfg, args.gmm_k, _train_config(args), jobs=args.jobs)
+    bundle = bootstrap(manifest, bcfg, args.gmm_k, _train_config(args))
     save_bundle(args.out, bundle)
     _print_json(
         {
@@ -366,7 +369,7 @@ def cmd_encode(args) -> None:
     out = Path(args.out)
     clip_dir = out / "clips"
     clip_dir.mkdir(parents=True, exist_ok=True)
-    encoded = parallel_map(lambda rec: encoder.encode(raw[rec.clip_id]), all_records, args.jobs)
+    encoded = parallel_map(lambda rec: encoder.encode(raw[rec.clip_id]), all_records)
     new_clips = []
     for rec, seq in zip(all_records, encoded):
         path = clip_dir / f"{rec.clip_id}.feat"
@@ -460,9 +463,7 @@ def cmd_grid(args) -> None:
         )
         save_manifest(sdir / "manifest.json", setting_manifest)
 
-        bundle = train_supervised(
-            setting_manifest, "train", K, _train_config(args), jobs=args.jobs
-        )
+        bundle = train_supervised(setting_manifest, "train", K, _train_config(args))
         save_bundle(sdir / "model", bundle)
         graph = compose(bundle.grammar, bundle.hmms)
         priors = bundle.priors if args.prior == "on" else None
@@ -470,7 +471,6 @@ def cmd_grid(args) -> None:
         results = parallel_map(
             lambda rec: decode(graph, load_features(rec.features), beam=args.beam, priors=priors),
             test_records,
-            args.jobs,
         )
         gt_pool, pred_pool = [], []
         for rec, res in zip(test_records, results):
@@ -534,7 +534,7 @@ def _add_clip_flags(p: argparse.ArgumentParser, out_help: str) -> None:
                    help="process just this clip (repeatable)")
     p.add_argument("--beam", type=_positive_int, default=None,
                    help="keep this many active states per frame (default: exact)")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", metavar="DIR", help=out_help)
 
 
@@ -579,7 +579,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--manifest", required=True, metavar="JSON")
     p.add_argument("--split", default=None,
                    help="training split name (default: every clip)")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True, metavar="DIR")
     _add_train_flags(p)
 
@@ -603,7 +603,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--transcript-split", required=True, metavar="NAME",
                    help="split with ordering transcripts only")
     p.add_argument("--rounds", type=_nonneg_int, default=1)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True, metavar="DIR")
     _add_train_flags(p)
 
@@ -620,7 +620,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--signed-sqrt", action="store_true",
                    help="apply |v|**0.5 * sign(v) to window descriptors")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True, metavar="DIR")
 
     p = command("eval", "score predicted segmentations against references", cmd_eval)
@@ -650,7 +650,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--silence", default=DEFAULT_SILENCE)
     _add_schedule_flags(p)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", required=True, metavar="DIR")
 
     return parser, children

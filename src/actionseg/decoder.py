@@ -146,7 +146,8 @@ class _Layout:
 
 
 # Layouts by graph.  Graphs are immutable, so a layout is built once, on
-# the graph's first decode; the entry goes away with the graph.
+# the graph's first decode; the entry goes away with the graph.  The lock
+# serves library callers that decode from threads of their own.
 _LAYOUTS: "weakref.WeakKeyDictionary[DecodingGraph, _Layout]" = weakref.WeakKeyDictionary()
 _LAYOUTS_LOCK = threading.Lock()
 

@@ -49,8 +49,11 @@ class Gmm:
             raise ValueError("means and variances must have the same shape")
         if self.means.shape[0] != self.weights.shape[0]:
             raise ValueError("component count mismatch between weights and means")
-        if not np.isclose(self.weights.sum(), 1.0, atol=1e-9):
-            raise ValueError(f"weights sum to {self.weights.sum()}, expected 1")
+        if not (self.weights >= 0).all():  # first: summing inf and -inf warns
+            raise ValueError("weights must be non-negative numbers")
+        total = self.weights.sum()
+        if not abs(total - 1.0) <= 1e-9 + 1e-5:  # np.isclose(total, 1, atol=1e-9)
+            raise ValueError(f"weights sum to {total}, expected 1")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be strictly positive")
 

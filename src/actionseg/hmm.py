@@ -644,17 +644,23 @@ def load_hmm_set(path) -> tuple[dict[int, UnitHmm], UnitLexicon]:
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != HMMSET_FORMAT:
         raise DataError(f"{path} is not a saved HMM set")
-    lex_doc = doc["lexicon"]
-    names = [str(s) for s in lex_doc["names"]]
-    lexicon = UnitLexicon.from_names(
-        names,
-        silence=str(lex_doc["silence"]),
-        counts=dict(zip(names, lex_doc["sample_count"])),
-    )
-    hmms = {}
-    for d in doc["units"]:
-        model = UnitHmm.from_dict(d)
-        if not 0 <= model.unit_id < len(lexicon):
-            raise DataError(f"unit id {model.unit_id} outside the lexicon")
-        hmms[model.unit_id] = model
+    try:
+        lex_doc = doc["lexicon"]
+        names = [str(s) for s in lex_doc["names"]]
+        lexicon = UnitLexicon.from_names(
+            names,
+            silence=str(lex_doc["silence"]),
+            counts=dict(zip(names, lex_doc["sample_count"])),
+        )
+        hmms = {}
+        for d in doc["units"]:
+            model = UnitHmm.from_dict(d)
+            if not 0 <= model.unit_id < len(lexicon):
+                raise DataError(f"unit id {model.unit_id} outside the lexicon")
+            for g in model.obs:
+                if not (np.isfinite(g.means).all() and np.isfinite(g.variances).all()):
+                    raise DataError(f"unit {model.unit_id} has a non-finite mean or variance")
+            hmms[model.unit_id] = model
+    except (DataError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise DataError(f"{path} is not a valid HMM set: {exc}") from None
     return hmms, lexicon

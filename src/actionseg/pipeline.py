@@ -283,7 +283,6 @@ def _train_bundle(
     K: int,
     cfg: TrainConfig,
     config: dict,
-    jobs: int,
     warm: Mapping[int, UnitHmm],
 ) -> ModelBundle:
     """Balance each unit's segments, train its model (from its model in
@@ -291,9 +290,7 @@ def _train_bundle(
     lexicon and the grammar and priors of these transcripts."""
     balanced = balance_units(per_unit, cfg.balance, lexicon)
     uids = sorted(balanced)
-    models = parallel_map(
-        lambda u: _train_unit(u, balanced[u], K, cfg, warm=warm.get(u)), uids, jobs
-    )
+    models = parallel_map(lambda u: _train_unit(u, balanced[u], K, cfg, warm=warm.get(u)), uids)
     lexicon = lexicon.with_counts(counts)
     return ModelBundle(
         hmms=dict(zip(uids, models)),
@@ -309,7 +306,6 @@ def train_supervised(
     split,
     K: int,
     cfg: TrainConfig | None = None,
-    jobs: int = 1,
 ) -> ModelBundle:
     """Train unit models and the grammar from an annotated split.
 
@@ -318,11 +314,11 @@ def train_supervised(
     (there would be no model for it at decode time).
     """
     cfg = cfg if cfg is not None else TrainConfig()
-    return _train_supervised(manifest, split, K, cfg, jobs)[0]
+    return _train_supervised(manifest, split, K, cfg)[0]
 
 
 def _train_supervised(
-    manifest: DatasetManifest, split, K: int, cfg: TrainConfig, jobs: int
+    manifest: DatasetManifest, split, K: int, cfg: TrainConfig
 ) -> tuple[ModelBundle, dict[int, list[FeatureSequence]], list[tuple[str, Transcript]], dict]:
     """train_supervised's bundle, and the unit segments, transcripts and
     segment counts it was trained on."""
@@ -343,7 +339,7 @@ def _train_supervised(
         "split": list(split) if not isinstance(split, (str, type(None))) else split,
         **cfg.to_dict(),
     }
-    bundle = _train_bundle(per_unit, transcripts, counts, lexicon, K, cfg, config, jobs, {})
+    bundle = _train_bundle(per_unit, transcripts, counts, lexicon, K, cfg, config, {})
     return bundle, per_unit, transcripts, counts
 
 
@@ -352,7 +348,6 @@ def bootstrap(
     bcfg: BootstrapConfig,
     K: int,
     cfg: TrainConfig | None = None,
-    jobs: int = 1,
 ) -> ModelBundle:
     """Semi-supervised training: supervised on the annotated subset, then
     per round force-align the transcript-only clips with the current
@@ -363,7 +358,7 @@ def bootstrap(
     """
     cfg = cfg if cfg is not None else TrainConfig()
     bundle, base_units, base_transcripts, base_counts = _train_supervised(
-        manifest, bcfg.annotated_clip_ids, K, cfg, jobs
+        manifest, bcfg.annotated_clip_ids, K, cfg
     )
     if not bcfg.transcript_clip_ids or bcfg.rounds == 0:
         return bundle
@@ -400,7 +395,7 @@ def bootstrap(
             transcripts.append((manifest.clip(cid).activity, tr))
         config = {**bundle.config, "bootstrap_rounds": rnd + 1}
         bundle = _train_bundle(
-            per_unit, transcripts, counts, lexicon, K, cfg, config, jobs, bundle.hmms
+            per_unit, transcripts, counts, lexicon, K, cfg, config, bundle.hmms
         )
     return bundle
 

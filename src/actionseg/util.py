@@ -36,18 +36,13 @@ def derive_seed(seed: int, *keys: int | str) -> int:
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
-    """Map fn over items, optionally on a thread pool.
+    """Map fn over items in input order, in the calling thread; the first
+    item that raises stops the map.
 
-    Results come back in input order, so output is independent of the
-    worker count as long as fn is a pure function of its item.
+    jobs is accepted and ignored: the per-item work is many small numpy
+    calls that hold the interpreter lock, so threads cannot overlap it.
     """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def dump_json(obj: Any, indent: int | None = 2) -> str:

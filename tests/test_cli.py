@@ -118,6 +118,44 @@ def test_feature_dim_mismatch_exits_2(capsys, workspace, tmp_path):
         assert "dim 3" in err and "Traceback" not in err
 
 
+def _state0(doc: dict) -> dict:
+    return doc["units"][0]["states"][0]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: _state0(doc).update(
+        weights=[1.5, -0.5], means=[[0.0, 0.0]] * 2, variances=[[1.0, 1.0]] * 2
+    ),
+    lambda doc: _state0(doc).update(means=[[float("nan"), 0.0]]),
+    lambda doc: _state0(doc).update(variances=[[-1.0, 1.0]]),
+    lambda doc: _state0(doc).update(means=[["x", 0.0]]),
+    lambda doc: _state0(doc).update(weights=["x"]),
+    lambda doc: doc["units"][0].update(unit_id="zz"),
+    lambda doc: doc.update(units={"0": doc["units"][0]}),
+    lambda doc: doc["units"][0].update(states=[None, *doc["units"][0]["states"][1:]]),
+    lambda doc: _state0(doc).update(means=[[0.0, 0.0], [0.0]]),
+    lambda doc: doc.update(lexicon=7),
+], ids=[
+    "negative-weight", "nan-mean", "negative-variance", "string-mean", "string-weight",
+    "string-unit-id", "units-an-object", "null-state", "ragged-means", "lexicon-a-number",
+])
+def test_malformed_model_file_exits_2(capsys, workspace, tmp_path, mutate):
+    root, data, model = workspace
+    bad = tmp_path / "model"
+    shutil.copytree(model, bad)
+    doc = json.loads((bad / "hmms.json").read_text())
+    mutate(doc)
+    (bad / "hmms.json").write_text(json.dumps(doc))
+    manifest = load_manifest(data / "manifest.json")
+    code, _, err = run_cli(
+        capsys, "decode", "--model", str(bad), "--manifest", str(data / "manifest.json"),
+        "--clip", manifest.split_ids("test")[0],
+    )
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "hmms.json" in err and "Traceback" not in err
+
+
 def test_synth_summary(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "synth", "--out", str(tmp_path / "d"), "--activities", "2",

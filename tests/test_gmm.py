@@ -106,6 +106,9 @@ def test_responsibilities_normalized():
 def test_gmm_validation():
     with pytest.raises(ValueError):
         Gmm(weights=np.array([0.5, 0.4]), means=np.zeros((2, 1)), variances=np.ones((2, 1)))
+    for weights in ([1.5, -0.5], [np.nan, 1.0], [np.inf, -np.inf]):
+        with pytest.raises(ValueError):
+            Gmm(weights=np.array(weights), means=np.zeros((2, 1)), variances=np.ones((2, 1)))
     with pytest.raises(ValueError):
         Gmm(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.zeros((1, 2)))
     with pytest.raises(ValueError):

@@ -209,15 +209,6 @@ def test_train_supervised_errors(tmp_path):
         train_supervised(manifest, "train", K=1, cfg=quick_cfg())
 
 
-def test_train_supervised_jobs_equivalent(tmp_path):
-    rng = np.random.default_rng(98)
-    _, manifest = make_dataset(tmp_path, rng)
-    a = train_supervised(manifest, "train", K=1, cfg=quick_cfg(), jobs=1)
-    b = train_supervised(manifest, "train", K=1, cfg=quick_cfg(), jobs=4)
-    assert a.hmms == b.hmms
-    assert a.priors == b.priors
-
-
 def test_bootstrap_zero_rounds_is_supervised(tmp_path):
     rng = np.random.default_rng(99)
     _, manifest = make_dataset(tmp_path, rng)

@@ -3,11 +3,15 @@ keep finding them."""
 import ast
 import importlib
 import inspect
+import sys
+import types
 from pathlib import Path
 
+from actionseg.cli import build_parser
 from actionseg.decoder import force_align
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _tracer_constant(name: str):
@@ -37,3 +41,30 @@ def test_force_align_takes_the_sequences_third():
     # the tracer counts a force_align call's work as len(args[2])
     params = list(inspect.signature(force_align).parameters)
     assert params[:3] == ["hmms", "transcripts", "seqs"]
+
+
+def _bench_workloads(monkeypatch) -> types.ModuleType:
+    """bench/workloads.py, run from its source text so that nothing is
+    written under bench/ and bench/ is not put on the import path."""
+    path = BENCH / "workloads.py"
+    mod = types.ModuleType("bench_workloads")
+    mod.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, mod.__name__, mod)  # dataclasses look it up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+def test_every_benchmark_command_line_parses(monkeypatch):
+    # the benchmark passes --jobs and its other flags to the command line
+    # as they are; every argv it builds must stay accepted
+    workloads = _bench_workloads(monkeypatch)
+    assert len(workloads.WORKLOADS) == 3
+    parser, _ = build_parser()
+    for w in workloads.WORKLOADS.values():
+        phases = workloads.phase_argvs(w, Path("data"), Path("run"))
+        argvs = [workloads.synth_argv(w, Path("data"), 0), *(argv for _, argv in phases)]
+        for argv in argvs:
+            args = parser.parse_args(argv)
+            assert args.command == argv[0]
+            if "--jobs" in argv:
+                assert args.jobs == w.jobs

@@ -1,6 +1,8 @@
 import json
+import threading
 
 import numpy as np
+import pytest
 
 from actionseg.util import child_rng, derive_seed, dump_json, parallel_map, read_json, write_json
 
@@ -39,7 +41,27 @@ def test_key_derivation_values_are_pinned():
 def test_parallel_map_preserves_order():
     items = list(range(40))
     assert parallel_map(lambda x: x * x, items, jobs=1) == [x * x for x in items]
-    assert parallel_map(lambda x: x * x, items, jobs=8) == [x * x for x in items]
+    seen = []
+
+    def square(x):
+        seen.append((x, threading.get_ident()))
+        return x * x
+
+    assert parallel_map(square, items, jobs=8) == [x * x for x in items]
+    assert seen == [(x, threading.get_ident()) for x in items]
+
+    # the first failing item raises its own exception, and no later item runs
+    ran = []
+
+    def fail_at_5_and_7(x):
+        ran.append(x)
+        if x in (5, 7):
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="^item 5$"):
+        parallel_map(fail_at_5_and_7, items, jobs=8)
+    assert ran == list(range(6))
 
 
 def test_dump_json_canonical():
