@@ -22,15 +22,16 @@ from actionseg.hmm import UnitHmm
 def flat_unit(unit_id, means, self_loop=0.6):
     """Left-to-right unit with one unit-variance Gaussian per state."""
     n = len(means)
-    log_trans = np.full((n + 1, n + 1), -np.inf)
-    for j in range(n):
-        log_trans[j, j] = np.log(self_loop)
-        log_trans[j, j + 1] = np.log(1.0 - self_loop)
     obs = [
         Gmm(weights=np.ones(1), means=np.array([[m]]), variances=np.ones((1, 1)))
         for m in means
     ]
-    return UnitHmm(unit_id=unit_id, log_trans=log_trans, obs=obs)
+    return UnitHmm(
+        unit_id=unit_id,
+        log_self=np.full(n, np.log(self_loop)),
+        log_next=np.full(n, np.log(1.0 - self_loop)),
+        obs=obs,
+    )
 
 
 def main():

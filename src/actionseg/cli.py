@@ -436,7 +436,7 @@ def cmd_grid(args) -> None:
         def transform(seq: FeatureSequence) -> FeatureSequence:
             if pca is None:
                 return seq
-            return FeatureSequence(apply_pca(pca, seq.frames), seq.frame_rate, seq.clip_id)
+            return FeatureSequence(apply_pca(pca, seq.frames), seq.clip_id)
 
         new_clips = []
         split_train = list(train_ids)

@@ -31,7 +31,6 @@ class FeatureSequence:
     """A clip's per-frame feature vectors, shape (T, m)."""
 
     frames: np.ndarray
-    frame_rate: float = 15.0
     clip_id: str = ""
 
     def __post_init__(self):
@@ -58,7 +57,6 @@ class FeatureSequence:
             return NotImplemented
         return (
             self.clip_id == other.clip_id
-            and self.frame_rate == other.frame_rate
             and np.array_equal(self.frames, other.frames)
         )
 
@@ -68,7 +66,6 @@ class FeatureSequence:
             raise ValueError(f"bad slice [{start}, {end}] for T={self.num_frames}")
         return FeatureSequence(
             self.frames[start : end + 1].copy(),
-            frame_rate=self.frame_rate,
             clip_id=clip_id if clip_id is not None else f"{self.clip_id}[{start}:{end}]",
         )
 

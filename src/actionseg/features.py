@@ -228,16 +228,11 @@ def encode_clip(
     Stages set to None are skipped; the final per-dimension normalization
     always runs.
     """
-    if isinstance(frames, FeatureSequence):
-        frame_rate, clip_id = frames.frame_rate, frames.clip_id
-    else:
-        frame_rate, clip_id = 15.0, ""
+    clip_id = frames.clip_id if isinstance(frames, FeatureSequence) else ""
     X = window_fv_matrix(frames, pca1, cfg)
     if pca2 is not None:
         X = apply_pca(pca2, X)
-    return FeatureSequence(
-        _l2_normalize_columns(np.atleast_2d(X)), frame_rate=frame_rate, clip_id=clip_id
-    )
+    return FeatureSequence(_l2_normalize_columns(np.atleast_2d(X)), clip_id=clip_id)
 
 
 def fit_fv_codebook(

@@ -7,15 +7,16 @@ first state and leaves through a virtual exit reachable only from the
 last state.  A sequence of T frames therefore admits a legal path only
 when T >= n.
 
-The transition structure is kept as an (n+1) x (n+1) log-probability
-matrix whose column n is the exit.  State indices are 0-based in code.
+The transitions are two (n,) log-probability vectors, stay (log_self)
+and advance (log_next); the last state's advance is the exit.  State
+indices are 0-based in code.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -46,61 +47,39 @@ def _frames(seq, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def left_right_log_trans(log_self: Sequence[float], log_next: Sequence[float]) -> np.ndarray:
-    """Build the (n+1)^2 log-transition matrix from per-state self-loop and
-    advance terms.  The advance out of the last state is the exit."""
-    ls = np.asarray(log_self, dtype=np.float64)
-    ln = np.asarray(log_next, dtype=np.float64)
-    if ls.shape != ln.shape or ls.ndim != 1 or ls.size < 1:
-        raise DataError("log_self and log_next must be equal-length 1-D arrays")
-    n = ls.size
-    lt = np.full((n + 1, n + 1), -np.inf)
-    for j in range(n):
-        lt[j, j] = ls[j]
-        lt[j, j + 1] = ln[j]
-    return lt
-
-
 @dataclass(eq=False)
 class UnitHmm:
     """A single action unit's left-to-right model.
 
-    log_trans holds log a_{j,j} on the diagonal and log a_{j,j+1} on the
-    superdiagonal; everything else is -inf.  obs holds one GMM per state.
+    log_self[j] is log a_{j,j} and log_next[j] is log a_{j,j+1}, with
+    log_next[n - 1] the exit.  obs holds one GMM per state.
     """
 
     unit_id: int
-    log_trans: np.ndarray
+    log_self: np.ndarray
+    log_next: np.ndarray
     obs: list[Gmm]
 
     def __post_init__(self):
         if not self.obs:
             raise DataError("unit HMM needs at least one state")
         n = len(self.obs)
-        lt = np.asarray(self.log_trans, dtype=np.float64)
-        if lt.shape != (n + 1, n + 1):
-            raise DataError(
-                f"log_trans shape {lt.shape} does not match {n} states (+ exit)"
-            )
         m = self.obs[0].dim
         for j, g in enumerate(self.obs):
             if g.dim != m:
                 raise DataError(f"state {j} GMM has dim {g.dim}, expected {m}")
-        for j in range(n):
-            row = lt[j]
-            for i in range(n + 1):
-                if i in (j, j + 1):
-                    if np.isnan(row[i]) or row[i] > 0:
-                        raise DataError(f"bad log-probability at transition ({j}, {i})")
-                elif row[i] != -np.inf:
-                    raise DataError(
-                        f"forbidden transition ({j}, {i}) must stay at -inf"
-                    )
-            if abs(np.exp(row[j]) + np.exp(row[j + 1]) - 1.0) > 1e-9:
-                raise DataError(f"transition row {j} does not sum to 1")
-        if np.any(lt[n] != -np.inf):
-            raise DataError("the exit has no outgoing transitions")
-        self.log_trans = lt
+        ls = np.asarray(self.log_self, dtype=np.float64)
+        ln = np.asarray(self.log_next, dtype=np.float64)
+        if ls.shape != (n,) or ln.shape != (n,):
+            raise DataError(
+                f"log_self {ls.shape} and log_next {ln.shape} must both have shape ({n},)"
+            )
+        if not (np.all(ls <= 0) and np.all(ln <= 0)):
+            raise DataError("transition log-probabilities must be numbers <= 0")
+        off = np.abs(np.exp(ls) + np.exp(ln) - 1.0) > 1e-9
+        if off.any():
+            raise DataError(f"transition row {int(np.argmax(off))} does not sum to 1")
+        self.log_self, self.log_next = ls, ln
         self.obs = list(self.obs)
 
     @property
@@ -111,17 +90,6 @@ class UnitHmm:
     def dim(self) -> int:
         return self.obs[0].dim
 
-    @property
-    def log_self(self) -> np.ndarray:
-        idx = np.arange(self.n)
-        return self.log_trans[idx, idx]
-
-    @property
-    def log_next(self) -> np.ndarray:
-        """Advance terms; the last entry is the exit log-probability."""
-        idx = np.arange(self.n)
-        return self.log_trans[idx, idx + 1]
-
     def obs_log_prob(self, frames: np.ndarray) -> np.ndarray:
         """Per-frame, per-state observation log-likelihoods, shape (T, n)."""
         return GmmBank(self.obs).log_prob(frames)
@@ -129,7 +97,8 @@ class UnitHmm:
     def copy(self) -> "UnitHmm":
         return UnitHmm(
             unit_id=self.unit_id,
-            log_trans=self.log_trans.copy(),
+            log_self=self.log_self.copy(),
+            log_next=self.log_next.copy(),
             obs=[
                 Gmm(weights=g.weights.copy(), means=g.means.copy(), variances=g.variances.copy())
                 for g in self.obs
@@ -141,7 +110,8 @@ class UnitHmm:
             return NotImplemented
         return (
             self.unit_id == other.unit_id
-            and np.array_equal(self.log_trans, other.log_trans)
+            and np.array_equal(self.log_self, other.log_self)
+            and np.array_equal(self.log_next, other.log_next)
             and self.obs == other.obs
         )
 
@@ -158,14 +128,13 @@ class UnitHmm:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnitHmm":
-        def dec(v) -> float:
-            return -np.inf if v is None else float(v)
+        def dec(vs) -> list[float]:
+            return [-np.inf if v is None else float(v) for v in vs]
 
-        ls = [dec(v) for v in d["log_self"]]
-        ln = [dec(v) for v in d["log_next"]]
         return cls(
             unit_id=int(d["unit_id"]),
-            log_trans=left_right_log_trans(ls, ln),
+            log_self=dec(d["log_self"]),
+            log_next=dec(d["log_next"]),
             obs=[Gmm.from_dict(s) for s in d["states"]],
         )
 
@@ -233,11 +202,10 @@ def init_hmm(
         k_eff = min(K, np.unique(X, axis=0).shape[0])
         states.append(fit_em(X, max(1, k_eff), seed=derive_seed(seed, unit_id, j), floor=floor))
 
-    log_self = np.full(n, np.log(SELF_LOOP_INIT))
-    log_next = np.full(n, np.log(ADVANCE_INIT))
     return UnitHmm(
         unit_id=unit_id,
-        log_trans=left_right_log_trans(log_self, log_next),
+        log_self=np.full(n, np.log(SELF_LOOP_INIT)),
+        log_next=np.full(n, np.log(ADVANCE_INIT)),
         obs=states,
     )
 
@@ -431,12 +399,14 @@ def _usable_frames(model: UnitHmm, seqs) -> list[np.ndarray]:
     return usable
 
 
-def _reestimate_transitions(self_counts: np.ndarray, adv_counts: np.ndarray) -> np.ndarray:
-    """Floored, renormalized transition matrix from (expected) counts."""
+def _reestimate_transitions(
+    self_counts: np.ndarray, adv_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Floored, renormalized (log_self, log_next) from (expected) counts."""
     num_self = self_counts + TRANS_FLOOR
     num_adv = adv_counts + TRANS_FLOOR
     tot = num_self + num_adv
-    return left_right_log_trans(np.log(num_self / tot), np.log(num_adv / tot))
+    return np.log(num_self / tot), np.log(num_adv / tot)
 
 
 def viterbi_train(
@@ -484,11 +454,7 @@ def viterbi_train(
         for j in range(n):
             g, _ = em_step(model.obs[j], segs.frames[s == j], floor)
             new_obs.append(g)
-        model = UnitHmm(
-            unit_id=model.unit_id,
-            log_trans=_reestimate_transitions(self_counts, adv_counts),
-            obs=new_obs,
-        )
+        model = UnitHmm(model.unit_id, *_reestimate_transitions(self_counts, adv_counts), new_obs)
     return model
 
 
@@ -502,9 +468,9 @@ def baum_welch(
     """Forward-backward re-estimation over state posteriors.
 
     Paths are pinned to enter at the first state and leave through the
-    exit, so the posteriors respect the topology and forbidden
-    transitions stay at -inf.  The per-iteration total forward
-    log-likelihood is appended to history when given; it never decreases.
+    exit, so the posteriors respect the topology.  The per-iteration
+    total forward log-likelihood is appended to history when given; it
+    never decreases.
     With max_iter = 0 an unchanged copy is returned.
 
     All sequences run through one batched forward and backward pass.  The
@@ -569,11 +535,7 @@ def baum_welch(
                 Sx += r.T @ a
                 Sxx += r.T @ aa
             new_obs.append(gmm_from_stats(g, Rk, Sx, Sxx, Rk.sum(), floor))
-        model = UnitHmm(
-            unit_id=model.unit_id,
-            log_trans=_reestimate_transitions(self_exp, adv_exp),
-            obs=new_obs,
-        )
+        model = UnitHmm(model.unit_id, *_reestimate_transitions(self_exp, adv_exp), new_obs)
     return model
 
 
@@ -657,6 +619,8 @@ def load_hmm_set(path) -> tuple[dict[int, UnitHmm], UnitLexicon]:
             model = UnitHmm.from_dict(d)
             if not 0 <= model.unit_id < len(lexicon):
                 raise DataError(f"unit id {model.unit_id} outside the lexicon")
+            if model.unit_id in hmms:
+                raise DataError(f"unit id {model.unit_id} appears twice")
             for g in model.obs:
                 if not (np.isfinite(g.means).all() and np.isfinite(g.variances).all()):
                     raise DataError(f"unit {model.unit_id} has a non-finite mean or variance")

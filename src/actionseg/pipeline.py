@@ -15,6 +15,7 @@ into equal sub-unit spans) and the mirrored-feature augmentation hook.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -249,11 +250,7 @@ def balance_units(
                 base = seqs[j]
                 noise = rng.normal(0.0, 1.0, size=base.frames.shape) * sigma
                 seqs.append(
-                    FeatureSequence(
-                        base.frames + noise,
-                        frame_rate=base.frame_rate,
-                        clip_id=f"{base.clip_id}+jitter{i}",
-                    )
+                    FeatureSequence(base.frames + noise, clip_id=f"{base.clip_id}+jitter{i}")
                 )
         out[uid] = seqs
     return out
@@ -535,11 +532,7 @@ def mirror_features(seq: FeatureSequence, mirror: MirrorMap | None = None) -> Fe
         raise DataError(
             f"mirror map has {mirror.dim} dimensions, features have {seq.dim}"
         )
-    return FeatureSequence(
-        seq.frames[:, mirror.perm] * mirror.signs,
-        frame_rate=seq.frame_rate,
-        clip_id=seq.clip_id,
-    )
+    return FeatureSequence(seq.frames[:, mirror.perm] * mirror.signs, clip_id=seq.clip_id)
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +570,24 @@ def load_bundle(path) -> ModelBundle:
     hmms, lexicon = load_hmm_set(path / "hmms.json")
     with open(path / "grammar.ebnf", "r", encoding="utf-8") as fh:
         grammar = parse_ebnf(fh.read(), lexicon)
-    priors_doc = read_json(path / "priors.json")["log_priors"]
-    priors = {
-        lexicon.id_of(name): (-np.inf if v is None else float(v))
-        for name, v in priors_doc.items()
-    }
+    priors_path = path / "priors.json"
+    priors_doc = read_json(priors_path)
+    log_priors = priors_doc.get("log_priors") if isinstance(priors_doc, dict) else None
+    if not isinstance(log_priors, dict):
+        raise DataError(f'{priors_path} is not a valid priors file: no "log_priors" object')
+    priors = {}
+    for name, v in log_priors.items():
+        # abs(v) <= max rejects NaN, the infinities and ints too large for a float
+        if v is not None and (
+            isinstance(v, bool)
+            or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max
+        ):
+            raise DataError(
+                f"{priors_path} is not a valid priors file: "
+                f"the prior of {name!r} is {v!r}, not null or a finite number"
+            )
+        priors[lexicon.id_of(name)] = -np.inf if v is None else float(v)
     config = read_json(path / "pipeline-config.json")
     return ModelBundle(
         hmms=hmms, lexicon=lexicon, grammar=grammar, priors=priors, config=config

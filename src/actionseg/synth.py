@@ -50,7 +50,6 @@ class SynthSpec:
     self_loop: float = 0.9
     max_state_frames: int = 60
     silence: str = "SIL"
-    frame_rate: float = 15.0
 
     def __post_init__(self):
         for name in (
@@ -75,8 +74,6 @@ class SynthSpec:
                 "min_sentence_units exceeds units_per_activity "
                 f"({self.min_sentence_units} > {self.units_per_activity})"
             )
-        if self.frame_rate <= 0:
-            raise DataError(f"frame_rate must be positive, got {self.frame_rate}")
 
 
 def activity_names(spec: SynthSpec) -> list[str]:
@@ -203,7 +200,7 @@ def generate_dataset(spec: SynthSpec, out_dir, seed: int = 0) -> DatasetManifest
             feat_path = clip_dir / f"{cid}.feat"
             seg_path = clip_dir / f"{cid}.seg"
             tr_path = clip_dir / f"{cid}.tr"
-            save_features(feat_path, FeatureSequence(frames, spec.frame_rate, cid))
+            save_features(feat_path, FeatureSequence(frames, cid))
             write_segment_names(seg_path, rows)
             write_transcript_names(tr_path, tokens)
 

@@ -27,7 +27,6 @@ from actionseg.hmm import (
     _frames,
     _reestimate_transitions,
     _usable_frames,
-    left_right_log_trans,
 )
 
 
@@ -44,7 +43,8 @@ def random_unit_hmm(rng: np.random.Generator, unit_id: int, n: int, K: int, m: i
     p_self = rng.uniform(0.2, 0.9, n)
     return UnitHmm(
         unit_id=unit_id,
-        log_trans=left_right_log_trans(np.log(p_self), np.log(1.0 - p_self)),
+        log_self=np.log(p_self),
+        log_next=np.log(1.0 - p_self),
         obs=[random_gmm(rng, K, m) for _ in range(n)],
     )
 
@@ -178,10 +178,13 @@ def enumerate_state_paths(n: int, T: int) -> list[tuple[int, ...]]:
 
 
 def unit_path_log_prob(hmm: UnitHmm, obs: np.ndarray, path: tuple[int, ...]) -> float:
+    """Log-probability of a legal path (see enumerate_state_paths), which
+    leaves through the exit from the last state."""
     lp = obs[0, path[0]]
     for t in range(1, len(path)):
-        lp += hmm.log_trans[path[t - 1], path[t]] + obs[t, path[t]]
-    return lp + hmm.log_trans[path[-1], hmm.n]
+        step = hmm.log_self if path[t] == path[t - 1] else hmm.log_next
+        lp += step[path[t - 1]] + obs[t, path[t]]
+    return lp + hmm.log_next[hmm.n - 1]
 
 
 def oracle_viterbi(hmm: UnitHmm, frames: np.ndarray) -> tuple[tuple[int, ...], float]:
@@ -235,19 +238,19 @@ def oracle_decode_best(graph: DecodingGraph, frames: np.ndarray, priors=None) ->
         hmm = graph.hmms[graph.nodes[i].unit_id]
         if t == T - 1:
             if s == hmm.n - 1 and graph.nodes[i].terminal:
-                total = acc + hmm.log_trans[s, hmm.n]
+                total = acc + hmm.log_next[s]
                 if total > best[0]:
                     best[0] = total
                     best[1] = list(labels)
             return
-        stay = acc + hmm.log_trans[s, s] + obs[i][t + 1, s]
+        stay = acc + hmm.log_self[s] + obs[i][t + 1, s]
         step(i, s, t + 1, stay, labels + [i])
         if s + 1 < hmm.n:
-            adv = acc + hmm.log_trans[s, s + 1] + obs[i][t + 1, s + 1]
+            adv = acc + hmm.log_next[s] + obs[i][t + 1, s + 1]
             step(i, s + 1, t + 1, adv, labels + [i])
         if s == hmm.n - 1:
             for j, w in graph.nodes[i].edges:
-                enter = acc + hmm.log_trans[s, hmm.n] + w + prior_of(j) + obs[j][t + 1, 0]
+                enter = acc + hmm.log_next[s] + w + prior_of(j) + obs[j][t + 1, 0]
                 step(j, 0, t + 1, enter, labels + [j])
 
     for j, w in graph.start_edges:
@@ -555,11 +558,7 @@ def reference_viterbi_train(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=N
             X = np.concatenate(per_state[j])
             g, _ = reference_em_step(model.obs[j], X, floor)
             new_obs.append(g)
-        model = UnitHmm(
-            unit_id=model.unit_id,
-            log_trans=_reestimate_transitions(self_counts, adv_counts),
-            obs=new_obs,
-        )
+        model = UnitHmm(model.unit_id, *_reestimate_transitions(self_counts, adv_counts), new_obs)
     return model
 
 
@@ -639,9 +638,5 @@ def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None
                 new_mu[k] = mu
                 new_var[k] = np.maximum(Sxx[j][k] / Rk[j][k] - mu * mu, floor)
             new_obs.append(Gmm(weights=new_w, means=new_mu, variances=new_var))
-        model = UnitHmm(
-            unit_id=model.unit_id,
-            log_trans=_reestimate_transitions(self_exp, adv_exp),
-            obs=new_obs,
-        )
+        model = UnitHmm(model.unit_id, *_reestimate_transitions(self_exp, adv_exp), new_obs)
     return model

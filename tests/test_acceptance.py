@@ -425,11 +425,7 @@ def test_init_hmm_five_states_and_exact_rows_for_mean_length_50():
     assert hmm.n == 5
     for j in range(hmm.n):
         # stored log values are exactly log(0.9) and log(0.1)
-        assert hmm.log_trans[j, j] == np.log(0.9)
-        assert hmm.log_trans[j, j + 1] == np.log(0.1)
-        row = np.exp(hmm.log_trans[j, [j, j + 1]])
-        assert row[0] == 0.9
-        assert row[1] == pytest.approx(0.1, abs=1e-15)
-        # nothing else in the row carries probability mass
-        others = np.delete(hmm.log_trans[j], [j, j + 1])
-        assert np.all(others == -np.inf)
+        assert hmm.log_self[j] == np.log(0.9)
+        assert hmm.log_next[j] == np.log(0.1)
+        assert np.exp(hmm.log_self[j]) == 0.9
+        assert np.exp(hmm.log_next[j]) == pytest.approx(0.1, abs=1e-15)

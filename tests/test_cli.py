@@ -107,7 +107,7 @@ def test_feature_dim_mismatch_exits_2(capsys, workspace, tmp_path):
         rec = manifest.clip(manifest.split_ids(split)[0])
         seq = load_features(rec.features)
         wide = np.hstack([seq.frames, seq.frames[:, :1]])
-        save_features(rec.features, FeatureSequence(wide, frame_rate=seq.frame_rate))
+        save_features(rec.features, FeatureSequence(wide))
     for argv in (
         ["decode", "--model", str(model), "--split", "test"],
         ["train", "--split", "train", "--out", str(tmp_path / "m"), "--gmm-k", "1", *TRAIN_SPEED],
@@ -118,8 +118,29 @@ def test_feature_dim_mismatch_exits_2(capsys, workspace, tmp_path):
         assert "dim 3" in err and "Traceback" not in err
 
 
+def _unit0(doc: dict) -> dict:
+    return doc["units"][0]
+
+
 def _state0(doc: dict) -> dict:
-    return doc["units"][0]["states"][0]
+    return _unit0(doc)["states"][0]
+
+
+def _decode_with_mutated(capsys, workspace, tmp_path, name, mutate):
+    """decode --prior on one test clip with a model whose file `name` was
+    passed through mutate; (exit code, stderr)."""
+    root, data, model = workspace
+    bad = tmp_path / "model"
+    shutil.copytree(model, bad)
+    doc = json.loads((bad / name).read_text())
+    mutate(doc)
+    (bad / name).write_text(json.dumps(doc))
+    manifest = load_manifest(data / "manifest.json")
+    code, _, err = run_cli(
+        capsys, "decode", "--model", str(bad), "--manifest", str(data / "manifest.json"),
+        "--clip", manifest.split_ids("test")[0], "--prior", "on",
+    )
+    return code, err
 
 
 @pytest.mark.parametrize("mutate", [
@@ -135,25 +156,44 @@ def _state0(doc: dict) -> dict:
     lambda doc: doc["units"][0].update(states=[None, *doc["units"][0]["states"][1:]]),
     lambda doc: _state0(doc).update(means=[[0.0, 0.0], [0.0]]),
     lambda doc: doc.update(lexicon=7),
+    lambda doc: doc["units"].append({**doc["units"][1], "unit_id": 0}),
+    lambda doc: _unit0(doc).update(log_self=[*_unit0(doc)["log_self"], -0.1]),
+    lambda doc: _unit0(doc).update(log_next=[0.5, *_unit0(doc)["log_next"][1:]]),
+    lambda doc: _unit0(doc).update(
+        log_self=[-0.01, *_unit0(doc)["log_self"][1:]],
+        log_next=[-0.01, *_unit0(doc)["log_next"][1:]],
+    ),
+    lambda doc: _unit0(doc).update(log_self=[float("nan"), *_unit0(doc)["log_self"][1:]]),
+    lambda doc: _unit0(doc).update(log_next="x"),
 ], ids=[
     "negative-weight", "nan-mean", "negative-variance", "string-mean", "string-weight",
     "string-unit-id", "units-an-object", "null-state", "ragged-means", "lexicon-a-number",
+    "duplicate-unit-id", "log-self-too-long", "positive-log-next", "row-sum-not-1",
+    "nan-log-self", "string-log-next",
 ])
 def test_malformed_model_file_exits_2(capsys, workspace, tmp_path, mutate):
-    root, data, model = workspace
-    bad = tmp_path / "model"
-    shutil.copytree(model, bad)
-    doc = json.loads((bad / "hmms.json").read_text())
-    mutate(doc)
-    (bad / "hmms.json").write_text(json.dumps(doc))
-    manifest = load_manifest(data / "manifest.json")
-    code, _, err = run_cli(
-        capsys, "decode", "--model", str(bad), "--manifest", str(data / "manifest.json"),
-        "--clip", manifest.split_ids("test")[0],
-    )
+    code, err = _decode_with_mutated(capsys, workspace, tmp_path, "hmms.json", mutate)
     assert code == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "hmms.json" in err and "Traceback" not in err
+
+
+def _first_prior(doc: dict) -> str:
+    return min(doc["log_priors"])
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.update(log_priors=7),
+    lambda doc: doc["log_priors"].update({_first_prior(doc): "x"}),
+    lambda doc: doc.clear(),
+    lambda doc: doc["log_priors"].update({_first_prior(doc): float("nan")}),
+    lambda doc: doc["log_priors"].update({_first_prior(doc): 10**400}),
+], ids=["priors-a-number", "string-prior", "empty-object", "nan-prior", "int-beyond-float"])
+def test_malformed_priors_file_exits_2(capsys, workspace, tmp_path, mutate):
+    code, err = _decode_with_mutated(capsys, workspace, tmp_path, "priors.json", mutate)
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "priors.json" in err and "Traceback" not in err
 
 
 def test_synth_summary(capsys, tmp_path):
@@ -505,7 +545,7 @@ def test_decode_of_huge_frames_exits_3_with_one_line(workspace, tmp_path):
     rec = manifest.clip(clip)
     seq = load_features(rec.features)
     huge = np.full((40, seq.dim), 1e300)
-    save_features(rec.features, FeatureSequence(huge, frame_rate=seq.frame_rate))
+    save_features(rec.features, FeatureSequence(huge))
     src = Path(actionseg.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "actionseg.cli", "decode", "--model", str(model),

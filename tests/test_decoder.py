@@ -11,7 +11,7 @@ from actionseg.data import Transcript, UnitLexicon, frame_labels
 from actionseg.decoder import classify_activity, decode, force_align, majority_vote
 from actionseg.errors import BeamPrunedError, DataError, DecodeError, NoPathError
 from actionseg.grammar import Grammar, build_grammar, compose, unconstrained_graph
-from actionseg.hmm import UnitHmm, left_right_log_trans
+from actionseg.hmm import UnitHmm
 from helpers import (
     chain_graph,
     compose_random_graph,
@@ -28,9 +28,8 @@ def fixed_obs_hmm(unit_id: int, n: int, mean: float, p_self: float = 0.6) -> Uni
 
     return UnitHmm(
         unit_id=unit_id,
-        log_trans=left_right_log_trans(
-            np.full(n, np.log(p_self)), np.full(n, np.log(1.0 - p_self))
-        ),
+        log_self=np.full(n, np.log(p_self)),
+        log_next=np.full(n, np.log(1.0 - p_self)),
         obs=[
             Gmm(
                 weights=np.array([1.0]),
@@ -203,8 +202,7 @@ def align_batches(draw):
     hmms = {u: random_unit_hmm(rng, u, n, int(rng.integers(1, 3)), 2) for u, n in enumerate(states)}
     if tied:
         hmms = {
-            u: UnitHmm(u, left_right_log_trans(np.full(n, np.log(0.5)), np.full(n, np.log(0.5))),
-                       [hmms[0].obs[0]] * n)
+            u: UnitHmm(u, np.full(n, np.log(0.5)), np.full(n, np.log(0.5)), [hmms[0].obs[0]] * n)
             for u, n in enumerate(states)
         }
     unit_lists = st.lists(st.integers(0, n_units - 1), min_size=1, max_size=4).map(tuple)
@@ -348,7 +346,8 @@ def tie_prone_hmm(rng, unit_id: int, n: int, pool) -> UnitHmm:
     p_self = np.where(rng.random(n) < 0.5, 0.5, rng.uniform(0.2, 0.9, n))
     return UnitHmm(
         unit_id=unit_id,
-        log_trans=left_right_log_trans(np.log(p_self), np.log(1.0 - p_self)),
+        log_self=np.log(p_self),
+        log_next=np.log(1.0 - p_self),
         obs=[pool[int(rng.integers(len(pool)))] for _ in range(n)],
     )
 

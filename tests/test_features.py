@@ -174,14 +174,14 @@ def test_window_fv_matrix_with_pca_and_none_stages():
 
 def test_encode_clip_full_chain():
     rng = np.random.default_rng(60)
-    seq = FeatureSequence(rng.normal(size=(25, 4)), frame_rate=30.0, clip_id="c9")
+    seq = FeatureSequence(rng.normal(size=(25, 4)), clip_id="c9")
     pca1 = fit_pca(seq.frames, 3)
     gmm = random_gmm(rng, 2, 3)
     cfg = FvEncoderConfig(gmm=gmm, window=6)
     mid = window_fv_matrix(seq.frames, pca1, cfg)
     pca2 = fit_pca(mid, 4)
     out = encode_clip(seq, pca1, cfg, pca2)
-    assert out.clip_id == "c9" and out.frame_rate == 30.0
+    assert out.clip_id == "c9"
     want = apply_pca(pca2, mid)
     want = want / np.sqrt(np.sum(want * want, axis=0))
     np.testing.assert_allclose(out.frames, want, atol=1e-12)

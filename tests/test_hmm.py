@@ -13,7 +13,6 @@ from actionseg.hmm import (
     classify_unit,
     forward_loglik,
     init_hmm,
-    left_right_log_trans,
     load_hmm_set,
     save_hmm_set,
     score_unit,
@@ -37,9 +36,8 @@ def constant_obs_hmm(n: int, p_self: float = 0.5) -> UnitHmm:
     transitions are uniform."""
     return UnitHmm(
         unit_id=0,
-        log_trans=left_right_log_trans(
-            np.full(n, np.log(p_self)), np.full(n, np.log(1.0 - p_self))
-        ),
+        log_self=np.full(n, np.log(p_self)),
+        log_next=np.full(n, np.log(1.0 - p_self)),
         obs=[
             Gmm(weights=np.array([1.0]), means=np.zeros((1, 1)), variances=np.ones((1, 1)))
             for _ in range(n)
@@ -47,34 +45,31 @@ def constant_obs_hmm(n: int, p_self: float = 0.5) -> UnitHmm:
     )
 
 
-def test_left_right_log_trans_layout():
-    lt = left_right_log_trans(np.log([0.9, 0.8]), np.log([0.1, 0.2]))
-    assert lt.shape == (3, 3)
-    assert lt[0, 0] == np.log(0.9) and lt[0, 1] == np.log(0.1)
-    assert lt[1, 1] == np.log(0.8) and lt[1, 2] == np.log(0.2)
-    assert lt[0, 2] == -np.inf and lt[1, 0] == -np.inf
-    assert np.all(lt[2] == -np.inf)
-
-
 def test_unit_hmm_validation():
     good = constant_obs_hmm(2)
     assert good.n == 2 and good.dim == 1
-    lt = good.log_trans.copy()
-    lt[0, 2] = -1.0  # skipping a state is forbidden
+
+    def rebuilt(**change):
+        parts = dict(unit_id=0, log_self=good.log_self, log_next=good.log_next, obs=good.obs)
+        return UnitHmm(**{**parts, **change})
+
+    assert rebuilt() == good
+    ls = good.log_self.copy()
+    ls[1] = np.log(0.6)  # row no longer sums to one
+    with pytest.raises(DataError, match="transition row 1 does not sum to 1"):
+        rebuilt(log_self=ls)
+    ls = good.log_self.copy()
+    ls[0] = np.nan
+    with pytest.raises(DataError, match="numbers <= 0"):
+        rebuilt(log_self=ls)
+    with pytest.raises(DataError, match="numbers <= 0"):
+        rebuilt(log_next=np.array([0.5, np.log(0.5)]))  # a probability above 1
+    with pytest.raises(DataError, match="shape"):
+        rebuilt(log_next=np.log([0.5, 0.5, 0.5]))  # one state too many
     with pytest.raises(DataError):
-        UnitHmm(unit_id=0, log_trans=lt, obs=list(good.obs))
-    lt = good.log_trans.copy()
-    lt[0, 0] = np.log(0.6)  # row no longer sums to one
+        rebuilt(obs=[])
     with pytest.raises(DataError):
-        UnitHmm(unit_id=0, log_trans=lt, obs=list(good.obs))
-    lt = good.log_trans.copy()
-    lt[2, 0] = 0.0  # exit must not lead anywhere
-    with pytest.raises(DataError):
-        UnitHmm(unit_id=0, log_trans=lt, obs=list(good.obs))
-    with pytest.raises(DataError):
-        UnitHmm(unit_id=0, log_trans=good.log_trans, obs=[])
-    with pytest.raises(DataError):
-        UnitHmm(unit_id=0, log_trans=good.log_trans, obs=list(good.obs[:1]))
+        rebuilt(obs=list(good.obs[:1]))
 
 
 def test_state_path_validation():
@@ -94,8 +89,8 @@ def test_init_hmm_state_count_and_start_transitions():
     assert hmm.unit_id == 3
     assert hmm.n == 5
     for j in range(hmm.n):
-        assert np.exp(hmm.log_trans[j, j]) == 0.9
-        assert hmm.log_trans[j, j + 1] == np.log(0.1)
+        assert np.exp(hmm.log_self[j]) == 0.9
+        assert hmm.log_next[j] == np.log(0.1)
 
 
 def test_init_hmm_rounds_half_up_and_clamps():
@@ -249,12 +244,9 @@ def test_baum_welch_keeps_topology():
     seqs = [FeatureSequence(rng.normal(size=(14, 1))) for _ in range(3)]
     hmm = init_hmm(0, seqs, K=1)
     out = baum_welch(hmm, seqs, max_iter=4)
-    n = out.n
-    for j in range(n):
-        row = np.exp(out.log_trans[j])
-        assert row[j] + row[j + 1] == pytest.approx(1.0, abs=1e-9)
-    mask = np.isinf(hmm.log_trans)
-    assert np.array_equal(np.isinf(out.log_trans), mask)
+    assert out.log_self.shape == out.log_next.shape == (hmm.n,)
+    for j in range(out.n):
+        assert np.exp(out.log_self[j]) + np.exp(out.log_next[j]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_baum_welch_improves_mismatched_model():
@@ -289,8 +281,8 @@ def _tied_hmm(n: int, m: int) -> UnitHmm:
     """Identical states and even transitions: on integer frames, many
     paths tie and only the tie-break decides."""
     gmm = Gmm(weights=np.array([1.0]), means=np.zeros((1, m)), variances=np.ones((1, m)))
-    lt = left_right_log_trans(np.full(n, np.log(0.5)), np.full(n, np.log(0.5)))
-    return UnitHmm(unit_id=4, log_trans=lt, obs=[gmm] * n)
+    half = np.full(n, np.log(0.5))
+    return UnitHmm(unit_id=4, log_self=half, log_next=half, obs=[gmm] * n)
 
 
 def _random_segments(rng, n, m, count, short=0):

@@ -39,8 +39,6 @@ def test_spec_validation():
         SynthSpec(self_loop=0.0)
     with pytest.raises(DataError):
         SynthSpec(min_sentence_units=9, units_per_activity=5)
-    with pytest.raises(DataError):
-        SynthSpec(frame_rate=0.0)
 
 
 def test_naming_and_spacing():

@@ -7,8 +7,13 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 from actionseg.cli import build_parser
+from actionseg.data import FeatureSequence, UnitLexicon
 from actionseg.decoder import force_align
+from actionseg.grammar import Grammar, compose
+from helpers import random_unit_hmm
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -43,11 +48,11 @@ def test_force_align_takes_the_sequences_third():
     assert params[:3] == ["hmms", "transcripts", "seqs"]
 
 
-def _bench_workloads(monkeypatch) -> types.ModuleType:
-    """bench/workloads.py, run from its source text so that nothing is
+def _bench_module(monkeypatch, name: str) -> types.ModuleType:
+    """bench/<name>.py, run from its source text so that nothing is
     written under bench/ and bench/ is not put on the import path."""
-    path = BENCH / "workloads.py"
-    mod = types.ModuleType("bench_workloads")
+    path = BENCH / f"{name}.py"
+    mod = types.ModuleType(f"bench_{name}")
     mod.__file__ = str(path)
     monkeypatch.setitem(sys.modules, mod.__name__, mod)  # dataclasses look it up
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), mod.__dict__)
@@ -57,7 +62,7 @@ def _bench_workloads(monkeypatch) -> types.ModuleType:
 def test_every_benchmark_command_line_parses(monkeypatch):
     # the benchmark passes --jobs and its other flags to the command line
     # as they are; every argv it builds must stay accepted
-    workloads = _bench_workloads(monkeypatch)
+    workloads = _bench_module(monkeypatch, "workloads")
     assert len(workloads.WORKLOADS) == 3
     parser, _ = build_parser()
     for w in workloads.WORKLOADS.values():
@@ -68,3 +73,33 @@ def test_every_benchmark_command_line_parses(monkeypatch):
             assert args.command == argv[0]
             if "--jobs" in argv:
                 assert args.jobs == w.jobs
+
+
+def test_every_tracer_counter_reads_the_model_objects(monkeypatch, tmp_path):
+    # the tracer counts a layer's work from attributes of what the layer is
+    # called with or returns (.n, .n_components, .num_frames, .nodes); a
+    # renamed attribute must fail here, not silently zero a per-layer metric
+    tracer = _bench_module(monkeypatch, "tracer")
+    rng = np.random.default_rng(3)
+    hmms = {u: random_unit_hmm(rng, u, n=2, K=2, m=3) for u in range(3)}
+    seq = FeatureSequence(rng.normal(size=(12, 3)), clip_id="c")
+    feat = tmp_path / "c.feat"
+    grammar = Grammar(UnitLexicon.from_names(("SIL", "a", "b")), {"act": ((0, 1, 2, 0),)})
+    calls = {  # in an order that saves the feature file before loading it
+        "gmm.Gmm.log_prob": (hmms[0].obs[0], seq.frames),
+        "hmm.UnitHmm.obs_log_prob": (hmms[0], seq.frames),
+        "hmm.viterbi_align": (hmms[1], seq),
+        "decoder.force_align": (hmms, [(0, 1, 2)], [seq]),
+        "data.save_features": (feat, seq),
+        "data.load_features": (feat,),
+        "grammar.compose": (grammar, hmms),
+    }
+    assert set(calls) == set(tracer.COUNTERS)
+    for name, args in calls.items():
+        module, *path = name.split(".")
+        fn = importlib.import_module(f"actionseg.{module}")
+        for attr in path:
+            fn = getattr(fn, attr)
+        counts = tracer.COUNTERS[name](args, fn(*args))
+        assert counts and all(v > 0 for v in counts.values()), (name, counts)
+    assert tracer._graph_states(compose(grammar, hmms)) == 8
