@@ -63,7 +63,7 @@ from .pipeline import (
     train_supervised,
 )
 from .synth import SynthSpec, generate_dataset
-from .util import derive_seed, dump_json, parallel_map, write_json
+from .util import derive_seed, dump_json, parallel_map, read_json, write_json
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -664,8 +664,7 @@ def _apply_config(argv: list[str], parser, children) -> None:
     if found.config is None:
         return
     try:
-        with open(found.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(found.config)
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
+from .util import read_json, read_text
 
 MANIFEST_VERSION = 1
 
@@ -235,24 +236,23 @@ def load_features(path: str | os.PathLike) -> FeatureSequence:
         raise DataError(f"feature file not found: {path}")
     rows: list[list[float]] = []
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: cannot parse float") from None
-            if any(not math.isfinite(v) for v in row):
-                raise DataError(f"{path}:{lineno}: non-finite value")
-            if dim is None:
-                dim = len(row)
-            elif len(row) != dim:
-                raise DataError(
-                    f"{path}:{lineno}: row has {len(row)} values, expected {dim}"
-                )
-            rows.append(row)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: cannot parse float") from None
+        if any(not math.isfinite(v) for v in row):
+            raise DataError(f"{path}:{lineno}: non-finite value")
+        if dim is None:
+            dim = len(row)
+        elif len(row) != dim:
+            raise DataError(
+                f"{path}:{lineno}: row has {len(row)} values, expected {dim}"
+            )
+        rows.append(row)
     if not rows:
         raise DataError(f"empty feature file: {path}")
     return FeatureSequence(np.array(rows, dtype=np.float64), clip_id=path.stem)
@@ -270,19 +270,18 @@ def read_segment_names(path: str | os.PathLike) -> list[tuple[int, int, str]]:
     if not path.exists():
         raise DataError(f"segmentation file not found: {path}")
     rows: list[tuple[int, int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(maxsplit=2)
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'start end unit_name'")
-            try:
-                start, end = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: frame indices must be integers") from None
-            rows.append((start, end, parts[2]))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(maxsplit=2)
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 'start end unit_name'")
+        try:
+            start, end = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: frame indices must be integers") from None
+        rows.append((start, end, parts[2]))
     if not rows:
         raise DataError(f"empty segmentation file: {path}")
     return rows
@@ -304,8 +303,7 @@ def read_transcript_names(path: str | os.PathLike) -> list[str]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"transcript file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        names = [line.strip() for line in fh if line.strip()]
+    names = [line.strip() for line in read_text(path).split("\n") if line.strip()]
     if not names:
         raise DataError(f"empty transcript file: {path}")
     return names
@@ -331,8 +329,7 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed manifest {path}: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("clips"), list):

@@ -1,20 +1,22 @@
 """Token-passing decoding over a compiled graph.
 
-One best token is kept per (unit instance, HMM state) per frame; tokens
-are stored as parallel arrays of partial scores and link indices.  Each
-frame first moves every token within its unit (stay or advance), then
-runs one vectorized unit-entry step: the incoming unit edges of all
-nodes form one CSR edge list (sources, weights, and the start of each
-target's run), every edge's candidate is the source's exit score plus the
-edge weight plus the target's prior, and np.maximum.reduceat picks each
-target's best.  When a token crosses a unit boundary its record (previous
-link, finished node, end frame) goes into the boundary arena, which holds
-one array of previous links and one of finished nodes per frame, in
-ascending target order; tracing the winning token's chain back yields the
-unit boundaries at O(1) per boundary.  Observation log-likelihoods come
-from one batched evaluation of every distinct unit state per sequence,
-gathered into graph-state order.  The layout behind all this is built on
-a graph's first decode and cached for as long as the graph lives.
+One best token is kept per (unit instance, HMM state) per frame, and a
+frame's step computes only scores.  It first moves every token within its
+unit (stay or advance), then runs one vectorized unit-entry step: the
+incoming unit edges of all nodes form one CSR edge list (sources, weights,
+and the start of each target's run), every edge's candidate is the
+source's exit score plus the edge weight plus the target's prior, and
+np.maximum.reduceat picks each target's best.  Observation
+log-likelihoods come from one batched evaluation of every distinct unit
+state per sequence, gathered into a (T, states) table in graph-state
+order; each row, once its frame is scored, is overwritten with the
+frame's scores, so the table becomes the score lattice.  No links are
+carried: the trace-back walks from the best terminal exit to frame 0 and
+redoes, for the one winning state per frame, that state's choice from the
+lattice row before it, with the same float operations in the same order,
+so the unit boundaries come out as the frame step chose them.  The layout
+behind all this is built on a graph's first decode and cached for as
+long as the graph lives.
 
 Decoding is exact by default: with the beam disabled the result is the
 maximum-probability pair of unit path and state path.  The optional beam
@@ -30,7 +32,6 @@ insertion order.
 """
 from __future__ import annotations
 
-import bisect
 import threading
 import weakref
 from collections import Counter
@@ -134,10 +135,17 @@ class _Layout:
         self.e_seg = np.array(e_seg, dtype=np.int64)
         self.e_src = np.array(e_src, dtype=np.int64)
         self.e_w = np.array(e_w, dtype=np.float64)
-        self.e_index = np.arange(len(e_src))
         # Each edge's source exit: the exit state and its exit log-probability.
         self.e_exit = self.exit_state[self.e_src]
         self.e_exit_log = self.exit_log[self.e_src]
+        # The trace-back's scalar copies: the two within-unit steps, and each
+        # entry state's node with its incoming (source, exit, exit log, weight).
+        self.tb_self, self.tb_adv = self.log_self.tolist(), self.log_adv.tolist()
+        edges = list(zip(e_src, self.e_exit.tolist(), self.e_exit_log.tolist(), e_w))
+        self.tb_entries = {
+            int(self.offsets[j]): (j, edges[lo:hi])
+            for j, lo, hi in zip(entry_nodes, e_start, e_start[1:] + [len(edges)])
+        }
 
     def obs_table(self, frames: np.ndarray) -> np.ndarray:
         """(T, total) observation log-likelihoods: one evaluation of every
@@ -188,95 +196,74 @@ def decode(
     lay = _layout(graph)
     frames = _frames(seq, lay.bank.dim)
     T = frames.shape[0]
-    obs = lay.obs_table(frames)
-    # boundary arena: link id arena_base[k] + r is the r-th entry made
-    # after frame arena_end[k]; it finished node arena_node[k][r] and
-    # continues the chain at link arena_prev[k][r]
-    arena_prev: list[np.ndarray] = []
-    arena_node: list[np.ndarray] = []
-    arena_end: list[int] = []
-    arena_base: list[int] = []
-    n_links = 0
+    # Row t of the observation table is read only while frame t is scored,
+    # so each row is overwritten with that frame's scores: S is the lattice.
+    S = lay.obs_table(frames)
+    prior = [0.0 if priors is None else float(priors.get(n.unit_id, 0.0)) for n in graph.nodes]
+    e_prior = np.array(prior)[lay.entry_nodes][lay.e_seg]
 
-    prior = np.array(
-        [0.0 if priors is None else float(priors.get(node.unit_id, 0.0)) for node in graph.nodes]
-    )
-    e_prior = prior[lay.entry_nodes][lay.e_seg]
-
-    score = np.full(lay.total, -np.inf)
-    link = np.full(lay.total, -1, dtype=np.int64)
+    start = np.full(lay.total, -np.inf)
     for j, w in graph.start_edges:
         cand = w + prior[j]
-        if cand > score[lay.offsets[j]]:
-            score[lay.offsets[j]] = cand
-    score += obs[0]
+        if cand > start[lay.offsets[j]]:
+            start[lay.offsets[j]] = cand
+    S[0] += start
     if beam is not None:
-        _apply_beam(score, beam)
-    if not score.max() > -np.inf:
-        raise _no_path(beam, T, 0)
+        _apply_beam(S[0], beam)
 
-    n_edges = lay.e_src.size
-    # adv[0] stays -inf: state 0 is a unit's first state.  A dead token
-    # there may take the advance and read shifted[0]; its link is never
-    # followed, so shifted[0] is never filled in.
+    # adv[0] stays -inf: state 0 is a unit's first state
     adv = np.full(lay.total, -np.inf)
-    shifted = np.full(lay.total, -1, dtype=np.int64)
-    for t in range(1, T):
+    adv_tail = adv[1:]
+    for score, row in zip(S, S[1:]):
         stay = score + lay.log_self
-        np.add(score[:-1], lay.log_adv, out=adv[1:])
-        take_adv = adv >= stay
-        trans = np.where(take_adv, adv, stay)
-        shifted[1:] = link[:-1]
-        new_link = np.where(take_adv, shifted, link)
-
-        if n_edges:
-            cand = (score[lay.e_exit] + lay.e_exit_log + lay.e_w) + e_prior
+        np.add(score[:-1], lay.log_adv, out=adv_tail)
+        trans = np.where(adv >= stay, adv, stay)
+        if lay.e_start.size:
+            cand = (score.take(lay.e_exit) + lay.e_exit_log + lay.e_w) + e_prior
             best = np.maximum.reduceat(cand, lay.e_start)
-            take = (best > -np.inf) & (best >= trans[lay.entry_first])
-            if take.any():
-                hit = np.where(cand == best[lay.e_seg], lay.e_index, n_edges)
-                src = lay.e_src[np.minimum.reduceat(hit, lay.e_start)[take]]
-                o = lay.entry_first[take]
-                trans[o] = best[take]
-                arena_prev.append(link[lay.exit_state[src]])
-                arena_node.append(src)
-                arena_end.append(t - 1)
-                arena_base.append(n_links)
-                new_link[o] = np.arange(n_links, n_links + src.size)
-                n_links += src.size
-
-        score = trans + obs[t]
-        link = new_link
+            tef = trans[lay.entry_first]
+            trans[lay.entry_first] = np.where(best >= tef, best, tef)
+        row += trans
         if beam is not None:
-            _apply_beam(score, beam)
-        if not score.max() > -np.inf:
-            raise _no_path(beam, T, t)
+            _apply_beam(row, beam)
+    # a frame without a score above -inf (a NaN counts as none) ends the
+    # search; the frames after it hold no path
+    dead = np.flatnonzero(~(S.max(axis=1) > -np.inf))
+    if dead.size:
+        raise _no_path(beam, T, int(dead[0]))
 
     best_i = -1
     best_score = -np.inf
     for i in lay.terminal:
-        s = score[lay.exit_state[i]] + lay.exit_log[i]
+        s = S[T - 1, lay.exit_state[i]] + lay.exit_log[i]
         if s > best_score:
             best_score = s
             best_i = i
     if best_i < 0 or best_score == -np.inf:
         raise _no_path(beam, T, T - 1)
 
-    chain = [(best_i, T - 1)]
-    cur = int(link[lay.exit_state[best_i]])
-    while cur != -1:
-        k = bisect.bisect_right(arena_base, cur) - 1
-        r = cur - arena_base[k]
-        chain.append((int(arena_node[k][r]), arena_end[k]))
-        cur = int(arena_prev[k][r])
-    chain.reverse()
-
+    # Trace back: redo each winning state's choice at frame t from row t - 1
+    # with the frame loop's float operations in its order, so every tie
+    # goes as it did there; the first edge reaching an entry's best wins.
     segs = []
-    start = 0
-    for node_idx, end in chain:
-        segs.append((graph.nodes[node_idx].unit_id, start, end))
-        start = end + 1
-    segmentation = Segmentation(tuple(segs))
+    node, end, s = best_i, T - 1, int(lay.exit_state[best_i])
+    for t in range(T - 1, 0, -1):
+        stay = S.item(t - 1, s) + lay.tb_self[s]
+        adv = S.item(t - 1, s - 1) + lay.tb_adv[s - 1] if s else -np.inf
+        trans, prev = (adv, s - 1) if adv >= stay else (stay, s)
+        if s in lay.tb_entries:
+            j, edges = lay.tb_entries[s]
+            best, came = -np.inf, None
+            for src, exit_state, exit_log, w in edges:
+                cand = S.item(t - 1, exit_state) + exit_log + w + prior[j]
+                if cand > best:
+                    best, came = cand, (src, exit_state)
+            if best > -np.inf and best >= trans:
+                segs.append((graph.nodes[node].unit_id, t, end))
+                (node, prev), end = came, t - 1
+        s = prev
+    segs.append((graph.nodes[node].unit_id, 0, end))
+    segmentation = Segmentation(tuple(reversed(segs)))
     return DecodeResult(
         activity=graph.nodes[best_i].activity,
         segmentation=segmentation,

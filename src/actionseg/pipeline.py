@@ -51,7 +51,7 @@ from .hmm import (
     unit_log_priors,
     viterbi_train,
 )
-from .util import child_rng, parallel_map, read_json, write_json
+from .util import child_rng, parallel_map, read_json, read_text, write_json
 
 DEFAULT_SILENCE = "SIL"
 BUNDLE_CONFIG_FORMAT = "pipeline-config"
@@ -568,8 +568,7 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 def load_bundle(path) -> ModelBundle:
     path = Path(path)
     hmms, lexicon = load_hmm_set(path / "hmms.json")
-    with open(path / "grammar.ebnf", "r", encoding="utf-8") as fh:
-        grammar = parse_ebnf(fh.read(), lexicon)
+    grammar = parse_ebnf(read_text(path / "grammar.ebnf"), lexicon)
     priors_path = path / "priors.json"
     priors_doc = read_json(priors_path)
     log_priors = priors_doc.get("log_priors") if isinstance(priors_doc, dict) else None
@@ -588,7 +587,11 @@ def load_bundle(path) -> ModelBundle:
                 f"the prior of {name!r} is {v!r}, not null or a finite number"
             )
         priors[lexicon.id_of(name)] = -np.inf if v is None else float(v)
-    config = read_json(path / "pipeline-config.json")
+    config_path = path / "pipeline-config.json"
+    config = read_json(config_path)
+    if not isinstance(config, dict) or config.get("format") != BUNDLE_CONFIG_FORMAT:
+        raise DataError(f"{config_path} is not a valid pipeline config: not an object with "
+                        f'"format": "{BUNDLE_CONFIG_FORMAT}"')
     return ModelBundle(
         hmms=hmms, lexicon=lexicon, grammar=grammar, priors=priors, config=config
     )

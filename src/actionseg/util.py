@@ -1,4 +1,5 @@
-"""Small shared helpers: seeded RNG derivation and canonical JSON output."""
+"""Small shared helpers: seeded RNG derivation, canonical JSON output and
+text file input."""
 from __future__ import annotations
 
 import json
@@ -6,6 +7,8 @@ import zlib
 from typing import Any
 
 import numpy as np
+
+from .errors import DataError
 
 
 def _key_words(seed: int, keys) -> list[int]:
@@ -55,6 +58,14 @@ def write_json(path, obj: Any) -> None:
         fh.write(dump_json(obj))
 
 
+def read_text(path) -> str:
+    """A text file's contents; a file that is not UTF-8 is a DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def read_json(path) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(read_text(path))

@@ -7,6 +7,8 @@ evidence the recursions are right.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from actionseg.data import (
@@ -16,7 +18,7 @@ from actionseg.data import (
     UnitLexicon,
     segmentation_to_transcript,
 )
-from actionseg.decoder import DecodeResult
+from actionseg.decoder import DecodeResult, _layout, _no_path
 from actionseg.errors import BeamPrunedError, DataError, NoPathError
 from actionseg.features import FvEncoderConfig, _window_bounds, fisher_vector
 from actionseg.gmm import Gmm, _logsumexp, variance_floor
@@ -24,6 +26,7 @@ from actionseg.grammar import DecodingGraph, Grammar, GraphNode, build_grammar, 
 from actionseg.hmm import (
     StatePath,
     UnitHmm,
+    _apply_beam,
     _frames,
     _reestimate_transitions,
     _usable_frames,
@@ -422,6 +425,112 @@ def reference_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> Decod
     segmentation = Segmentation(tuple(segs))
     return DecodeResult(
         activity=nodes[best_i].activity,
+        segmentation=segmentation,
+        transcript=segmentation_to_transcript(segmentation),
+        log_prob=float(best_score),
+    )
+
+
+def arena_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> DecodeResult:
+    """The vectorized token passing that actionseg.decoder.decode replaced:
+    every frame carries each state's link forward, and every unit entry
+    records (previous link, finished node, end frame) in a boundary arena
+    of per-frame arrays, which the winning token's chain is read back from.
+    decode must match it exactly, failures included."""
+    if beam is not None and beam < 1:
+        raise ValueError("beam must keep at least one state")
+    lay = _layout(graph)
+    frames = _frames(seq, lay.bank.dim)
+    T = frames.shape[0]
+    obs = lay.obs_table(frames)
+    # link id arena_base[k] + r is the r-th entry made after frame
+    # arena_end[k]; it finished node arena_node[k][r] and continues the
+    # chain at link arena_prev[k][r]
+    arena_prev: list[np.ndarray] = []
+    arena_node: list[np.ndarray] = []
+    arena_end: list[int] = []
+    arena_base: list[int] = []
+    n_links = 0
+
+    prior = np.array(
+        [0.0 if priors is None else float(priors.get(node.unit_id, 0.0)) for node in graph.nodes]
+    )
+    e_prior = prior[lay.entry_nodes][lay.e_seg]
+
+    score = np.full(lay.total, -np.inf)
+    link = np.full(lay.total, -1, dtype=np.int64)
+    for j, w in graph.start_edges:
+        cand = w + prior[j]
+        if cand > score[lay.offsets[j]]:
+            score[lay.offsets[j]] = cand
+    score += obs[0]
+    if beam is not None:
+        _apply_beam(score, beam)
+    if not score.max() > -np.inf:
+        raise _no_path(beam, T, 0)
+
+    n_edges = lay.e_src.size
+    e_index = np.arange(n_edges)
+    adv = np.full(lay.total, -np.inf)
+    shifted = np.full(lay.total, -1, dtype=np.int64)
+    for t in range(1, T):
+        stay = score + lay.log_self
+        np.add(score[:-1], lay.log_adv, out=adv[1:])
+        take_adv = adv >= stay
+        trans = np.where(take_adv, adv, stay)
+        shifted[1:] = link[:-1]
+        new_link = np.where(take_adv, shifted, link)
+
+        if n_edges:
+            cand = (score[lay.e_exit] + lay.e_exit_log + lay.e_w) + e_prior
+            best = np.maximum.reduceat(cand, lay.e_start)
+            take = (best > -np.inf) & (best >= trans[lay.entry_first])
+            if take.any():
+                hit = np.where(cand == best[lay.e_seg], e_index, n_edges)
+                src = lay.e_src[np.minimum.reduceat(hit, lay.e_start)[take]]
+                o = lay.entry_first[take]
+                trans[o] = best[take]
+                arena_prev.append(link[lay.exit_state[src]])
+                arena_node.append(src)
+                arena_end.append(t - 1)
+                arena_base.append(n_links)
+                new_link[o] = np.arange(n_links, n_links + src.size)
+                n_links += src.size
+
+        score = trans + obs[t]
+        link = new_link
+        if beam is not None:
+            _apply_beam(score, beam)
+        if not score.max() > -np.inf:
+            raise _no_path(beam, T, t)
+
+    best_i = -1
+    best_score = -np.inf
+    for i in lay.terminal:
+        s = score[lay.exit_state[i]] + lay.exit_log[i]
+        if s > best_score:
+            best_score = s
+            best_i = i
+    if best_i < 0 or best_score == -np.inf:
+        raise _no_path(beam, T, T - 1)
+
+    chain = [(best_i, T - 1)]
+    cur = int(link[lay.exit_state[best_i]])
+    while cur != -1:
+        k = bisect.bisect_right(arena_base, cur) - 1
+        r = cur - arena_base[k]
+        chain.append((int(arena_node[k][r]), arena_end[k]))
+        cur = int(arena_prev[k][r])
+    chain.reverse()
+
+    segs = []
+    start = 0
+    for node_idx, end in chain:
+        segs.append((graph.nodes[node_idx].unit_id, start, end))
+        start = end + 1
+    segmentation = Segmentation(tuple(segs))
+    return DecodeResult(
+        activity=graph.nodes[best_i].activity,
         segmentation=segmentation,
         transcript=segmentation_to_transcript(segmentation),
         log_prob=float(best_score),

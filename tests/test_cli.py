@@ -196,6 +196,47 @@ def test_malformed_priors_file_exits_2(capsys, workspace, tmp_path, mutate):
     assert "priors.json" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["7", "[1]", "{}", '{"format": "hmm-set"}'])
+def test_malformed_pipeline_config_exits_2(capsys, workspace, tmp_path, text):
+    # a bundle must not load from a config that save_bundle cannot write back
+    root, data, model = workspace
+    bad = tmp_path / "model"
+    shutil.copytree(model, bad)
+    (bad / "pipeline-config.json").write_text(text)
+    code, out, err = run_cli(
+        capsys, "decode", "--model", str(bad), "--manifest", str(data / "manifest.json"),
+        "--clip", load_manifest(data / "manifest.json").split_ids("test")[0],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{bad / 'pipeline-config.json'} is not a valid pipeline config" in err
+
+
+@pytest.mark.parametrize("target", [
+    "hmms.json", "priors.json", "pipeline-config.json", "grammar.ebnf", "feat", "manifest",
+    "config",
+])
+def test_non_utf8_input_file_exits_2(capsys, workspace, tmp_path, target):
+    root, data, model = workspace
+    bad_model, bad_data = tmp_path / "model", tmp_path / "data"
+    shutil.copytree(model, bad_model)
+    shutil.copytree(data, bad_data)
+    manifest = bad_data / "manifest.json"
+    clip = load_manifest(manifest).split_ids("test")[0]
+    bad = {
+        "feat": load_manifest(manifest).clip(clip).features,
+        "manifest": manifest,
+        "config": tmp_path / "decode.json",
+    }.get(target, bad_model / target)
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(
+        capsys, "decode", "--model", str(bad_model), "--manifest", str(manifest), "--clip", clip,
+        "--prior", "on", *(["--config", str(bad)] if target == "config" else []),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad} is not UTF-8 text (invalid start byte)\n"
+
+
 def test_synth_summary(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "synth", "--out", str(tmp_path / "d"), "--activities", "2",

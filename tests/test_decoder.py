@@ -13,6 +13,7 @@ from actionseg.errors import BeamPrunedError, DataError, DecodeError, NoPathErro
 from actionseg.grammar import Grammar, build_grammar, compose, unconstrained_graph
 from actionseg.hmm import UnitHmm
 from helpers import (
+    arena_decode,
     chain_graph,
     compose_random_graph,
     oracle_decode_best,
@@ -374,6 +375,46 @@ def test_decode_matches_reference_decoder_exactly():
             continue
         assert got.to_dict() == want.to_dict(), f"trial {trial}"
         assert got.log_prob.hex() == want.log_prob.hex(), f"trial {trial}"
+
+
+@st.composite
+def lattice_cases(draw):
+    """A graph, a clip and search settings that stress the trace-back:
+    shared mixtures, rounded frames and stay/advance ties (see
+    tie_prone_hmm) tie scores at the beam cutoff and between entry edges;
+    NaN and infinite frames mid-clip end the search at a known frame."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 2))
+    pool = [random_gmm(rng, int(rng.integers(1, 4)), m) for _ in range(3)]
+    hmms = {u: tie_prone_hmm(rng, u, int(rng.integers(1, 4)), pool) for u in range(4)}
+    if draw(st.booleans()):
+        graph = unconstrained_graph(hmms)
+    else:
+        graph, _ = compose_random_graph(rng, ["a", "b", "c"], hmms, n_sentences=3, max_inner=3)
+    T = draw(st.integers(1, 80))
+    frames = np.round(rng.normal(0.0, 2.0, size=(T, m)))
+    if draw(st.integers(0, 3)) == 0:
+        bad = st.tuples(st.integers(0, 79), st.sampled_from([np.nan, np.inf, -np.inf]))
+        for t, v in draw(st.lists(bad, min_size=1, max_size=2)):
+            frames[t % T, int(rng.integers(m))] = v
+    beam = draw(st.one_of(st.none(), st.integers(1, 6)))
+    priors = None
+    if draw(st.booleans()):
+        priors = {u: float(rng.choice([0.0, np.log(0.5), np.log(0.25), -np.inf])) for u in range(4)}
+    return graph, frames, beam, priors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lattice_cases())
+def test_decode_matches_arena_decoder(case):
+    graph, frames, beam, priors = case
+    want = _outcome(arena_decode, graph, frames, beam=beam, priors=priors)
+    got = _outcome(decode, graph, frames, beam=beam, priors=priors)
+    if isinstance(want, DecodeError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got.to_dict() == want.to_dict()
+        assert got.log_prob.hex() == want.log_prob.hex()
 
 
 def test_layout_cache_holds_no_graph():

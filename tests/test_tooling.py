@@ -11,7 +11,7 @@ import numpy as np
 
 from actionseg.cli import build_parser
 from actionseg.data import FeatureSequence, UnitLexicon
-from actionseg.decoder import force_align
+from actionseg.decoder import decode, force_align
 from actionseg.grammar import Grammar, compose
 from helpers import random_unit_hmm
 
@@ -46,6 +46,12 @@ def test_force_align_takes_the_sequences_third():
     # the tracer counts a force_align call's work as len(args[2])
     params = list(inspect.signature(force_align).parameters)
     assert params[:3] == ["hmms", "transcripts", "seqs"]
+
+
+def test_decode_takes_the_graph_then_the_sequence():
+    # the tracer counts a decode call's work from args[0] and args[1]
+    params = list(inspect.signature(decode).parameters)
+    assert params[:2] == ["graph", "seq"]
 
 
 def _bench_module(monkeypatch, name: str) -> types.ModuleType:
