@@ -350,6 +350,12 @@ def cmd_encode(args) -> None:
     fit_records = _select_records(manifest, args.split)
     all_records = _select_records(manifest)
     raw = {rec.clip_id: load_features(rec.features) for rec in all_records}
+    dim = raw[all_records[0].clip_id].dim
+    for cid, seq in raw.items():
+        if seq.dim != dim:
+            raise DataError(
+                f"clip {cid!r}: features have dim {seq.dim}, earlier clips have dim {dim}"
+            )
     fit_frames = [raw[rec.clip_id].frames for rec in fit_records]
     pooled = np.concatenate(fit_frames)
 
@@ -358,7 +364,10 @@ def cmd_encode(args) -> None:
         pca1 = fit_pca(pooled, args.pca_dim)
     projected = [apply_pca(pca1, f) if pca1 is not None else f for f in fit_frames]
     codebook_seed = derive_seed(args.seed, "encode-codebook")
-    codebook = fit_fv_codebook(projected, args.gmm_k, seed=codebook_seed)
+    try:
+        codebook = fit_fv_codebook(projected, args.gmm_k, seed=codebook_seed)
+    except ValueError as exc:  # too few (distinct) frames for K components
+        raise DataError(f"cannot fit --gmm-k {args.gmm_k} codebook components: {exc}") from None
     fv = FvEncoderConfig(gmm=codebook, window=args.window, signed_sqrt=args.signed_sqrt)
     fv_pool = np.concatenate([window_fv_matrix(f, pca1, fv) for f in fit_frames])
     pca2 = None
@@ -667,8 +676,6 @@ def _apply_config(argv: list[str], parser, children) -> None:
         doc = read_json(found.config)
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        parser.error(f"malformed config file {found.config}: {exc}")
     if not isinstance(doc, dict):
         parser.error(f"config file {found.config} must hold a JSON object")
     known = set()
@@ -717,9 +724,6 @@ def main(argv=None) -> int:
         return DECODE_EXIT
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return DATA_EXIT
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"error: malformed JSON: {exc}\n")
         return DATA_EXIT
     return 0
 

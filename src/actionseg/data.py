@@ -328,10 +328,7 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
-    try:
-        doc = read_json(path)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed manifest {path}: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("clips"), list):
         raise DataError(f"manifest {path} must be a JSON object with a 'clips' list")
     splits = doc.get("splits") or {}
@@ -386,7 +383,7 @@ def save_manifest(path: str | os.PathLike, manifest: DatasetManifest) -> None:
         try:
             return str(p.resolve().relative_to(root))
         except ValueError:
-            return str(p)
+            return os.path.abspath(p)
 
     doc = {
         "version": MANIFEST_VERSION,

@@ -111,41 +111,27 @@ class _Layout:
         first[self.offsets] = True
         self.log_adv = np.where(first[1:], -np.inf, log_next[:-1])
 
-        # Incoming unit-level edges as one CSR list: the edges into
-        # entry_nodes[k] are e_src/e_w[e_start[k]:e_start[k + 1]], sorted
-        # by source for the deterministic first-wins maximum, and e_seg
+        # Incoming unit-level edges as one CSR list, sorted by (target,
+        # source) for the deterministic first-wins maximum: the edges into
+        # entry_nodes[k] are e_src/e_w[e_start[k]:e_start[k + 1]], and e_seg
         # maps each edge back to k.
-        incoming: list[list[tuple[int, float]]] = [[] for _ in graph.nodes]
-        for node in graph.nodes:
-            for j, w in node.edges:
-                incoming[j].append((node.index, w))
-        entry_nodes, e_start, e_seg, e_src, e_w = [], [], [], [], []
-        for j, lst in enumerate(incoming):
-            if not lst:
-                continue
-            lst.sort()
-            e_start.append(len(e_src))
-            e_seg.extend([len(entry_nodes)] * len(lst))
-            entry_nodes.append(j)
-            e_src.extend(i for i, _ in lst)
-            e_w.extend(w for _, w in lst)
-        self.entry_nodes = np.array(entry_nodes, dtype=np.int64)
+        incoming = sorted((j, node.index, w) for node in graph.nodes for j, w in node.edges)
+        self.e_src = np.array([i for _, i, _ in incoming], dtype=np.int64)
+        self.e_w = np.array([w for _, _, w in incoming], dtype=np.float64)
+        targets = np.array([j for j, _, _ in incoming], dtype=np.int64)
+        self.entry_nodes, self.e_start, self.e_seg = np.unique(
+            targets, return_index=True, return_inverse=True
+        )
         self.entry_first = self.offsets[self.entry_nodes]
-        self.e_start = np.array(e_start, dtype=np.int64)
-        self.e_seg = np.array(e_seg, dtype=np.int64)
-        self.e_src = np.array(e_src, dtype=np.int64)
-        self.e_w = np.array(e_w, dtype=np.float64)
         # Each edge's source exit: the exit state and its exit log-probability.
         self.e_exit = self.exit_state[self.e_src]
         self.e_exit_log = self.exit_log[self.e_src]
         # The trace-back's scalar copies: the two within-unit steps, and each
         # entry state's node with its incoming (source, exit, exit log, weight).
         self.tb_self, self.tb_adv = self.log_self.tolist(), self.log_adv.tolist()
-        edges = list(zip(e_src, self.e_exit.tolist(), self.e_exit_log.tolist(), e_w))
-        self.tb_entries = {
-            int(self.offsets[j]): (j, edges[lo:hi])
-            for j, lo, hi in zip(entry_nodes, e_start, e_start[1:] + [len(edges)])
-        }
+        self.tb_entries: dict[int, tuple[int, list]] = {}
+        for (j, i, w), x, x_log in zip(incoming, self.e_exit.tolist(), self.e_exit_log.tolist()):
+            self.tb_entries.setdefault(int(self.offsets[j]), (j, []))[1].append((i, x, x_log, w))
 
     def obs_table(self, frames: np.ndarray) -> np.ndarray:
         """(T, total) observation log-likelihoods: one evaluation of every

@@ -1,16 +1,16 @@
 """Activity grammars and their compilation into decoding graphs.
 
 A grammar is the exact finite union of the training transcripts of each
-activity, stored as a deterministic trie of unit ids.  No generalization
-or smoothing is applied: the language is precisely the set of distinct
-observed transcripts.  Every sentence starts and ends with the silence
-unit.
+activity, stored as its sorted, deduplicated sentences of unit ids.  No
+generalization or smoothing is applied: the language is precisely the set
+of distinct observed transcripts.  Every sentence starts and ends with
+the silence unit.
 
 Grammars render to a small EBNF subset (terminals separated by commas,
 alternatives by ``|``, productions closed by ``;``) and parse back from
-it.  Composition with a set of unit HMMs yields a decoding graph whose
-complete paths spell exactly the grammar sentences; an unconstrained
-variant allows any unit to follow any unit.
+it.  Composing with unit HMMs gives a graph of one node per sorted
+(activity, sentence prefix), whose complete paths spell exactly the
+sentences; an unconstrained variant allows any unit to follow any unit.
 """
 from __future__ import annotations
 
@@ -27,16 +27,6 @@ _RESERVED = set(",|=;")
 def _check_symbol(name: str, role: str) -> None:
     if not name or any(c in _RESERVED for c in name) or "\n" in name:
         raise DataError(f"{role} {name!r} cannot be written in grammar notation")
-
-
-class _TrieNode:
-    """One trie position; children keyed by unit id, unique by construction."""
-
-    __slots__ = ("children", "terminal")
-
-    def __init__(self):
-        self.children: dict[int, _TrieNode] = {}
-        self.terminal = False
 
 
 @dataclass(eq=False)
@@ -71,25 +61,10 @@ class Grammar:
                 sorted(distinct, key=lambda s: tuple(self.lexicon.name_of(u) for u in s))
             )
         self.sentences = canon
-        roots: dict[str, _TrieNode] = {}
-        for act, sents in canon.items():
-            root = _TrieNode()
-            for sent in sents:
-                node = root
-                for u in sent:
-                    node = node.children.setdefault(u, _TrieNode())
-                node.terminal = True
-            roots[act] = root
-        self._roots = roots
 
     @property
     def activities(self) -> tuple[str, ...]:
         return tuple(sorted(self.sentences))
-
-    def root(self, activity: str) -> _TrieNode:
-        if activity not in self._roots:
-            raise DataError(f"unknown activity {activity!r}")
-        return self._roots[activity]
 
     def num_sentences(self) -> int:
         return sum(len(s) for s in self.sentences.values())
@@ -170,6 +145,8 @@ def parse_ebnf(
                 raise DataError(f"empty terminal in production {name!r}")
             alts.append(terms)
         productions.append((name, alts))
+    if not productions:
+        raise DataError("no production")
     if lexicon is None:
         names = {t for _, alts in productions for alt in alts for t in alt}
         names.add(silence)
@@ -231,39 +208,41 @@ class DecodingGraph:
 def compose(grammar: Grammar, hmms: Mapping[int, UnitHmm]) -> DecodingGraph:
     """Compile a grammar against trained unit models.
 
-    Each trie position becomes one unit-instance node, so sentences
-    sharing a prefix share nodes.  Unit-to-unit edges are uniform (log
-    weight 0); priors, when wanted, are applied by the decoder.
+    Each distinct (activity, sentence prefix) becomes one unit-instance
+    node, entered from the prefix one unit shorter (or from the start), so
+    sentences sharing a prefix share nodes.  Nodes are numbered in sorted
+    (activity, prefix) order.  Unit-to-unit edges are uniform (log weight
+    0); priors, when wanted, are applied by the decoder.
     """
-    missing = set()
-    for act in grammar.activities:
-        for sent in grammar.sentences[act]:
-            missing.update(u for u in sent if u not in hmms)
+    sentences = {(act, sent) for act in grammar.activities for sent in grammar.sentences[act]}
+    missing = {u for _, sent in sentences for u in sent if u not in hmms}
     if missing:
         names = ", ".join(sorted(grammar.lexicon.name_of(u) for u in missing))
         raise DataError(f"grammar units without a trained model: {names}")
     if not grammar.activities:
         raise DataError("cannot compose an empty grammar")
 
-    rec: list[tuple[int, str, bool, list[tuple[int, float]]]] = []
-
-    def walk(unit_id: int, tnode: _TrieNode, activity: str) -> int:
-        i = len(rec)
-        edges: list[tuple[int, float]] = []
-        rec.append((unit_id, activity, tnode.terminal, edges))
-        for u in sorted(tnode.children):
-            edges.append((walk(u, tnode.children[u], activity), 0.0))
-        return i
-
+    # Walking the sentences in sorted order lists the prefixes in sorted
+    # order: each sentence adds those past its common prefix with the last.
     start: list[tuple[int, float]] = []
-    for act in grammar.activities:
-        root = grammar.root(act)
-        for u in sorted(root.children):
-            start.append((walk(u, root.children[u], act), 0.0))
-
+    rec: list[tuple[int, str, list[tuple[int, float]]]] = []
+    terminal: set[int] = set()
+    path: list[int] = []  # the node of each prefix of the last sentence
+    last_act, last = None, ()
+    for act, sent in sorted(sentences):
+        shared = 0
+        if act == last_act:
+            shared = next((k for k, (a, b) in enumerate(zip(sent, last)) if a != b), len(last))
+        del path[shared:]
+        for u in sent[shared:]:
+            (rec[path[-1]][2] if path else start).append((len(rec), 0.0))
+            path.append(len(rec))
+            rec.append((u, act, []))
+        terminal.add(path[-1])
+        last_act, last = act, sent
     nodes = tuple(
-        GraphNode(index=i, unit_id=u, activity=a, terminal=t, edges=tuple(e))
-        for i, (u, a, t, e) in enumerate(rec)
+        GraphNode(index=i, unit_id=u, activity=a, terminal=i in terminal, edges=tuple(e))
+        for i, (u, a, e) in enumerate(rec)
     )
     return DecodingGraph(
         nodes=nodes,

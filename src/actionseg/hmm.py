@@ -621,6 +621,9 @@ def load_hmm_set(path) -> tuple[dict[int, UnitHmm], UnitLexicon]:
                 raise DataError(f"unit id {model.unit_id} outside the lexicon")
             if model.unit_id in hmms:
                 raise DataError(f"unit id {model.unit_id} appears twice")
+            first = next(iter(hmms.values()), model)
+            if model.dim != first.dim:
+                raise DataError(f"unit {model.unit_id} has dim {model.dim}, expected {first.dim}")
             for g in model.obs:
                 if not (np.isfinite(g.means).all() and np.isfinite(g.variances).all()):
                     raise DataError(f"unit {model.unit_id} has a non-finite mean or variance")

@@ -568,7 +568,12 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 def load_bundle(path) -> ModelBundle:
     path = Path(path)
     hmms, lexicon = load_hmm_set(path / "hmms.json")
-    grammar = parse_ebnf(read_text(path / "grammar.ebnf"), lexicon)
+    grammar_path = path / "grammar.ebnf"
+    text = read_text(grammar_path)
+    try:
+        grammar = parse_ebnf(text, lexicon)
+    except DataError as exc:
+        raise DataError(f"{grammar_path} is not a valid grammar: {exc}") from None
     priors_path = path / "priors.json"
     priors_doc = read_json(priors_path)
     log_priors = priors_doc.get("log_priors") if isinstance(priors_doc, dict) else None

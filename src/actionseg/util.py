@@ -68,4 +68,9 @@ def read_text(path) -> str:
 
 
 def read_json(path) -> Any:
-    return json.loads(read_text(path))
+    """A JSON file's contents; text that does not parse is a DataError naming it."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None

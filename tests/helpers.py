@@ -286,6 +286,87 @@ def compose_random_graph(rng, unit_names, hmms, n_sentences=2, max_inner=1):
 
 
 # ---------------------------------------------------------------------------
+# reference graph compilation
+
+
+class _TrieNode:
+    """One prefix tree position; children keyed by unit id."""
+
+    def __init__(self):
+        self.children: dict[int, _TrieNode] = {}
+        self.terminal = False
+
+
+def reference_compose(grammar: Grammar, hmms) -> DecodingGraph:
+    """actionseg.grammar.compose as a recursive pre-order walk of each
+    activity's prefix tree, children by unit id: the form that the walk
+    over the sorted sentences replaced, which must give the same graph."""
+    rec: list[tuple[int, str, bool, list[tuple[int, float]]]] = []
+
+    def walk(unit_id: int, tnode: _TrieNode, activity: str) -> int:
+        i = len(rec)
+        edges: list[tuple[int, float]] = []
+        rec.append((unit_id, activity, tnode.terminal, edges))
+        for u in sorted(tnode.children):
+            edges.append((walk(u, tnode.children[u], activity), 0.0))
+        return i
+
+    start: list[tuple[int, float]] = []
+    for act in grammar.activities:
+        root = _TrieNode()
+        for sent in grammar.sentences[act]:
+            node = root
+            for u in sent:
+                node = node.children.setdefault(u, _TrieNode())
+            node.terminal = True
+        for u in sorted(root.children):
+            start.append((walk(u, root.children[u], act), 0.0))
+    nodes = tuple(
+        GraphNode(index=i, unit_id=u, activity=a, terminal=t, edges=tuple(e))
+        for i, (u, a, t, e) in enumerate(rec)
+    )
+    return DecodingGraph(nodes=nodes, start_edges=tuple(start), hmms=dict(hmms), kind="grammar")
+
+
+def reference_entry_csr(graph: DecodingGraph) -> dict:
+    """The unit-entry fields of actionseg.decoder._Layout built the way one
+    sort of all edges replaced: a list of incoming edges per node, each
+    sorted by source, concatenated in node order."""
+    lay = _layout(graph)
+    incoming: list[list[tuple[int, float]]] = [[] for _ in graph.nodes]
+    for node in graph.nodes:
+        for j, w in node.edges:
+            incoming[j].append((node.index, w))
+    entry_nodes, e_start, e_seg, e_src, e_w = [], [], [], [], []
+    for j, lst in enumerate(incoming):
+        if not lst:
+            continue
+        lst.sort()
+        e_start.append(len(e_src))
+        e_seg.extend([len(entry_nodes)] * len(lst))
+        entry_nodes.append(j)
+        e_src.extend(i for i, _ in lst)
+        e_w.extend(w for _, w in lst)
+    src = np.array(e_src, dtype=np.int64)
+    e_exit, e_exit_log = lay.exit_state[src], lay.exit_log[src]
+    edges = list(zip(e_src, e_exit.tolist(), e_exit_log.tolist(), e_w))
+    return {
+        "entry_nodes": np.array(entry_nodes, dtype=np.int64),
+        "entry_first": lay.offsets[np.array(entry_nodes, dtype=np.int64)],
+        "e_start": np.array(e_start, dtype=np.int64),
+        "e_seg": np.array(e_seg, dtype=np.int64),
+        "e_src": src,
+        "e_w": np.array(e_w, dtype=np.float64),
+        "e_exit": e_exit,
+        "e_exit_log": e_exit_log,
+        "tb_entries": {
+            int(lay.offsets[j]): (j, edges[lo:hi])
+            for j, lo, hi in zip(entry_nodes, e_start, e_start[1:] + [len(edges)])
+        },
+    }
+
+
+# ---------------------------------------------------------------------------
 # reference decoder
 
 

@@ -126,6 +126,13 @@ def _state0(doc: dict) -> dict:
     return _unit0(doc)["states"][0]
 
 
+def _widen(unit: dict) -> None:
+    """Give every state of a saved unit one more feature column."""
+    for state in unit["states"]:
+        state["means"] = [[*row, 0.0] for row in state["means"]]
+        state["variances"] = [[*row, 1.0] for row in state["variances"]]
+
+
 def _decode_with_mutated(capsys, workspace, tmp_path, name, mutate):
     """decode --prior on one test clip with a model whose file `name` was
     passed through mutate; (exit code, stderr)."""
@@ -165,11 +172,12 @@ def _decode_with_mutated(capsys, workspace, tmp_path, name, mutate):
     ),
     lambda doc: _unit0(doc).update(log_self=[float("nan"), *_unit0(doc)["log_self"][1:]]),
     lambda doc: _unit0(doc).update(log_next="x"),
+    lambda doc: _widen(doc["units"][1]),
 ], ids=[
     "negative-weight", "nan-mean", "negative-variance", "string-mean", "string-weight",
     "string-unit-id", "units-an-object", "null-state", "ragged-means", "lexicon-a-number",
     "duplicate-unit-id", "log-self-too-long", "positive-log-next", "row-sum-not-1",
-    "nan-log-self", "string-log-next",
+    "nan-log-self", "string-log-next", "unit-1-wider",
 ])
 def test_malformed_model_file_exits_2(capsys, workspace, tmp_path, mutate):
     code, err = _decode_with_mutated(capsys, workspace, tmp_path, "hmms.json", mutate)
@@ -212,11 +220,10 @@ def test_malformed_pipeline_config_exits_2(capsys, workspace, tmp_path, text):
     assert f"{bad / 'pipeline-config.json'} is not a valid pipeline config" in err
 
 
-@pytest.mark.parametrize("target", [
-    "hmms.json", "priors.json", "pipeline-config.json", "grammar.ebnf", "feat", "manifest",
-    "config",
-])
-def test_non_utf8_input_file_exits_2(capsys, workspace, tmp_path, target):
+def _decode_with_bad_file(capsys, workspace, tmp_path, target, content: bytes):
+    """decode --prior on one test clip with the file `target` (a model file
+    name, or "feat", "manifest" or "config") holding content; (exit code,
+    stdout, stderr, the file's path)."""
     root, data, model = workspace
     bad_model, bad_data = tmp_path / "model", tmp_path / "data"
     shutil.copytree(model, bad_model)
@@ -228,13 +235,45 @@ def test_non_utf8_input_file_exits_2(capsys, workspace, tmp_path, target):
         "manifest": manifest,
         "config": tmp_path / "decode.json",
     }.get(target, bad_model / target)
-    bad.write_bytes(b"\xff\xfe")
+    bad.write_bytes(content)
     code, out, err = run_cli(
         capsys, "decode", "--model", str(bad_model), "--manifest", str(manifest), "--clip", clip,
         "--prior", "on", *(["--config", str(bad)] if target == "config" else []),
     )
+    return code, out, err, bad
+
+
+@pytest.mark.parametrize("target", [
+    "hmms.json", "priors.json", "pipeline-config.json", "grammar.ebnf", "feat", "manifest",
+    "config",
+])
+def test_non_utf8_input_file_exits_2(capsys, workspace, tmp_path, target):
+    code, out, err, bad = _decode_with_bad_file(capsys, workspace, tmp_path, target, b"\xff\xfe")
     assert (code, out) == (2, "")
     assert err == f"error: {bad} is not UTF-8 text (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("target", [
+    "hmms.json", "priors.json", "pipeline-config.json", "manifest", "config",
+])
+def test_invalid_json_file_exits_2_naming_it(capsys, workspace, tmp_path, target):
+    code, out, err, bad = _decode_with_bad_file(capsys, workspace, tmp_path, target, b"{")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {bad} is not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n"
+    )
+
+
+@pytest.mark.parametrize("text", [
+    "", "x", "act = ;", "act = SIL ;", "act = SIL, nosuchunit, SIL ;",
+], ids=["empty", "no-equals", "empty-terminal", "silence-only", "unknown-unit"])
+def test_invalid_grammar_file_exits_2_naming_it(capsys, workspace, tmp_path, text):
+    code, out, err, bad = _decode_with_bad_file(
+        capsys, workspace, tmp_path, "grammar.ebnf", text.encode()
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad} is not a valid grammar: ") and err.count("\n") == 1, err
 
 
 def test_synth_summary(capsys, tmp_path):
@@ -442,7 +481,8 @@ def test_config_file_rejects_unknown_keys(capsys, workspace, tmp_path):
     cfg.write_text("[1, 2]")
     assert run_cli(capsys, *args)[0] == 1
     cfg.write_text("{not json")
-    assert run_cli(capsys, *args)[0] == 1
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2 and err.startswith(f"error: {cfg} is not valid JSON: "), err
     assert run_cli(capsys, "train", "--config", str(tmp_path / "none.json"),
                    "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "o"))[0] == 1
 
@@ -521,6 +561,52 @@ def test_encode_reencodes_every_clip(capsys, workspace, tmp_path):
     assert new.dim == 2
     # annotations still point at the originals
     assert new_manifest.clip(cid).segmentation == old_manifest.clip(cid).segmentation
+
+
+def _widen_first_clip(data: Path, split: str) -> None:
+    manifest = load_manifest(data / "manifest.json")
+    rec = manifest.clip(manifest.split_ids(split)[0])
+    seq = load_features(rec.features)
+    save_features(rec.features, FeatureSequence(np.hstack([seq.frames, seq.frames[:, :1]])))
+
+
+@pytest.mark.parametrize("widen, flags, message", [
+    ("test", [], "features have dim 3, earlier clips have dim 2"),
+    ("train", [], "features have dim 2, earlier clips have dim 3"),
+    (None, ["--gmm-k", "100000"], "cannot fit --gmm-k 100000 codebook components: "),
+], ids=["dim-outside-split", "mixed-fit-dims", "gmm-k-beyond-frames"])
+def test_encode_bad_input_exits_2(capsys, workspace, tmp_path, widen, flags, message):
+    root, data, model = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    if widen:
+        _widen_first_clip(copy, widen)
+    code, out, err = run_cli(
+        capsys, "encode", "--manifest", str(copy / "manifest.json"), "--split", "train",
+        "--window", "5", *flags, "--out", str(tmp_path / "enc"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+
+def test_written_manifests_survive_a_relative_input_path(capsys, workspace, tmp_path, monkeypatch):
+    # the output manifest sits elsewhere, so its references to the input
+    # clips must not be relative to the working directory
+    root, data, model = workspace
+    shutil.copytree(data, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        capsys, "encode", "--manifest", "data/manifest.json", "--split", "train",
+        "--window", "5", "--gmm-k", "1", "--out", "enc",
+    )
+    assert code == 0, err
+    rec = load_manifest("enc/manifest.json").clips[0]
+    assert rec.segmentation.is_absolute() and rec.segmentation.exists()
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", "enc/manifest.json", "--split", "train",
+        "--out", "m", "--gmm-k", "1", *TRAIN_SPEED,
+    )
+    assert code == 0, err
 
 
 def test_grid_votes_over_settings(capsys, workspace, tmp_path):

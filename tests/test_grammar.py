@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionseg.data import Transcript, UnitLexicon
+from actionseg.decoder import _layout
 from actionseg.errors import DataError
 from actionseg.grammar import (
     DecodingGraph,
@@ -14,7 +17,12 @@ from actionseg.grammar import (
     parse_ebnf,
     unconstrained_graph,
 )
-from helpers import random_sentence_grammar, random_unit_hmm
+from helpers import (
+    random_sentence_grammar,
+    random_unit_hmm,
+    reference_compose,
+    reference_entry_csr,
+)
 
 
 def small_lexicon() -> UnitLexicon:
@@ -120,7 +128,7 @@ def test_compose_shares_prefixes():
     lex = small_lexicon()
     g = build_grammar([("cook", (0, 1, 0)), ("cook", (0, 1, 2, 0))], lex)
     graph = compose(g, make_hmms(rng, lex))
-    # trie: SIL -> pour -> {SIL, stir -> SIL}; the shared prefix is stored once
+    # prefix tree: SIL -> pour -> {SIL, stir -> SIL}; the shared prefix is stored once
     assert len(graph.nodes) == 5
     assert graph.start_edges == ((0, 0.0),)
     assert graph.kind == "grammar"
@@ -179,3 +187,59 @@ def test_decoding_graph_validation():
     with pytest.raises(DataError):
         DecodingGraph(nodes=(good,), start_edges=((0, 0.0),), hmms={}, kind="x")
 
+
+def assert_entry_csr_matches_reference(graph: DecodingGraph, want: dict) -> None:
+    lay = _layout(graph)
+    assert lay.tb_entries == want.pop("tb_entries")
+    for name, arr in want.items():
+        got = getattr(lay, name)
+        assert got.dtype == arr.dtype and np.array_equal(got, arr), name
+
+
+# Unit names whose sorted order is not their id order, with silence in the
+# middle, so the grammar's name order and the graph's id order differ.
+_NAMES = ("z", "y", "SIL", "x", "w")
+
+
+@st.composite
+def grammars_and_models(draw):
+    """1-4 activities of 1-6 sentences with 0-6 inner units each, from a
+    pool so small that units repeat, silence occurs inside sentences and
+    sentences share prefixes; unit models of 1-3 states."""
+    lex = UnitLexicon.from_names(_NAMES[: draw(st.integers(3, len(_NAMES)))])
+    sil = lex.silence_id
+    inner = st.lists(st.integers(0, len(lex) - 1), max_size=6)
+    sentence = inner.map(lambda units: (sil, *units, sil))
+    acts = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=4, unique=True))
+    grammar = Grammar(
+        lexicon=lex,
+        sentences={a: tuple(draw(st.lists(sentence, min_size=1, max_size=6))) for a in acts},
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    states = draw(st.lists(st.integers(1, 3), min_size=len(lex), max_size=len(lex)))
+    return grammar, {u: random_unit_hmm(rng, u, n, 1, 2) for u, n in enumerate(states)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grammars_and_models())
+def test_compose_and_layout_match_the_prefix_tree_walk(case):
+    grammar, hmms = case
+    got, want = compose(grammar, hmms), reference_compose(grammar, hmms)
+
+    def fields(graph):
+        return [(n.index, n.unit_id, n.activity, n.terminal, n.edges) for n in graph.nodes]
+
+    assert fields(got) == fields(want)
+    assert got.start_edges == want.start_edges
+    assert graph_sentences(got) == graph_sentences(want)
+    assert_entry_csr_matches_reference(got, reference_entry_csr(want))
+
+
+def test_layout_of_graphs_without_a_tree_matches_the_reference():
+    rng = np.random.default_rng(76)
+    hmms = {u: random_unit_hmm(rng, u, 2, 1, 2) for u in range(3)}
+    lone = GraphNode(index=0, unit_id=1, activity=None, terminal=True, edges=())
+    no_edges = DecodingGraph(nodes=(lone,), start_edges=((0, 0.0),), hmms=hmms, kind="x")
+    for graph in (no_edges, unconstrained_graph(hmms)):
+        assert_entry_csr_matches_reference(graph, reference_entry_csr(graph))
+    assert _layout(no_edges).e_start.size == 0 and _layout(no_edges).tb_entries == {}
