@@ -264,16 +264,23 @@ def save_features(path: str | os.PathLike, seq: FeatureSequence) -> None:
             fh.write(" ".join(map(repr, row)) + "\n")
 
 
-def read_segment_names(path: str | os.PathLike) -> list[tuple[int, int, str]]:
-    """Raw segmentation rows (start, end, unit_name) without a lexicon."""
+def _lines(path: str | os.PathLike, kind: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line of a file; kind
+    ("segmentation", "transcript") names it in errors."""
     path = Path(path)
     if not path.exists():
-        raise DataError(f"segmentation file not found: {path}")
-    rows: list[tuple[int, int, str]] = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
+        raise DataError(f"{kind} file not found: {path}")
+    lines = [(n, line.strip()) for n, line in enumerate(read_text(path).split("\n"), start=1)]
+    lines = [(n, line) for n, line in lines if line]
+    if not lines:
+        raise DataError(f"empty {kind} file: {path}")
+    return lines
+
+
+def _segment_rows(path: str | os.PathLike) -> list[tuple[int, int, int, str]]:
+    """(line number, start, end, unit_name) of each segmentation row."""
+    rows: list[tuple[int, int, int, str]] = []
+    for lineno, line in _lines(path, "segmentation"):
         parts = line.split(maxsplit=2)
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 'start end unit_name'")
@@ -281,10 +288,13 @@ def read_segment_names(path: str | os.PathLike) -> list[tuple[int, int, str]]:
             start, end = int(parts[0]), int(parts[1])
         except ValueError:
             raise DataError(f"{path}:{lineno}: frame indices must be integers") from None
-        rows.append((start, end, parts[2]))
-    if not rows:
-        raise DataError(f"empty segmentation file: {path}")
+        rows.append((lineno, start, end, parts[2]))
     return rows
+
+
+def read_segment_names(path: str | os.PathLike) -> list[tuple[int, int, str]]:
+    """Raw segmentation rows (start, end, unit_name) without a lexicon."""
+    return [(start, end, name) for _, start, end, name in _segment_rows(path)]
 
 
 def write_segment_names(path: str | os.PathLike, rows) -> None:
@@ -294,19 +304,28 @@ def write_segment_names(path: str | os.PathLike, rows) -> None:
             fh.write(f"{int(start)} {int(end)} {name}\n")
 
 
+def _unit_ids(path, lines, lexicon: UnitLexicon) -> list[int]:
+    """The lexicon ids of a file's (line number, unit name) pairs."""
+    ids = []
+    for lineno, name in lines:
+        try:
+            ids.append(lexicon.id_of(name))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    return ids
+
+
 def load_segmentation(path: str | os.PathLike, lexicon: UnitLexicon) -> Segmentation:
-    rows = read_segment_names(path)
-    return Segmentation(tuple((lexicon.id_of(name), s, e) for s, e, name in rows))
+    rows = _segment_rows(path)
+    ids = _unit_ids(path, [(n, name) for n, _, _, name in rows], lexicon)
+    try:
+        return Segmentation(tuple((u, s, e) for u, (_, s, e, _) in zip(ids, rows)))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def read_transcript_names(path: str | os.PathLike) -> list[str]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"transcript file not found: {path}")
-    names = [line.strip() for line in read_text(path).split("\n") if line.strip()]
-    if not names:
-        raise DataError(f"empty transcript file: {path}")
-    return names
+    return [name for _, name in _lines(path, "transcript")]
 
 
 def write_transcript_names(path: str | os.PathLike, names) -> None:
@@ -317,7 +336,7 @@ def write_transcript_names(path: str | os.PathLike, names) -> None:
 
 
 def load_transcript(path: str | os.PathLike, lexicon: UnitLexicon) -> Transcript:
-    return Transcript(tuple(lexicon.id_of(n) for n in read_transcript_names(path)))
+    return Transcript(tuple(_unit_ids(path, _lines(path, "transcript"), lexicon)))
 
 
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:

@@ -1,12 +1,15 @@
 """Token-passing decoding over a compiled graph.
 
 One best token is kept per (unit instance, HMM state) per frame, and a
-frame's step computes only scores.  It first moves every token within its
-unit (stay or advance), then runs one vectorized unit-entry step: the
-incoming unit edges of all nodes form one CSR edge list (sources, weights,
-and the start of each target's run), every edge's candidate is the
-source's exit score plus the edge weight plus the target's prior, and
-np.maximum.reduceat picks each target's best.  Observation
+frame's step computes only scores.  Each state stays or takes its best
+candidate: inside a unit the state before it, with its advance
+log-probability; at a unit's first state the exit of each node with an
+edge into it, plus the exit log-probability, the edge weight and the
+entered unit's prior.  A composed grammar enters each node by at most one
+edge, so each state has at most one candidate and the step is one gather
+of predecessor scores plus per-state log weights, compared with the stay;
+np.maximum.reduceat picks the best for states of several candidates, which
+only hand-built and unconstrained graphs have.  Observation
 log-likelihoods come from one batched evaluation of every distinct unit
 state per sequence, gathered into a (T, states) table in graph-state
 order; each row, once its frame is scored, is overwritten with the
@@ -90,8 +93,19 @@ def _chain(hmms: Mapping[int, UnitHmm], units: Sequence[int]) -> tuple:
 
 
 class _Layout:
-    """Flattened state indexing, unit-entry edges and observation model of
-    one graph: node i's states occupy offsets[i] .. offsets[i] + n_i - 1.
+    """Flattened state indexing, candidate predecessors and observation
+    model of one graph: node i's states occupy offsets[i] .. offsets[i] +
+    n_i - 1.
+
+    tb_cands[s] lists the candidates of state s in tie-breaking order, as
+    (source node, or None within a unit; predecessor state; t1; t2): state
+    s - 1 with its advance log-probability inside a unit, and at a unit's
+    first state the exit state of each incoming edge's source, by source,
+    with its exit log-probability and the edge weight.  A state with one
+    candidate holds it as pred[s], t1[s], t2[s], and one with none holds
+    t1[s] = -inf.  The edges into states with several (never those of a
+    composed grammar) form one CSR list: m_exit, m_exit_log, m_w and
+    m_target from m_start[k] on, for state m_first[k].
 
     It keeps no reference to the graph, so the per-graph cache below
     never keeps a graph alive.
@@ -104,34 +118,25 @@ class _Layout:
         self.exit_state = np.append(self.offsets[1:], self.total) - 1
         self.exit_log = log_next[self.exit_state]
         self.terminal = [i for i, node in enumerate(graph.nodes) if node.terminal]
-        # log_adv[s] scores the step from state s into state s + 1; it is
-        # -inf where s + 1 is a unit's first state, which only an entry
-        # reaches.
-        first = np.zeros(self.total, dtype=bool)
-        first[self.offsets] = True
-        self.log_adv = np.where(first[1:], -np.inf, log_next[:-1])
-
-        # Incoming unit-level edges as one CSR list, sorted by (target,
-        # source) for the deterministic first-wins maximum: the edges into
-        # entry_nodes[k] are e_src/e_w[e_start[k]:e_start[k + 1]], and e_seg
-        # maps each edge back to k.
-        incoming = sorted((j, node.index, w) for node in graph.nodes for j, w in node.edges)
-        self.e_src = np.array([i for _, i, _ in incoming], dtype=np.int64)
-        self.e_w = np.array([w for _, _, w in incoming], dtype=np.float64)
-        targets = np.array([j for j, _, _ in incoming], dtype=np.int64)
-        self.entry_nodes, self.e_start, self.e_seg = np.unique(
-            targets, return_index=True, return_inverse=True
-        )
-        self.entry_first = self.offsets[self.entry_nodes]
-        # Each edge's source exit: the exit state and its exit log-probability.
-        self.e_exit = self.exit_state[self.e_src]
-        self.e_exit_log = self.exit_log[self.e_src]
-        # The trace-back's scalar copies: the two within-unit steps, and each
-        # entry state's node with its incoming (source, exit, exit log, weight).
-        self.tb_self, self.tb_adv = self.log_self.tolist(), self.log_adv.tolist()
-        self.tb_entries: dict[int, tuple[int, list]] = {}
-        for (j, i, w), x, x_log in zip(incoming, self.e_exit.tolist(), self.e_exit_log.tolist()):
-            self.tb_entries.setdefault(int(self.offsets[j]), (j, []))[1].append((i, x, x_log, w))
+        self.tb_self = self.log_self.tolist()
+        advance = [[(None, s, x, 0.0)] for s, x in enumerate(log_next[:-1].tolist())]
+        self.tb_cands = [[], *advance]
+        for o in self.offsets.tolist():
+            self.tb_cands[o] = []
+        exit_state, exit_log = self.exit_state.tolist(), self.exit_log.tolist()
+        # sorted by (target, source): the first edge reaching the best wins
+        for j, i, w in sorted((j, node.index, w) for node in graph.nodes for j, w in node.edges):
+            self.tb_cands[self.offsets[j]].append((i, exit_state[i], exit_log[i], w))
+        none = (None, 0, -np.inf, 0.0)  # t1 = -inf: no candidate
+        _, pred, t1, t2 = zip(*(c[0] if len(c) == 1 else none for c in self.tb_cands))
+        self.pred = np.array(pred, dtype=np.int64)
+        self.t1, self.t2 = np.array(t1, dtype=np.float64), np.array(t2, dtype=np.float64)
+        many = [(s, e) for s, c in enumerate(self.tb_cands) if len(c) > 1 for e in c]
+        self.m_target = np.array([s for s, _ in many], dtype=np.int64)
+        self.m_first, self.m_start = np.unique(self.m_target, return_index=True)
+        self.m_exit = np.array([e[1] for _, e in many], dtype=np.int64)
+        self.m_exit_log = np.array([e[2] for _, e in many], dtype=np.float64)
+        self.m_w = np.array([e[3] for _, e in many], dtype=np.float64)
 
     def obs_table(self, frames: np.ndarray) -> np.ndarray:
         """(T, total) observation log-likelihoods: one evaluation of every
@@ -186,7 +191,10 @@ def decode(
     # so each row is overwritten with that frame's scores: S is the lattice.
     S = lay.obs_table(frames)
     prior = [0.0 if priors is None else float(priors.get(n.unit_id, 0.0)) for n in graph.nodes]
-    e_prior = np.array(prior)[lay.entry_nodes][lay.e_seg]
+    # t3: each node's prior, added at its first state to every candidate
+    t3 = np.zeros(lay.total)
+    t3[lay.offsets] = prior
+    m_prior = t3.take(lay.m_target)
 
     start = np.full(lay.total, -np.inf)
     for j, w in graph.start_edges:
@@ -197,19 +205,21 @@ def decode(
     if beam is not None:
         _apply_beam(S[0], beam)
 
-    # adv[0] stays -inf: state 0 is a unit's first state
-    adv = np.full(lay.total, -np.inf)
-    adv_tail = adv[1:]
+    # Adding 0.0 changes no score, since no score is -0.0 (no observation
+    # log-likelihood is).  So t2 and t3, 0.0 within units, are skipped when
+    # all zero: t2 for composed grammars, t3 without priors.
+    extra = [t for t in (lay.t2, t3) if t.any()]
+    stay, adv = np.empty(lay.total), np.empty(lay.total)
     for score, row in zip(S, S[1:]):
-        stay = score + lay.log_self
-        np.add(score[:-1], lay.log_adv, out=adv_tail)
-        trans = np.where(adv >= stay, adv, stay)
-        if lay.e_start.size:
-            cand = (score.take(lay.e_exit) + lay.e_exit_log + lay.e_w) + e_prior
-            best = np.maximum.reduceat(cand, lay.e_start)
-            tef = trans[lay.entry_first]
-            trans[lay.entry_first] = np.where(best >= tef, best, tef)
-        row += trans
+        np.add(score, lay.log_self, out=stay)
+        score.take(lay.pred, out=adv, mode="clip")  # valid indices; "raise" buffers out
+        adv += lay.t1
+        for t in extra:
+            adv += t
+        if lay.m_start.size:
+            cand = ((score.take(lay.m_exit) + lay.m_exit_log) + lay.m_w) + m_prior
+            adv[lay.m_first] = np.maximum.reduceat(cand, lay.m_start)
+        row += np.where(adv >= stay, adv, stay)
         if beam is not None:
             _apply_beam(row, beam)
     # a frame without a score above -inf (a NaN counts as none) ends the
@@ -230,24 +240,22 @@ def decode(
 
     # Trace back: redo each winning state's choice at frame t from row t - 1
     # with the frame loop's float operations in its order, so every tie
-    # goes as it did there; the first edge reaching an entry's best wins.
+    # goes as it did there: the first candidate reaching the best wins, and
+    # it beats a same-scored stay.
     segs = []
     node, end, s = best_i, T - 1, int(lay.exit_state[best_i])
+    tb_t3 = t3.tolist()
     for t in range(T - 1, 0, -1):
-        stay = S.item(t - 1, s) + lay.tb_self[s]
-        adv = S.item(t - 1, s - 1) + lay.tb_adv[s - 1] if s else -np.inf
-        trans, prev = (adv, s - 1) if adv >= stay else (stay, s)
-        if s in lay.tb_entries:
-            j, edges = lay.tb_entries[s]
-            best, came = -np.inf, None
-            for src, exit_state, exit_log, w in edges:
-                cand = S.item(t - 1, exit_state) + exit_log + w + prior[j]
-                if cand > best:
-                    best, came = cand, (src, exit_state)
-            if best > -np.inf and best >= trans:
+        best, came = -np.inf, None
+        for src, p, x, w in lay.tb_cands[s]:
+            cand = S.item(t - 1, p) + x + w + tb_t3[s]
+            if cand > best:
+                best, came = cand, (src, p)
+        if came is not None and best >= S.item(t - 1, s) + lay.tb_self[s]:
+            src, s = came
+            if src is not None:
                 segs.append((graph.nodes[node].unit_id, t, end))
-                (node, prev), end = came, t - 1
-        s = prev
+                node, end = src, t - 1
     segs.append((graph.nodes[node].unit_id, 0, end))
     segmentation = Segmentation(tuple(reversed(segs)))
     return DecodeResult(

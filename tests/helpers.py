@@ -8,6 +8,7 @@ evidence the recursions are right.
 from __future__ import annotations
 
 import bisect
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -328,11 +329,25 @@ def reference_compose(grammar: Grammar, hmms) -> DecodingGraph:
     return DecodingGraph(nodes=nodes, start_edges=tuple(start), hmms=dict(hmms), kind="grammar")
 
 
-def reference_entry_csr(graph: DecodingGraph) -> dict:
-    """The unit-entry fields of actionseg.decoder._Layout built the way one
-    sort of all edges replaced: a list of incoming edges per node, each
-    sorted by source, concatenated in node order."""
-    lay = _layout(graph)
+def reference_entry_csr(graph: DecodingGraph) -> SimpleNamespace:
+    """The state indexing and unit-entry edges of a graph, built from the
+    graph and its models alone, in the CSR form that the vectorized
+    decoders below step with.  Node i's states occupy offsets[i] ..
+    offsets[i] + n_i - 1; log_adv[s] scores the step from state s into
+    s + 1 and is -inf where s + 1 is a unit's first state.  The incoming
+    edges of each node are listed and sorted by source, and the lists are
+    concatenated in node order: the edges into entry_nodes[k] are
+    e_src/e_w[e_start[k]:e_start[k + 1]], and e_seg maps each edge back
+    to k.  tb_entries maps each entry state to its node and its (source,
+    exit state, exit log, weight) edges."""
+    hmms = [graph.hmms[node.unit_id] for node in graph.nodes]
+    sizes = np.array([h.n for h in hmms], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    log_next = np.concatenate([h.log_next for h in hmms])
+    exit_state = offsets + sizes - 1
+    first = np.zeros(total, dtype=bool)
+    first[offsets] = True
     incoming: list[list[tuple[int, float]]] = [[] for _ in graph.nodes]
     for node in graph.nodes:
         for j, w in node.edges:
@@ -348,21 +363,67 @@ def reference_entry_csr(graph: DecodingGraph) -> dict:
         e_src.extend(i for i, _ in lst)
         e_w.extend(w for _, w in lst)
     src = np.array(e_src, dtype=np.int64)
-    e_exit, e_exit_log = lay.exit_state[src], lay.exit_log[src]
+    e_exit, e_exit_log = exit_state[src], log_next[exit_state][src]
     edges = list(zip(e_src, e_exit.tolist(), e_exit_log.tolist(), e_w))
-    return {
-        "entry_nodes": np.array(entry_nodes, dtype=np.int64),
-        "entry_first": lay.offsets[np.array(entry_nodes, dtype=np.int64)],
-        "e_start": np.array(e_start, dtype=np.int64),
-        "e_seg": np.array(e_seg, dtype=np.int64),
-        "e_src": src,
-        "e_w": np.array(e_w, dtype=np.float64),
-        "e_exit": e_exit,
-        "e_exit_log": e_exit_log,
-        "tb_entries": {
-            int(lay.offsets[j]): (j, edges[lo:hi])
+    return SimpleNamespace(
+        offsets=offsets,
+        total=total,
+        log_self=np.concatenate([h.log_self for h in hmms]),
+        log_adv=np.where(first[1:], -np.inf, log_next[:-1]),
+        exit_state=exit_state,
+        exit_log=log_next[exit_state],
+        terminal=[i for i, node in enumerate(graph.nodes) if node.terminal],
+        entry_nodes=np.array(entry_nodes, dtype=np.int64),
+        entry_first=offsets[np.array(entry_nodes, dtype=np.int64)],
+        e_start=np.array(e_start, dtype=np.int64),
+        e_seg=np.array(e_seg, dtype=np.int64),
+        e_src=src,
+        e_w=np.array(e_w, dtype=np.float64),
+        e_exit=e_exit,
+        e_exit_log=e_exit_log,
+        tb_entries={
+            int(offsets[j]): (j, edges[lo:hi])
             for j, lo, hi in zip(entry_nodes, e_start, e_start[1:] + [len(edges)])
         },
+    )
+
+
+def reference_candidates(graph: DecodingGraph) -> dict:
+    """The candidate fields of actionseg.decoder._Layout, built state by
+    state from reference_entry_csr: state s - 1 within a unit, each entry
+    edge's source exit at a unit's first state.  States of one candidate
+    carry it in pred/t1/t2, states of none carry (0, -inf, 0.0), and the
+    edges of states of several form the m_* CSR list."""
+    csr = reference_entry_csr(graph)
+    pred = np.zeros(csr.total, dtype=np.int64)
+    t1 = np.full(csr.total, -np.inf)
+    t2 = np.zeros(csr.total)
+    tb_cands = []
+    for s in range(csr.total):
+        if s in csr.tb_entries:
+            tb_cands.append(list(csr.tb_entries[s][1]))
+        elif s in csr.offsets:
+            tb_cands.append([])
+        else:
+            tb_cands.append([(None, s - 1, float(csr.log_adv[s - 1]), 0.0)])
+    counts = np.diff(np.append(csr.e_start, csr.e_src.size))
+    for k in np.flatnonzero(counts == 1):
+        s, e = csr.entry_first[k], csr.e_start[k]
+        pred[s], t1[s], t2[s] = csr.e_exit[e], csr.e_exit_log[e], csr.e_w[e]
+    inner = np.flatnonzero(~np.isin(np.arange(csr.total), csr.offsets))
+    pred[inner], t1[inner] = inner - 1, csr.log_adv[inner - 1]
+    many = counts[csr.e_seg] > 1
+    return {
+        "pred": pred,
+        "t1": t1,
+        "t2": t2,
+        "m_first": csr.entry_first[counts > 1],
+        "m_start": np.flatnonzero(np.diff(np.append(-1, csr.e_seg[many]))).astype(np.int64),
+        "m_target": csr.entry_first[csr.e_seg[many]],
+        "m_exit": csr.e_exit[many],
+        "m_exit_log": csr.e_exit_log[many],
+        "m_w": csr.e_w[many],
+        "tb_cands": tb_cands,
     }
 
 
@@ -520,10 +581,11 @@ def arena_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> DecodeRes
     decode must match it exactly, failures included."""
     if beam is not None and beam < 1:
         raise ValueError("beam must keep at least one state")
-    lay = _layout(graph)
-    frames = _frames(seq, lay.bank.dim)
+    model = _layout(graph)  # for the observation table only
+    frames = _frames(seq, model.bank.dim)
     T = frames.shape[0]
-    obs = lay.obs_table(frames)
+    obs = model.obs_table(frames)
+    lay = reference_entry_csr(graph)
     # link id arena_base[k] + r is the r-th entry made after frame
     # arena_end[k]; it finished node arena_node[k][r] and continues the
     # chain at link arena_prev[k][r]
@@ -610,6 +672,94 @@ def arena_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> DecodeRes
         segs.append((graph.nodes[node_idx].unit_id, start, end))
         start = end + 1
     segmentation = Segmentation(tuple(segs))
+    return DecodeResult(
+        activity=graph.nodes[best_i].activity,
+        segmentation=segmentation,
+        transcript=segmentation_to_transcript(segmentation),
+        log_prob=float(best_score),
+    )
+
+
+def csr_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> DecodeResult:
+    """The frame step that actionseg.decoder.decode replaced, over the
+    lattice it still keeps: every state first stays or advances within its
+    unit, then one CSR step over all incoming edges computes each entry's
+    candidates and np.maximum.reduceat picks each entry state's best; the
+    trace-back redoes the within-unit choice and then the entry choice.
+    decode must match it exactly, failures included."""
+    if beam is not None and beam < 1:
+        raise ValueError("beam must keep at least one state")
+    model = _layout(graph)  # for the observation table only
+    frames = _frames(seq, model.bank.dim)
+    T = frames.shape[0]
+    S = model.obs_table(frames)  # overwritten row by row with the lattice
+    lay = reference_entry_csr(graph)
+    prior = [0.0 if priors is None else float(priors.get(n.unit_id, 0.0)) for n in graph.nodes]
+    e_prior = np.array(prior)[lay.entry_nodes][lay.e_seg]
+
+    start = np.full(lay.total, -np.inf)
+    for j, w in graph.start_edges:
+        cand = w + prior[j]
+        if cand > start[lay.offsets[j]]:
+            start[lay.offsets[j]] = cand
+    S[0] += start
+    if beam is not None:
+        _apply_beam(S[0], beam)
+
+    # adv[0] stays -inf: state 0 is a unit's first state
+    adv = np.full(lay.total, -np.inf)
+    adv_tail = adv[1:]
+    for score, row in zip(S, S[1:]):
+        stay = score + lay.log_self
+        np.add(score[:-1], lay.log_adv, out=adv_tail)
+        trans = np.where(adv >= stay, adv, stay)
+        if lay.e_start.size:
+            cand = (score.take(lay.e_exit) + lay.e_exit_log + lay.e_w) + e_prior
+            best = np.maximum.reduceat(cand, lay.e_start)
+            tef = trans[lay.entry_first]
+            trans[lay.entry_first] = np.where(best >= tef, best, tef)
+        row += trans
+        if beam is not None:
+            _apply_beam(row, beam)
+    # a frame without a score above -inf (a NaN counts as none) ends the
+    # search; the frames after it hold no path
+    dead = np.flatnonzero(~(S.max(axis=1) > -np.inf))
+    if dead.size:
+        raise _no_path(beam, T, int(dead[0]))
+
+    best_i = -1
+    best_score = -np.inf
+    for i in lay.terminal:
+        s = S[T - 1, lay.exit_state[i]] + lay.exit_log[i]
+        if s > best_score:
+            best_score = s
+            best_i = i
+    if best_i < 0 or best_score == -np.inf:
+        raise _no_path(beam, T, T - 1)
+
+    # Trace back: redo each winning state's choice at frame t from row t - 1
+    # with the frame loop's float operations in its order, so every tie
+    # goes as it did there; the first edge reaching an entry's best wins.
+    segs = []
+    node, end, s = best_i, T - 1, int(lay.exit_state[best_i])
+    tb_self, tb_adv = lay.log_self.tolist(), lay.log_adv.tolist()
+    for t in range(T - 1, 0, -1):
+        stay = S.item(t - 1, s) + tb_self[s]
+        adv = S.item(t - 1, s - 1) + tb_adv[s - 1] if s else -np.inf
+        trans, prev = (adv, s - 1) if adv >= stay else (stay, s)
+        if s in lay.tb_entries:
+            j, edges = lay.tb_entries[s]
+            best, came = -np.inf, None
+            for src, exit_state, exit_log, w in edges:
+                cand = S.item(t - 1, exit_state) + exit_log + w + prior[j]
+                if cand > best:
+                    best, came = cand, (src, exit_state)
+            if best > -np.inf and best >= trans:
+                segs.append((graph.nodes[node].unit_id, t, end))
+                (node, prev), end = came, t - 1
+        s = prev
+    segs.append((graph.nodes[node].unit_id, 0, end))
+    segmentation = Segmentation(tuple(reversed(segs)))
     return DecodeResult(
         activity=graph.nodes[best_i].activity,
         segmentation=segmentation,

@@ -443,6 +443,41 @@ def test_eval_rejects_untiled_segments_naming_the_clip(capsys, workspace, tmp_pa
     assert f"clip {cid!r}: {side} segments must tile" in err
 
 
+def _gap_in_segmentation(path: Path) -> str:
+    rows = read_segment_names(path)
+    rows[1] = (999, 1000, rows[1][2])
+    write_segment_names(path, rows)
+    expected = rows[0][1] + 1
+    return f"{path}: segment 1 starts at 999, expected {expected} (segments must be contiguous"
+
+
+def _unknown_unit_in_transcript(path: Path) -> str:
+    names = read_transcript_names(path)
+    path.write_text("\n".join(["", names[0], "nope", *names[2:]]) + "\n")
+    return f"{path}:3: unknown unit name 'nope'"
+
+
+@pytest.mark.parametrize("command, split, field, mutate", [
+    ("train", "train", "segmentation", _gap_in_segmentation),
+    ("align", "test", "transcript", _unknown_unit_in_transcript),
+], ids=["train-seg-gap", "align-tr-unknown-unit"])
+def test_bad_annotation_file_exits_2_naming_it(
+    capsys, workspace, tmp_path, command, split, field, mutate
+):
+    root, data, model = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = load_manifest(copy / "manifest.json")
+    message = mutate(getattr(manifest.clip(manifest.split_ids(split)[-1]), field))
+    flags = ["--gmm-k", "1", *TRAIN_SPEED] if command == "train" else ["--model", str(model)]
+    code, out, err = run_cli(
+        capsys, command, "--manifest", str(copy / "manifest.json"), "--split", split,
+        *flags, "--out", str(tmp_path / "out"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
 def test_decode_tight_beam_exits_3(capsys, workspace):
     root, data, model = workspace
     code, _, err = run_cli(

@@ -10,12 +10,20 @@ from actionseg import decoder
 from actionseg.data import Transcript, UnitLexicon, frame_labels
 from actionseg.decoder import classify_activity, decode, force_align, majority_vote
 from actionseg.errors import BeamPrunedError, DataError, DecodeError, NoPathError
-from actionseg.grammar import Grammar, build_grammar, compose, unconstrained_graph
+from actionseg.grammar import (
+    DecodingGraph,
+    Grammar,
+    GraphNode,
+    build_grammar,
+    compose,
+    unconstrained_graph,
+)
 from actionseg.hmm import UnitHmm
 from helpers import (
     arena_decode,
     chain_graph,
     compose_random_graph,
+    csr_decode,
     oracle_decode_best,
     random_gmm,
     random_unit_hmm,
@@ -415,6 +423,79 @@ def test_decode_matches_arena_decoder(case):
     else:
         assert got.to_dict() == want.to_dict()
         assert got.log_prob.hex() == want.log_prob.hex()
+
+
+@st.composite
+def hand_built_cases(draw):
+    """A hand-built graph whose first states have zero, one or several
+    incoming edges (node 0 always several, the last node exactly one), so
+    both candidate paths of the frame step run in the same frame.  Edges
+    may repeat and loop, and weights and priors may be -inf or values whose
+    sums round.  In half the graphs of four or more nodes two twin nodes,
+    of unit 0 and of unit 3 (a copy of unit 0's model), share their
+    incoming and start edges, so they score alike at every frame and tie
+    as sources of node 0.  Also NaN or infinite frames in some clips, and
+    a beam from 1 to every state in half of the cases."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 2))
+    pool = [random_gmm(rng, int(rng.integers(1, 4)), m) for _ in range(3)]
+    hmms = {u: tie_prone_hmm(rng, u, int(rng.integers(1, 4)), pool) for u in range(3)}
+    hmms[3] = UnitHmm(3, hmms[0].log_self, hmms[0].log_next, hmms[0].obs)
+    n = draw(st.integers(2, 7))
+    counts = rng.integers(0, 4, size=n).tolist()
+    counts[0], counts[-1] = max(counts[0], 2), 1
+
+    def weight() -> float:
+        return float(rng.choice([0.0, -np.inf, rng.uniform(-2.0, 0.0)], p=[0.3, 0.1, 0.6]))
+
+    units = [int(rng.integers(3)) for _ in range(n)]
+    incoming = [[(int(i), weight()) for i in rng.integers(0, n, size=k)] for k in counts]
+    starts = [(int(rng.integers(n)), weight()) for _ in range(draw(st.integers(1, 3)))]
+    if n >= 4 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(1, n - 2), min_size=2, max_size=2, unique=True))
+        units[a], units[b] = 0, 3
+        incoming[b] = list(incoming[a])
+        incoming[0] += [(a, 0.0), (b, 0.0)]
+        starts = [(j, w) for j, w in starts + [(a, 0.0)] if j != b]
+        starts += [(b, w) for j, w in starts if j == a]
+    edges: list[list] = [[] for _ in range(n)]
+    for j, lst in enumerate(incoming):
+        for i, w in lst:
+            edges[i].append((j, w))
+    nodes = tuple(
+        GraphNode(i, units[i], None, terminal=i == n - 1 or rng.random() < 0.4, edges=tuple(edges[i]))
+        for i in range(n)
+    )
+    graph = DecodingGraph(nodes=nodes, start_edges=tuple(starts), hmms=hmms, kind="hand-built")
+    T = int(rng.integers(1, 41))
+    frames = np.round(rng.normal(0.0, 2.0, size=(T, m)))
+    if rng.random() < 0.2:
+        for _ in range(int(rng.integers(1, 3))):
+            bad = rng.choice([np.nan, np.inf, -np.inf])
+            frames[int(rng.integers(T)), int(rng.integers(m))] = bad
+    total = sum(hmms[u].n for u in units)
+    beam = None if rng.random() < 0.5 else int(rng.integers(1, total + 1))
+    priors = None
+    if rng.random() < 0.6:
+        priors = {u: weight() for u in range(3)}
+        priors[3] = priors[0]
+    return graph, frames, beam, priors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hand_built_cases())
+def test_decode_of_hand_built_graphs_matches_every_oracle(case):
+    graph, frames, beam, priors = case
+    lay = decoder._layout(graph)
+    assert lay.m_first.size and (lay.t1[lay.offsets] > -np.inf).any()
+    got = _result_or_error(decode, graph, frames, beam, priors)
+    for oracle in (csr_decode, arena_decode, reference_decode):
+        want = _result_or_error(oracle, graph, frames, beam, priors)
+        if isinstance(want, tuple):
+            assert got == want, oracle.__name__
+        else:
+            assert got.to_dict() == want.to_dict(), oracle.__name__
+            assert got.log_prob.hex() == want.log_prob.hex(), oracle.__name__
 
 
 def test_layout_cache_holds_no_graph():

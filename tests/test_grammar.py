@@ -21,7 +21,7 @@ from helpers import (
     random_sentence_grammar,
     random_unit_hmm,
     reference_compose,
-    reference_entry_csr,
+    reference_candidates,
 )
 
 
@@ -188,9 +188,9 @@ def test_decoding_graph_validation():
         DecodingGraph(nodes=(good,), start_edges=((0, 0.0),), hmms={}, kind="x")
 
 
-def assert_entry_csr_matches_reference(graph: DecodingGraph, want: dict) -> None:
+def assert_candidates_match_reference(graph: DecodingGraph, want: dict) -> None:
     lay = _layout(graph)
-    assert lay.tb_entries == want.pop("tb_entries")
+    assert lay.tb_cands == want.pop("tb_cands")
     for name, arr in want.items():
         got = getattr(lay, name)
         assert got.dtype == arr.dtype and np.array_equal(got, arr), name
@@ -232,7 +232,9 @@ def test_compose_and_layout_match_the_prefix_tree_walk(case):
     assert fields(got) == fields(want)
     assert got.start_edges == want.start_edges
     assert graph_sentences(got) == graph_sentences(want)
-    assert_entry_csr_matches_reference(got, reference_entry_csr(want))
+    assert_candidates_match_reference(got, reference_candidates(want))
+    # every node of a composed grammar has at most one incoming edge
+    assert _layout(got).m_first.size == 0
 
 
 def test_layout_of_graphs_without_a_tree_matches_the_reference():
@@ -241,5 +243,7 @@ def test_layout_of_graphs_without_a_tree_matches_the_reference():
     lone = GraphNode(index=0, unit_id=1, activity=None, terminal=True, edges=())
     no_edges = DecodingGraph(nodes=(lone,), start_edges=((0, 0.0),), hmms=hmms, kind="x")
     for graph in (no_edges, unconstrained_graph(hmms)):
-        assert_entry_csr_matches_reference(graph, reference_entry_csr(graph))
-    assert _layout(no_edges).e_start.size == 0 and _layout(no_edges).tb_entries == {}
+        assert_candidates_match_reference(graph, reference_candidates(graph))
+    assert _layout(no_edges).m_start.size == 0 and _layout(no_edges).tb_cands[0] == []
+    # in the unconstrained graph every first state has one candidate per node
+    assert _layout(unconstrained_graph(hmms)).m_first.tolist() == [0, 2, 4]

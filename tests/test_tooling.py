@@ -30,16 +30,42 @@ def _tracer_constant(name: str):
     raise AssertionError(f"{TRACER} defines no {name}")
 
 
+def _program_object(name: str):
+    """The object that a tracer name such as "hmm.UnitHmm.obs_log_prob"
+    names in the program."""
+    module, *path = name.split(".")
+    obj = importlib.import_module(f"actionseg.{module}")
+    for attr in path:
+        assert hasattr(obj, attr), name
+        obj = getattr(obj, attr)
+    return obj
+
+
 def test_every_traced_name_resolves_to_a_callable():
     wrapped = _tracer_constant("WRAPPED")
     assert wrapped
     for name in wrapped:
-        module, *path = name.split(".")
-        obj = importlib.import_module(f"actionseg.{module}")
-        for attr in path:
-            assert hasattr(obj, attr), name
-            obj = getattr(obj, attr)
-        assert callable(obj), name
+        assert callable(_program_object(name)), name
+
+
+def test_every_history_function_fills_the_list_it_is_given():
+    # the tracer binds history=[] for each of these and counts the entries;
+    # without the parameter the key would be dropped and the count read 0
+    rng = np.random.default_rng(4)
+    hmm = random_unit_hmm(rng, 0, n=2, K=1, m=2)
+    seqs = [rng.normal(size=(8, 2)) for _ in range(3)]
+    calls = {
+        "gmm.fit_em": (rng.normal(size=(20, 2)), 2),
+        "hmm.viterbi_train": (hmm, seqs),
+        "hmm.baum_welch": (hmm, seqs),
+    }
+    assert set(calls) == _tracer_constant("HISTORY")
+    for name, args in calls.items():
+        fn = _program_object(name)
+        assert "history" in inspect.signature(fn).parameters, name
+        history: list = []
+        fn(*args, history=history)
+        assert history, name
 
 
 def test_force_align_takes_the_sequences_third():
@@ -102,10 +128,7 @@ def test_every_tracer_counter_reads_the_model_objects(monkeypatch, tmp_path):
     }
     assert set(calls) == set(tracer.COUNTERS)
     for name, args in calls.items():
-        module, *path = name.split(".")
-        fn = importlib.import_module(f"actionseg.{module}")
-        for attr in path:
-            fn = getattr(fn, attr)
+        fn = _program_object(name)
         counts = tracer.COUNTERS[name](args, fn(*args))
         assert counts and all(v > 0 for v in counts.values()), (name, counts)
     assert tracer._graph_states(compose(grammar, hmms)) == 8
