@@ -21,7 +21,6 @@ from .data import (
     load_manifest,
     save_features,
     save_manifest,
-    segmentation_from_labels,
     segmentation_to_transcript,
 )
 from .gmm import Gmm, em_step, fit_em
@@ -29,12 +28,9 @@ from .hmm import (
     StatePath,
     UnitHmm,
     baum_welch,
-    classify_unit,
-    forward_loglik,
     init_hmm,
     load_hmm_set,
     save_hmm_set,
-    score_unit,
     unit_log_priors,
     viterbi_align,
     viterbi_train,
@@ -44,11 +40,8 @@ from .features import (
     FvEncoderConfig,
     PcaModel,
     apply_pca,
-    encode_clip,
-    fisher_vector,
     fit_fv_codebook,
     fit_pca,
-    load_encoder,
     save_encoder,
 )
 from .grammar import (
@@ -71,7 +64,6 @@ from .decoder import (
 from .metrics import (
     ConfusionMatrix,
     accuracy,
-    conditional_mof,
     jaccard,
     mof,
     moc,
@@ -86,7 +78,6 @@ from .pipeline import (
     load_bundle,
     mirror_features,
     save_bundle,
-    split_units,
     train_supervised,
 )
 from .synth import SynthSpec, generate_dataset
@@ -126,26 +117,20 @@ __all__ = [
     "bootstrap",
     "build_grammar",
     "classify_activity",
-    "classify_unit",
     "compose",
-    "conditional_mof",
     "decode",
     "em_step",
-    "encode_clip",
     "export_ebnf",
-    "fisher_vector",
     "fit_em",
     "fit_fv_codebook",
     "fit_pca",
     "force_align",
-    "forward_loglik",
     "frame_labels",
     "generate_dataset",
     "graph_sentences",
     "init_hmm",
     "jaccard",
     "load_bundle",
-    "load_encoder",
     "load_features",
     "load_hmm_set",
     "load_manifest",
@@ -159,10 +144,7 @@ __all__ = [
     "save_features",
     "save_hmm_set",
     "save_manifest",
-    "score_unit",
-    "segmentation_from_labels",
     "segmentation_to_transcript",
-    "split_units",
     "train_supervised",
     "unconstrained_graph",
     "unit_log_priors",

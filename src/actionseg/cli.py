@@ -451,11 +451,11 @@ def cmd_grid(args) -> None:
         split_train = list(train_ids)
         for cid in sorted(records):
             rec = records[cid]
-            path = clip_dir / f"{cid}.feat"
-            save_features(path, transform(raw[cid]))
-            new_clips.append(
-                ClipRecord(cid, str(path), rec.activity, rec.segmentation, rec.transcript)
-            )
+            if pca is not None:  # else the input file already holds these features
+                path = clip_dir / f"{cid}.feat"
+                save_features(path, transform(raw[cid]))
+                rec = ClipRecord(cid, str(path), rec.activity, rec.segmentation, rec.transcript)
+            new_clips.append(rec)
         if mir:
             for cid in train_ids:
                 rec = records[cid]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -457,10 +457,3 @@ def label_runs(labels: Sequence) -> Iterator[tuple[int, int, object]]:
             start = t
     if len(labels):
         yield start, len(labels) - 1, labels[start]
-
-
-def segmentation_from_labels(labels: Sequence[int]) -> Segmentation:
-    """Inverse of frame_labels: maximal runs of equal labels become segments."""
-    if len(labels) == 0:
-        raise DataError("cannot build a segmentation from zero frames")
-    return Segmentation(tuple((int(lbl), s, e) for s, e, lbl in label_runs(labels)))

@@ -1,9 +1,11 @@
 """Frame feature encoding: PCA, sliding-window Fisher Vectors, a second
 PCA, and per-clip L2 normalization of each output dimension.
 
-The full chain turns precomputed per-frame base descriptors into the
-frame features the unit models observe.  Every stage is optional so the
-chain also covers reduced setups (PCA only, or raw features).
+The full chain, a FrameEncoder, turns precomputed per-frame base
+descriptors into the frame features the unit models observe.  Every stage
+is optional so the chain also covers reduced setups (PCA only, or raw
+features).  save_encoder writes the fitted chain as a JSON record; no
+command reads it back.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 from .data import FeatureSequence
 from .errors import DataError
 from .gmm import Gmm, fit_em
-from .util import child_rng, derive_seed, read_json, write_json
+from .util import child_rng, derive_seed, write_json
 
 DEFAULT_FV_WINDOW = 20
 FV_SAMPLE_CAP = 200_000
@@ -64,10 +66,6 @@ class PcaModel:
             "mean": [float(v) for v in self.mean],
             "basis": [[float(v) for v in row] for row in self.basis],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PcaModel":
-        return cls(mean=np.array(d["mean"]), basis=np.array(d["basis"]))
 
 
 def fit_pca(samples: np.ndarray, target_dim: int) -> PcaModel:
@@ -164,16 +162,6 @@ def _window_bounds(T: int, window: int, t: np.ndarray | int):
     return lo, hi
 
 
-def fisher_vector(X: np.ndarray, gmm: Gmm, signed_sqrt: bool = False) -> np.ndarray:
-    """Fisher Vector of a frame set: soft-assignment first- and second-order
-    statistics, normalized by the frame count and component weights."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] < 1:
-        raise DataError("cannot encode an empty frame set")
-    fv = _frame_stats(X, gmm).mean(axis=0)
-    return _signed_sqrt(fv) if signed_sqrt else fv
-
-
 def _l2_normalize_columns(X: np.ndarray) -> np.ndarray:
     """Scale each column to unit L2 norm; all-zero columns stay zero."""
     norms = np.sqrt(np.sum(X * X, axis=0))
@@ -216,25 +204,6 @@ def window_fv_matrix(
     return _signed_sqrt(out) if cfg.signed_sqrt else out
 
 
-def encode_clip(
-    frames,
-    pca1: PcaModel | None,
-    cfg: FvEncoderConfig | None,
-    pca2: PcaModel | None,
-) -> FeatureSequence:
-    """Encode one clip: first PCA, per-frame windowed FV, second PCA, then
-    L2-normalize each output dimension over the clip.
-
-    Stages set to None are skipped; the final per-dimension normalization
-    always runs.
-    """
-    clip_id = frames.clip_id if isinstance(frames, FeatureSequence) else ""
-    X = window_fv_matrix(frames, pca1, cfg)
-    if pca2 is not None:
-        X = apply_pca(pca2, X)
-    return FeatureSequence(_l2_normalize_columns(np.atleast_2d(X)), clip_id=clip_id)
-
-
 def fit_fv_codebook(
     frame_arrays: Sequence[np.ndarray],
     K: int,
@@ -271,7 +240,17 @@ class FrameEncoder:
     codebook_seed: int = 0
 
     def encode(self, frames) -> FeatureSequence:
-        return encode_clip(frames, self.pca1, self.fv, self.pca2)
+        """Encode one clip: first PCA, per-frame windowed FV, second PCA,
+        then L2-normalize each output dimension over the clip.
+
+        Stages set to None are skipped; the final per-dimension
+        normalization always runs.
+        """
+        clip_id = frames.clip_id if isinstance(frames, FeatureSequence) else ""
+        X = window_fv_matrix(frames, self.pca1, self.fv)
+        if self.pca2 is not None:
+            X = apply_pca(self.pca2, X)
+        return FeatureSequence(_l2_normalize_columns(np.atleast_2d(X)), clip_id=clip_id)
 
 
 def save_encoder(path, enc: FrameEncoder) -> None:
@@ -290,22 +269,3 @@ def save_encoder(path, enc: FrameEncoder) -> None:
         "pca2": enc.pca2.to_dict() if enc.pca2 is not None else None,
     }
     write_json(path, doc)
-
-
-def load_encoder(path) -> FrameEncoder:
-    doc = read_json(path)
-    if not isinstance(doc, dict) or doc.get("format") != ENCODER_FORMAT:
-        raise DataError(f"{path} is not a saved frame encoder")
-    fv = None
-    if doc.get("fv") is not None:
-        fv = FvEncoderConfig(
-            gmm=Gmm.from_dict(doc["fv"]["gmm"]),
-            window=int(doc["fv"]["window"]),
-            signed_sqrt=bool(doc["fv"]["signed_sqrt"]),
-        )
-    return FrameEncoder(
-        pca1=PcaModel.from_dict(doc["pca1"]) if doc.get("pca1") is not None else None,
-        fv=fv,
-        pca2=PcaModel.from_dict(doc["pca2"]) if doc.get("pca2") is not None else None,
-        codebook_seed=int(doc.get("codebook_seed", 0)),
-    )

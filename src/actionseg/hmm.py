@@ -369,16 +369,6 @@ def viterbi_align(hmm: UnitHmm, seq) -> StatePath:
     return StatePath(states=states[:, 0], log_prob=float(total[0]))
 
 
-def forward_loglik(hmm: UnitHmm, seq) -> float:
-    """Total log-probability summed over all legal paths (-inf when T < n)."""
-    frames = _frames(seq, hmm.dim)
-    T, n = frames.shape[0], hmm.n
-    if T < n:
-        return float("-inf")
-    alpha = _forward(hmm.obs_log_prob(frames)[:, None], hmm.log_self, hmm.log_next)
-    return float(alpha[T - 1, 0, n - 1] + hmm.log_next[n - 1])
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -540,17 +530,7 @@ def baum_welch(
 
 
 # ---------------------------------------------------------------------------
-# isolated-unit scoring
-
-
-def score_unit(hmm: UnitHmm, seq, prior_log: float = 0.0) -> float:
-    """Best-path log-probability plus a unit log-prior; -inf when no legal
-    path exists (sequence shorter than the model)."""
-    try:
-        path = viterbi_align(hmm, seq)
-    except NoPathError:
-        return float("-inf")
-    return path.log_prob + prior_log
+# unit priors
 
 
 def unit_log_priors(lexicon: UnitLexicon) -> dict[int, float]:
@@ -564,24 +544,6 @@ def unit_log_priors(lexicon: UnitLexicon) -> dict[int, float]:
     return {
         i: (math.log(wi / tot) if wi > 0 else float("-inf")) for i, wi in enumerate(w)
     }
-
-
-def classify_unit(
-    hmms: Mapping[int, UnitHmm],
-    seq,
-    prior_logs: Mapping[int, float] | None = None,
-) -> int | None:
-    """Return the best-scoring unit id, or None when every unit scores -inf
-    (no decision).  Exact ties go to the smallest unit id."""
-    best_id = None
-    best = -np.inf
-    for uid in sorted(hmms):
-        p = 0.0 if prior_logs is None else prior_logs.get(uid, 0.0)
-        s = score_unit(hmms[uid], seq, p)
-        if s > best:
-            best = s
-            best_id = uid
-    return best_id if best > -np.inf else None
 
 
 # ---------------------------------------------------------------------------

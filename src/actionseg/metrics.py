@@ -92,9 +92,6 @@ class ConfusionMatrix:
         self.labels = tuple(self.labels)
         self.counts = counts
 
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
     def to_dict(self) -> dict:
         return {
             "labels": list(self.labels),
@@ -119,27 +116,6 @@ def accuracy(gt_labels: Sequence, pred_labels: Sequence) -> tuple[float, Confusi
         counts[index[g], index[p]] += 1
         hits += g == p
     return hits / len(gt_labels), ConfusionMatrix(labels=labels, counts=counts)
-
-
-def conditional_mof(
-    gt_clips: Sequence[Sequence],
-    pred_clips: Sequence[Sequence],
-    clip_correct: Sequence[bool],
-) -> float:
-    """Frame accuracy over only the clips marked correct (e.g. clips whose
-    activity label was right); frames of the other clips are ignored."""
-    if not (len(gt_clips) == len(pred_clips) == len(clip_correct)):
-        raise DataError("clip lists and mask must have equal length")
-    if len(clip_correct) == 0 or not any(clip_correct):
-        raise DataError("no clip passes the mask")
-    g_all, p_all = [], []
-    for g, p, ok in zip(gt_clips, pred_clips, clip_correct):
-        if not ok:
-            continue
-        g, p = _paired(g, p)
-        g_all.append(g)
-        p_all.append(p)
-    return float(np.mean(np.concatenate(g_all) == np.concatenate(p_all)))
 
 
 # ---------------------------------------------------------------------------

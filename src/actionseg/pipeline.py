@@ -10,13 +10,12 @@ Semi-supervised bootstrapping first trains on a fully annotated subset,
 then force-aligns transcript-only clips with those models and
 re-estimates everything on the union.
 
-Also here: unit granularity splitting (each annotated segment divided
-into equal sub-unit spans) and the mirrored-feature augmentation hook.
+Also here: the mirrored-feature augmentation hook and model bundle
+persistence.
 """
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -24,7 +23,6 @@ from typing import Mapping
 import numpy as np
 
 from .data import (
-    ClipRecord,
     DatasetManifest,
     FeatureSequence,
     Transcript,
@@ -34,10 +32,7 @@ from .data import (
     load_transcript,
     read_segment_names,
     read_transcript_names,
-    save_manifest,
     segmentation_to_transcript,
-    write_segment_names,
-    write_transcript_names,
 )
 from .decoder import force_align
 from .errors import DataError
@@ -207,8 +202,19 @@ def extract_segments(
             tr = load_transcript(clip.transcript, lexicon)
         else:
             tr = segmentation_to_transcript(seg)
+        _check_brackets(tr, lexicon, clip.transcript or clip.segmentation)
         transcripts.append((clip.activity, tr))
     return per_unit, transcripts, counts
+
+
+def _check_brackets(tr: Transcript, lexicon: UnitLexicon, path) -> None:
+    """The grammar's silence brackets, checked where the file that broke
+    them (path) is still known."""
+    sil = lexicon.silence_id
+    if len(tr) < 2 or tr.units[0] != sil or tr.units[-1] != sil:
+        raise DataError(
+            f"{path}: transcript must start and end with {lexicon.name_of(sil)!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +375,7 @@ def bootstrap(
             if clip.transcript is None:
                 raise DataError(f"clip {cid!r} has no transcript")
             tr = load_transcript(clip.transcript, lexicon)
+            _check_brackets(tr, lexicon, clip.transcript)
             missing = sorted({lexicon.name_of(u) for u in set(tr.units) - bundle.hmms.keys()})
             if missing:
                 raise DataError(
@@ -395,96 +402,6 @@ def bootstrap(
             per_unit, transcripts, counts, lexicon, K, cfg, config, bundle.hmms
         )
     return bundle
-
-
-# ---------------------------------------------------------------------------
-# unit granularity splitting
-
-
-def _split_rows(
-    rows: list[tuple[int, int, str]],
-    k: int,
-    silence: str,
-    context: str,
-) -> list[tuple[int, int, str]]:
-    out = []
-    for start, end, name in rows:
-        if k == 1 or name == silence:
-            out.append((start, end, name))
-            continue
-        L = end - start + 1
-        if L < k:
-            warnings.warn(
-                f"{context}: {L}-frame segment of {name!r} is shorter than "
-                f"{k} parts; splitting into {L} single-frame parts"
-            )
-            sizes = [1] * L
-        else:
-            base = L // k
-            sizes = [base] * (k - 1) + [L - base * (k - 1)]
-        s = start
-        for i, size in enumerate(sizes, start=1):
-            out.append((s, s + size - 1, f"{name}#{i}"))
-            s += size
-    return out
-
-
-def split_units(
-    manifest: DatasetManifest,
-    k: int,
-    out_dir,
-    silence: str = DEFAULT_SILENCE,
-) -> DatasetManifest:
-    """Divide every annotated non-silence segment into k equal spans named
-    unit#1..unit#k (remainder frames go to the last span) and write the
-    derived annotations plus a new manifest under out_dir.
-
-    Silence stays whole so sequences remain silence-delimited.  Frame
-    coverage per clip is unchanged.  Feature files are referenced, not
-    copied.
-    """
-    if k < 1:
-        raise DataError("cannot split units into zero parts")
-    out_dir = Path(out_dir)
-    (out_dir / "annotations").mkdir(parents=True, exist_ok=True)
-
-    def expand_name(name: str) -> list[str]:
-        if k == 1 or name == silence:
-            return [name]
-        return [f"{name}#{i}" for i in range(1, k + 1)]
-
-    clips = []
-    for clip in manifest.clips:
-        seg_path = None
-        tr_path = None
-        if clip.segmentation is not None:
-            rows = _split_rows(
-                read_segment_names(clip.segmentation), k, silence, clip.clip_id
-            )
-            seg_path = out_dir / "annotations" / f"{clip.clip_id}.seg"
-            write_segment_names(seg_path, rows)
-            tr_path = out_dir / "annotations" / f"{clip.clip_id}.tr"
-            write_transcript_names(tr_path, [name for _, _, name in rows])
-        elif clip.transcript is not None:
-            names = [
-                part
-                for nm in read_transcript_names(clip.transcript)
-                for part in expand_name(nm)
-            ]
-            tr_path = out_dir / "annotations" / f"{clip.clip_id}.tr"
-            write_transcript_names(tr_path, names)
-        clips.append(
-            ClipRecord(
-                clip_id=clip.clip_id,
-                features=Path(clip.features).resolve(),
-                activity=clip.activity,
-                segmentation=seg_path,
-                transcript=tr_path,
-            )
-        )
-    out = DatasetManifest(clips=tuple(clips), splits=dict(manifest.splits))
-    save_manifest(out_dir / "manifest.json", out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +433,12 @@ class MirrorMap:
         return self.perm.size
 
     @classmethod
-    def identity(cls, dim: int) -> "MirrorMap":
-        return cls(perm=np.arange(dim), signs=np.ones(dim))
-
-    @classmethod
     def sign_flip(cls, dim: int) -> "MirrorMap":
         return cls(perm=np.arange(dim), signs=-np.ones(dim))
 
 
-def mirror_features(seq: FeatureSequence, mirror: MirrorMap | None = None) -> FeatureSequence:
-    """Apply a mirror map to a clip's features (identity when None)."""
-    if mirror is None:
-        return seq
+def mirror_features(seq: FeatureSequence, mirror: MirrorMap) -> FeatureSequence:
+    """Apply a mirror map to a clip's features."""
     if mirror.dim != seq.dim:
         raise DataError(
             f"mirror map has {mirror.dim} dimensions, features have {seq.dim}"

@@ -21,13 +21,14 @@ from actionseg.data import (
 )
 from actionseg.decoder import DecodeResult, _layout, _no_path
 from actionseg.errors import BeamPrunedError, DataError, NoPathError
-from actionseg.features import FvEncoderConfig, _window_bounds, fisher_vector
+from actionseg.features import FvEncoderConfig, _frame_stats, _signed_sqrt, _window_bounds
 from actionseg.gmm import Gmm, _logsumexp, variance_floor
 from actionseg.grammar import DecodingGraph, Grammar, GraphNode, build_grammar, compose
 from actionseg.hmm import (
     StatePath,
     UnitHmm,
     _apply_beam,
+    _forward,
     _frames,
     _reestimate_transitions,
     _usable_frames,
@@ -138,6 +139,16 @@ def reference_em_step(gmm: Gmm, X: np.ndarray, floor: np.ndarray) -> tuple[Gmm, 
         new_mu[k] = mu
         new_var[k] = np.maximum(sq - mu * mu, floor)
     return Gmm(weights=new_w, means=new_mu, variances=new_var), ll
+
+
+def fisher_vector(X: np.ndarray, gmm: Gmm, signed_sqrt: bool = False) -> np.ndarray:
+    """Fisher Vector of a frame set: soft-assignment first- and second-order
+    statistics, normalized by the frame count and component weights."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[0] < 1:
+        raise DataError("cannot encode an empty frame set")
+    fv = _frame_stats(X, gmm).mean(axis=0)
+    return _signed_sqrt(fv) if signed_sqrt else fv
 
 
 def encode_fv(frames, cfg: FvEncoderConfig, t: int) -> np.ndarray:
@@ -844,8 +855,19 @@ def reference_viterbi_align(hmm: UnitHmm, seq) -> StatePath:
     return StatePath(states=states, log_prob=float(total))
 
 
+def forward_loglik(hmm: UnitHmm, seq) -> float:
+    """Total log-probability summed over all legal paths (-inf when T < n),
+    through the forward recursion that baum_welch runs."""
+    frames = _frames(seq, hmm.dim)
+    T, n = frames.shape[0], hmm.n
+    if T < n:
+        return float("-inf")
+    alpha = _forward(hmm.obs_log_prob(frames)[:, None], hmm.log_self, hmm.log_next)
+    return float(alpha[T - 1, 0, n - 1] + hmm.log_next[n - 1])
+
+
 def reference_forward_loglik(hmm: UnitHmm, seq) -> float:
-    """The per-frame loop form of actionseg.hmm.forward_loglik."""
+    """The per-frame loop form of forward_loglik."""
     frames = _frames(seq, hmm.dim)
     T, n = frames.shape[0], hmm.n
     if T < n:

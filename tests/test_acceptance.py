@@ -29,12 +29,13 @@ from actionseg.decoder import classify_activity, decode, majority_vote
 from actionseg.errors import NoPathError
 from actionseg.gmm import fit_em
 from actionseg.grammar import compose
-from actionseg.hmm import baum_welch, forward_loglik, init_hmm, viterbi_align, viterbi_train
+from actionseg.hmm import baum_welch, init_hmm, viterbi_align, viterbi_train
 from actionseg.metrics import jaccard, moc, mof
 from actionseg.pipeline import BootstrapConfig, bootstrap, train_supervised
 from actionseg.synth import load_truth
 from helpers import (
     compose_random_graph,
+    forward_loglik,
     oracle_decode_best,
     oracle_forward,
     oracle_viterbi,

@@ -478,6 +478,49 @@ def test_bad_annotation_file_exits_2_naming_it(
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
+def _drop_leading_silence(path: Path) -> None:
+    path.write_text("\n".join(read_transcript_names(path)[1:]) + "\n")
+
+
+def _relabel_leading_silence(path: Path) -> None:
+    rows = read_segment_names(path)
+    rows[0] = (rows[0][0], rows[0][1], rows[1][2])
+    write_segment_names(path, rows)
+
+
+@pytest.mark.parametrize("command, split, field, mutate", [
+    ("train", "train", "transcript", _drop_leading_silence),
+    ("train", "train", "segmentation", _relabel_leading_silence),
+    ("bootstrap", "test", "transcript", _drop_leading_silence),
+], ids=["train-tr", "train-seg", "bootstrap-tr"])
+def test_unbracketed_transcript_exits_2_naming_its_file(
+    capsys, workspace, tmp_path, command, split, field, mutate
+):
+    # the grammar needs every transcript inside silence; a .seg stands in
+    # for the transcript of a clip that has no .tr
+    root, data, model = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    doc = json.loads((copy / "manifest.json").read_text())
+    cid = doc["splits"][split][-1]
+    clip = next(c for c in doc["clips"] if c["id"] == cid)
+    if field == "segmentation":
+        del clip["transcript"]
+        (copy / "manifest.json").write_text(json.dumps(doc))
+    path = getattr(load_manifest(copy / "manifest.json").clip(cid), field)
+    mutate(path)
+    splits = (
+        ["--split", split] if command == "train"
+        else ["--annotated-split", "train", "--transcript-split", split]
+    )
+    code, out, err = run_cli(
+        capsys, command, "--manifest", str(copy / "manifest.json"), *splits,
+        "--gmm-k", "1", *TRAIN_SPEED, "--out", str(tmp_path / "out"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: transcript must start and end with 'SIL'\n"
+
+
 def test_decode_tight_beam_exits_3(capsys, workspace):
     root, data, model = workspace
     code, _, err = run_cli(
@@ -663,6 +706,20 @@ def test_grid_votes_over_settings(capsys, workspace, tmp_path):
     assert metrics == ["mof/k1_dfull", "mof/k1_dfull_m", "mof/voted"]
     # the plain setting on clean data reconstructs the test clips
     assert doc["settings"][0]["mof"] > 0.9
+    # settings without a PCA read the input features and write only the mirrored clips
+    manifest = load_manifest(data / "manifest.json")
+    for tag in tags:
+        setting = load_manifest(out_dir / "settings" / tag / "manifest.json")
+        for clip in manifest.clips:
+            assert setting.clip(clip.clip_id).features == clip.features
+    written = {
+        tag: sorted(p.name for p in (out_dir / "settings" / tag / "clips").iterdir())
+        for tag in tags
+    }
+    assert written == {
+        "k1_dfull": [],
+        "k1_dfull_m": sorted(f"{cid}~m.feat" for cid in manifest.split_ids("train")),
+    }
     # each voted .seg holds the runs of the frame-wise vote over the settings' decodes
     hypotheses = {}
     for tag in tags:
@@ -675,7 +732,6 @@ def test_grid_votes_over_settings(capsys, workspace, tmp_path):
         for seg in sorted(dec.glob("*.seg")):
             frames = [n for s, e, n in read_segment_names(seg) for _ in range(e - s + 1)]
             hypotheses.setdefault(seg.stem, []).append(frames)
-    manifest = load_manifest(data / "manifest.json")
     assert sorted(hypotheses) == sorted(manifest.split_ids("test"))
     for cid, hyps in hypotheses.items():
         runs, t = [], 0

@@ -22,7 +22,6 @@ from actionseg.data import (
     read_transcript_names,
     save_features,
     save_manifest,
-    segmentation_from_labels,
     segmentation_to_transcript,
     write_segment_names,
     write_transcript_names,
@@ -208,12 +207,10 @@ def test_label_conversions_round_trip():
     seg = Segmentation(((2, 0, 2), (0, 3, 3), (2, 4, 6)))
     labels = frame_labels(seg, 7)
     assert labels == [2, 2, 2, 0, 2, 2, 2]
-    assert segmentation_from_labels(labels) == seg
+    assert Segmentation(tuple((u, s, e) for s, e, u in label_runs(labels))) == seg
     assert segmentation_to_transcript(seg) == Transcript((2, 0, 2))
     with pytest.raises(DataError):
         frame_labels(seg, 8)
-    with pytest.raises(DataError):
-        segmentation_from_labels([])
 
 
 def test_label_runs():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,12 @@ from actionseg.features import (
     FvEncoderConfig,
     PcaModel,
     apply_pca,
-    encode_clip,
-    fisher_vector,
     fit_fv_codebook,
     fit_pca,
-    load_encoder,
     save_encoder,
     window_fv_matrix,
 )
-from helpers import encode_fv, random_gmm
+from helpers import encode_fv, fisher_vector, random_gmm
 
 
 def manual_fisher_vector(X: np.ndarray, gmm) -> np.ndarray:
@@ -100,7 +99,7 @@ def test_pca_model_validation_and_round_trip():
     with pytest.raises(DataError):
         PcaModel(mean=np.zeros(2), basis=np.eye(3))
     model = fit_pca(np.random.default_rng(54).normal(size=(30, 3)), 2)
-    back = PcaModel.from_dict(model.to_dict())
+    back = PcaModel(**model.to_dict())
     np.testing.assert_array_equal(back.mean, model.mean)
     np.testing.assert_array_equal(back.basis, model.basis)
     with pytest.raises(DataError):
@@ -180,7 +179,7 @@ def test_encode_clip_full_chain():
     cfg = FvEncoderConfig(gmm=gmm, window=6)
     mid = window_fv_matrix(seq.frames, pca1, cfg)
     pca2 = fit_pca(mid, 4)
-    out = encode_clip(seq, pca1, cfg, pca2)
+    out = FrameEncoder(pca1=pca1, fv=cfg, pca2=pca2).encode(seq)
     assert out.clip_id == "c9"
     want = apply_pca(pca2, mid)
     want = want / np.sqrt(np.sum(want * want, axis=0))
@@ -191,7 +190,7 @@ def test_encode_clip_full_chain():
 
 def test_encode_clip_normalizes_even_without_stages():
     frames = np.array([[3.0, 0.0], [4.0, 0.0]])
-    out = encode_clip(frames, None, None, None)
+    out = FrameEncoder().encode(frames)
     np.testing.assert_allclose(out.frames[:, 0], [0.6, 0.8], atol=1e-12)
     # an all-zero dimension is left at zero rather than dividing by zero
     np.testing.assert_array_equal(out.frames[:, 1], [0.0, 0.0])
@@ -209,7 +208,7 @@ def test_fit_fv_codebook_deterministic_and_capped():
     assert full.n_components == 2
 
 
-def test_encoder_round_trip(tmp_path):
+def test_save_encoder_records_the_chain(tmp_path):
     rng = np.random.default_rng(62)
     X = rng.normal(size=(40, 3))
     pca1 = fit_pca(X, 2)
@@ -222,18 +221,10 @@ def test_encoder_round_trip(tmp_path):
     )
     p = tmp_path / "encoder.json"
     save_encoder(p, enc)
-    back = load_encoder(p)
-    assert back.codebook_seed == 11
-    assert back.pca2 is None
-    assert back.fv.window == 7 and back.fv.signed_sqrt is True
-    assert back.fv.gmm == gmm
-    np.testing.assert_array_equal(back.pca1.basis, pca1.basis)
-    seq = FeatureSequence(X[:15])
-    np.testing.assert_array_equal(enc.encode(seq).frames, back.encode(seq).frames)
-
-
-def test_load_encoder_rejects_other_files(tmp_path):
-    p = tmp_path / "other.json"
-    p.write_text("{\"format\": \"hmm-set\"}\n")
-    with pytest.raises(DataError):
-        load_encoder(p)
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    assert doc["format"] == "frame-encoder" and doc["version"] == 1
+    assert doc["codebook_seed"] == 11
+    assert doc["fv"]["window"] == 7 and doc["fv"]["signed_sqrt"] is True
+    assert doc["pca2"] is None
+    assert doc["pca1"] == pca1.to_dict()
+    assert doc["fv"]["gmm"] == gmm.to_dict()

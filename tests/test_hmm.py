@@ -10,17 +10,15 @@ from actionseg.hmm import (
     StatePath,
     UnitHmm,
     baum_welch,
-    classify_unit,
-    forward_loglik,
     init_hmm,
     load_hmm_set,
     save_hmm_set,
-    score_unit,
     unit_log_priors,
     viterbi_align,
     viterbi_train,
 )
 from helpers import (
+    forward_loglik,
     oracle_forward,
     oracle_viterbi,
     random_unit_hmm,
@@ -378,31 +376,6 @@ def test_training_failures_match_reference(fn, ref):
         got = _outcome(fn, hmm, seqs, max_iter=2)
         want = _outcome(ref, hmm, seqs, max_iter=2)
         assert isinstance(got[0], tuple) and got == want
-
-
-def test_score_unit_and_classify():
-    rng = np.random.default_rng(42)
-    lo = random_unit_hmm(rng, 0, 1, 1, 1)
-    hi = random_unit_hmm(rng, 1, 1, 1, 1)
-    lo.obs[0].means[:] = -5.0
-    hi.obs[0].means[:] = 5.0
-    frames = np.full((6, 1), 5.0)
-    hmms = {0: lo, 1: hi}
-    assert classify_unit(hmms, frames) == 1
-    assert score_unit(lo, frames) < score_unit(hi, frames)
-    # a crushing prior flips the decision
-    assert classify_unit(hmms, frames, {0: 0.0, 1: -1e9}) == 0
-    # too-short sequences score -inf and yield no decision
-    tall = constant_obs_hmm(4)
-    assert score_unit(tall, np.zeros((2, 1))) == -np.inf
-    assert classify_unit({0: tall}, np.zeros((2, 1))) is None
-
-
-def test_classify_unit_tie_goes_to_smallest_id():
-    hmm_a = constant_obs_hmm(1)
-    hmm_b = constant_obs_hmm(1)
-    frames = np.zeros((4, 1))
-    assert classify_unit({2: hmm_a, 5: hmm_b}, frames) == 2
 
 
 def test_unit_log_priors_inverse_frequency():

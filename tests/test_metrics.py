@@ -8,7 +8,6 @@ from actionseg.errors import DataError
 from actionseg.metrics import (
     ConfusionMatrix,
     accuracy,
-    conditional_mof,
     jaccard,
     moc,
     mof,
@@ -67,7 +66,6 @@ def test_accuracy_and_confusion():
     assert acc == pytest.approx(2 / 3)
     assert cm.labels == ("x", "y")
     np.testing.assert_array_equal(cm.counts, [[2, 0], [1, 0]])
-    np.testing.assert_array_equal(cm.row_sums(), [2, 1])
     assert cm.to_dict() == {"labels": ["x", "y"], "counts": [[2, 0], [1, 0]]}
     # labels seen only in predictions still get a column
     acc2, cm2 = accuracy(["x"], ["z"])
@@ -85,19 +83,6 @@ def test_confusion_matrix_validation():
         ConfusionMatrix(labels=("a",), counts=np.zeros((2, 2)))
     with pytest.raises(DataError):
         ConfusionMatrix(labels=("a", "b"), counts=np.array([[1, 0], [0, -1]]))
-
-
-def test_conditional_mof():
-    gt = [["a", "a"], ["b", "b"], ["c"]]
-    pred = [["a", "b"], ["a", "a"], ["c"]]
-    got = conditional_mof(gt, pred, [True, False, True])
-    # kept frames: a a | c vs a b | c
-    assert got == pytest.approx(2 / 3)
-    assert conditional_mof(gt, pred, [True, True, True]) == pytest.approx(2 / 5)
-    with pytest.raises(DataError):
-        conditional_mof(gt, pred, [False, False, False])
-    with pytest.raises(DataError):
-        conditional_mof(gt, pred, [True])
 
 
 def test_report_row_and_csv(tmp_path):

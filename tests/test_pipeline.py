@@ -12,9 +12,7 @@ from actionseg.data import (
     FeatureSequence,
     frame_labels,
     load_features,
-    load_manifest,
     read_segment_names,
-    read_transcript_names,
     save_features,
     write_segment_names,
     write_transcript_names,
@@ -34,7 +32,6 @@ from actionseg.pipeline import (
     load_bundle,
     mirror_features,
     save_bundle,
-    split_units,
     train_supervised,
 )
 
@@ -309,63 +306,13 @@ def test_bootstrap_reports_the_first_bad_clip_in_sorted_order(tmp_path):
         bootstrap(manifest, bcfg, K=1, cfg=quick_cfg())
 
 
-def test_split_units_divides_segments(tmp_path):
-    rng = np.random.default_rng(102)
-    root, manifest = make_dataset(tmp_path, rng)
-    out = split_units(manifest, 2, tmp_path / "split2")
-    clip = out.clip("c1")
-    rows = read_segment_names(clip.segmentation)
-    names = [nm for _, _, nm in rows]
-    assert names == ["SIL", "take#1", "take#2", "pour#1", "pour#2", "SIL"]
-    old_rows = read_segment_names(manifest.clip("c1").segmentation)
-    assert rows[0] == old_rows[0]
-    # coverage is preserved and parts within a unit are contiguous
-    assert rows[-1][1] == old_rows[-1][1]
-    for (s1, e1, _), (s2, _, _) in zip(rows, rows[1:]):
-        assert s2 == e1 + 1
-    # remainder frames go to the last part
-    _, _, nm = old_rows[1]
-    L = old_rows[1][1] - old_rows[1][0] + 1
-    assert rows[1][1] - rows[1][0] + 1 == L // 2
-    assert rows[2][1] - rows[2][0] + 1 == L - L // 2
-    assert read_transcript_names(clip.transcript) == names
-    # the derived manifest round-trips from disk
-    back = load_manifest(tmp_path / "split2" / "manifest.json")
-    assert back.split_ids("train") == ("c0", "c1", "c2")
-
-
-def test_split_units_edge_cases(tmp_path):
-    rng = np.random.default_rng(103)
-    root, manifest = make_dataset(tmp_path, rng)
-    with pytest.raises(DataError):
-        split_units(manifest, 0, tmp_path / "bad")
-    same = split_units(manifest, 1, tmp_path / "split1")
-    assert read_segment_names(same.clip("c0").segmentation) == read_segment_names(
-        manifest.clip("c0").segmentation
-    )
-    # a segment shorter than k warns and falls back to single frames
-    short = root / "clips" / "c0.seg"
-    rows = read_segment_names(short)
-    s0, e0, _ = rows[0]
-    write_segment_names(
-        short, [(s0, e0, "SIL"), (e0 + 1, e0 + 2, "take"), (e0 + 3, rows[-1][1], "SIL")]
-    )
-    with pytest.warns(UserWarning, match="shorter"):
-        split3 = split_units(manifest, 3, tmp_path / "split3")
-    names = [nm for _, _, nm in read_segment_names(split3.clip("c0").segmentation)]
-    assert names == ["SIL", "take#1", "take#2", "SIL"]
-
-
 def test_mirror_map_and_features():
     rng = np.random.default_rng(104)
     seq = FeatureSequence(rng.normal(size=(5, 3)), clip_id="c")
-    assert mirror_features(seq) is seq
     flip = MirrorMap.sign_flip(3)
     out = mirror_features(seq, flip)
     np.testing.assert_array_equal(out.frames, -seq.frames)
     assert out.clip_id == "c"
-    ident = MirrorMap.identity(3)
-    np.testing.assert_array_equal(mirror_features(seq, ident).frames, seq.frames)
     swap = MirrorMap(perm=np.array([1, 0, 2]), signs=np.array([1.0, -1.0, 1.0]))
     out2 = mirror_features(seq, swap)
     np.testing.assert_array_equal(out2.frames[:, 0], seq.frames[:, 1])
@@ -375,7 +322,7 @@ def test_mirror_map_and_features():
     with pytest.raises(DataError):
         MirrorMap(perm=np.array([0, 1]), signs=np.array([1.0, 2.0]))
     with pytest.raises(DataError):
-        mirror_features(seq, MirrorMap.identity(2))
+        mirror_features(seq, MirrorMap.sign_flip(2))
 
 
 def test_bundle_round_trip(tmp_path):

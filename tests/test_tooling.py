@@ -1,22 +1,27 @@
 """The benchmark's layer tracer names functions of the program; it must
-keep finding them."""
+keep finding them.  Every public function must be reached from outside
+its own module."""
 import ast
 import importlib
 import inspect
+import re
 import sys
 import types
 from pathlib import Path
 
 import numpy as np
 
+import actionseg
 from actionseg.cli import build_parser
 from actionseg.data import FeatureSequence, UnitLexicon
 from actionseg.decoder import decode, force_align
 from actionseg.grammar import Grammar, compose
 from helpers import random_unit_hmm
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 TRACER = BENCH / "tracer.py"
+SRC = ROOT / "src" / "actionseg"
 
 
 def _tracer_constant(name: str):
@@ -132,3 +137,24 @@ def test_every_tracer_counter_reads_the_model_objects(monkeypatch, tmp_path):
         counts = tracer.COUNTERS[name](args, fn(*args))
         assert counts and all(v > 0 for v in counts.values()), (name, counts)
     assert tracer._graph_states(compose(grammar, hmms)) == 8
+
+
+def test_every_public_function_is_named_outside_its_module():
+    # a public function that only tests call is API no command reaches: it
+    # belongs in tests/helpers.py as an oracle, or nowhere.  Classes are
+    # exempt because public functions return them.
+    texts = {
+        p: p.read_text(encoding="utf-8")
+        for d in (SRC, BENCH, ROOT / "demos")
+        for p in d.glob("*.py")
+    }
+    unreached = []
+    for name in actionseg.__all__:
+        obj = getattr(actionseg, name)
+        if not inspect.isfunction(obj):
+            continue
+        home = {SRC / "__init__.py", Path(inspect.getsourcefile(obj)).resolve()}
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(text) for p, text in texts.items() if p not in home):
+            unreached.append(name)
+    assert not unreached, f"public functions no command, module or demo names: {unreached}"
