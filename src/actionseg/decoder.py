@@ -7,19 +7,28 @@ log-probability; at a unit's first state the exit of each node with an
 edge into it, plus the exit log-probability, the edge weight and the
 entered unit's prior.  A composed grammar enters each node by at most one
 edge, so each state has at most one candidate and the step is one gather
-of predecessor scores plus per-state log weights, compared with the stay;
-np.maximum.reduceat picks the best for states of several candidates, which
-only hand-built and unconstrained graphs have.  Observation
-log-likelihoods come from one batched evaluation of every distinct unit
-state per sequence, gathered into a (T, states) table in graph-state
-order; each row, once its frame is scored, is overwritten with the
-frame's scores, so the table becomes the score lattice.  No links are
+of predecessor scores plus per-state log weights, and one np.maximum with
+the stay; np.maximum.reduceat picks the best for states of several
+candidates, which only hand-built and unconstrained graphs have.
+Observation log-likelihoods come from one batched evaluation of every
+distinct unit state per sequence, gathered into a (T, states) table in
+graph-state order; each row, once its frame is scored, is overwritten
+with the frame's scores, so the table becomes the score lattice.  No links are
 carried: the trace-back walks from the best terminal exit to frame 0 and
 redoes, for the one winning state per frame, that state's choice from the
 lattice row before it, with the same float operations in the same order,
 so the unit boundaries come out as the frame step chose them.  The layout
 behind all this is built on a graph's first decode and cached for as
 long as the graph lives.
+
+np.maximum propagates a NaN candidate where a comparison would keep the
+stay, so the step needs every weight to be a log-probability: edge and
+start weights (checked by DecodingGraph) and priors (checked here) are
+<= 0 and never NaN.  Observation log-densities are bounded above, so no
+score then reaches +inf, no sum of a score and weights is +inf - inf, and
+a candidate is NaN only if the frame before already holds a NaN.  Such a
+frame ends the search (see decode), at the same frame whichever way the
+step picks.
 
 Decoding is exact by default: with the beam disabled the result is the
 maximum-probability pair of unit path and state path.  The optional beam
@@ -169,6 +178,8 @@ def _no_path(beam: int | None, T: int, t: int) -> DecodeError:
     return NoPathError(f"no legal path covers all {T} frames")
 
 
+# A score plus weights near -1e308 overflows to -inf, the right limit.
+@np.errstate(over="ignore")
 def decode(
     graph: DecodingGraph,
     seq,
@@ -178,9 +189,11 @@ def decode(
     """Best (unit path, state path) pair for one sequence.
 
     priors, when given, add a per-unit log weight at every unit entry
-    (including the first).  Raises when no complete path exists; with an
-    active beam the failure suggests widening it, since the exact path
-    may have been pruned.
+    (including the first); a NaN or positive prior of a unit in the graph
+    raises DataError, since the frame step takes log-probabilities (see
+    the module docstring).  Raises DecodeError when no complete path
+    exists; with an active beam the failure suggests widening it, since
+    the exact path may have been pruned.
     """
     if beam is not None and beam < 1:
         raise ValueError("beam must keep at least one state")
@@ -194,6 +207,9 @@ def decode(
     # t3: each node's prior, added at its first state to every candidate
     t3 = np.zeros(lay.total)
     t3[lay.offsets] = prior
+    if not (t3 <= 0).all():
+        u, v = next((n.unit_id, v) for n, v in zip(graph.nodes, prior) if not v <= 0)
+        raise DataError(f"the prior of unit {u} is {v!r}, not a log-probability <= 0")
     m_prior = t3.take(lay.m_target)
 
     start = np.full(lay.total, -np.inf)
@@ -219,7 +235,8 @@ def decode(
         if lay.m_start.size:
             cand = ((score.take(lay.m_exit) + lay.m_exit_log) + lay.m_w) + m_prior
             adv[lay.m_first] = np.maximum.reduceat(cand, lay.m_start)
-        row += np.where(adv >= stay, adv, stay)
+        np.maximum(adv, stay, out=adv)
+        row += adv
         if beam is not None:
             _apply_beam(row, beam)
     # a frame without a score above -inf (a NaN counts as none) ends the

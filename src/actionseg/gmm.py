@@ -14,6 +14,15 @@ right.  That is the order in which np.sum adds fewer than eight terms (its
 pairwise summation only splits longer runs), so both forms give the same
 bits; tests/test_gmm.py pins this numpy behaviour.  Longer axes keep the
 np.sum and np.max reductions.
+
+Two terms, the CLI's default component count, take a shorter form still:
+log1p(exp(lo - hi)) + hi, from their maximum hi and minimum lo.  On a
+row whose terms differ and whose result is finite, the slice form adds
+exp(-inf - hi) = +0.0 to exp(lo - hi), divides it by its one maximum and
+adds log(1.0) = +0.0 to a log1p that is at least +0.0: three steps that
+change no bit (tests/test_gmm.py pins the +0.0s).  Tied rows and rows
+with a result that is not finite (infinite or NaN terms) are redone by the
+slice form.
 """
 from __future__ import annotations
 
@@ -118,14 +127,44 @@ def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     results match it bit for bit: the maxima are taken out of the sum
     (m tied maxima give log1p(s / m) + log(m) + max), and rows whose
     result is not finite fall back to the direct log(sum(exp(a))).  Axes
-    shorter than _SHORT_AXIS are reduced slice by slice (see the module
-    docstring), which gives the same values.
+    shorter than _SHORT_AXIS are reduced slice by slice, and axes of two
+    by a two-term form (see the module docstring); both give the same
+    values.
     """
     n = a.shape[axis]
     if not 0 < n < _SHORT_AXIS:
         return _logsumexp_reduce(a, axis, keepdims)
     head = (slice(None),) * (axis % a.ndim)
     parts = [a[head + (k,)] for k in range(n)]
+    if n == 2:
+        out, ok = _logsumexp_pair(*parts)
+        if not ok.all():
+            redo = ~ok
+            rows = np.moveaxis(a, axis, -1)[redo]
+            out[redo] = _logsumexp_slices([rows[:, 0], rows[:, 1]])
+    else:
+        out = _logsumexp_slices(parts)
+    return np.expand_dims(out, axis) if keepdims else out
+
+
+def _logsumexp_pair(p0, p1) -> tuple[np.ndarray, np.ndarray]:
+    """log(exp(p0) + exp(p1)) as log1p(exp(lo - hi)) + hi, and where that
+    equals _logsumexp_slices([p0, p1]): the untied rows whose result is
+    finite.  The other rows are left for the slice path."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        hi = np.maximum(p0, p1)
+        out = np.minimum(p0, p1, out=np.empty(np.shape(hi)))  # an array even for one row
+        out -= hi
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out += hi
+        ok = np.isfinite(out)
+        ok &= p0 != p1
+    return out, ok
+
+
+def _logsumexp_slices(parts: list) -> np.ndarray:
+    """_logsumexp over the slices of a short axis, combined left to right."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = parts[0]
         for p in parts[1:]:
@@ -145,7 +184,7 @@ def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
             for p in parts[1:]:
                 direct += np.exp(p)
             out = np.where(finite, out, np.log(direct))
-    return np.expand_dims(out, axis) if keepdims else out
+    return out
 
 
 def _logsumexp_reduce(a: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
@@ -206,13 +245,26 @@ def _component_log_prob(
         return np.subtract(np.log(weights), quad, out=quad)
 
 
-# Doubles of temporaries per row block in GmmBank.log_prob: a block's
-# (rows, states, K, m) differences (short feature axes need only two
-# (rows, states, K) slices instead) plus up to eight (rows, states, K)
-# arrays inside _logsumexp stay near this size, which keeps blocks large
-# enough to amortize the per-call overhead and small enough that peak
-# memory does not grow.
-_BLOCK_ELEMS = 1 << 16
+# Doubles of temporaries per row block in GmmBank.log_prob (see
+# _row_doubles): blocks near this size amortize the per-call overhead,
+# and peak memory does not grow with the frame count.
+_BLOCK_ELEMS = 1 << 17
+
+
+def _row_doubles(S: int, K: int, m: int) -> int:
+    """Doubles GmmBank.log_prob holds per frame row while it evaluates S
+    mixtures of K components in m dimensions: the (S, K) component
+    log-densities, with _component_log_prob's temporaries and then with
+    _logsumexp's."""
+    clp = S * K
+    # the (S, K, m) differences of a long feature axis, or up to three
+    # (S, K) slices, the running sum among them, of a short one
+    kernel = clp * (m + 1) if m >= _SHORT_AXIS else clp * min(m, 3)
+    # two (S,) arrays and two masks for two terms, about six (S,) arrays
+    # for other short axes, a shifted (S, K) copy, a mask and a few (S,)
+    # arrays for long ones
+    lse = 3 * S if K == 2 else 6 * S if K < _SHORT_AXIS else 2 * clp
+    return max(kernel, clp + lse)
 
 
 class GmmBank:
@@ -249,7 +301,7 @@ class GmmBank:
         N = X.shape[0]
         out = np.empty((N, self.size))
         for cols, weights, means, variances in self._groups:
-            rows = max(1, _BLOCK_ELEMS // (means.size + 8 * weights.size))
+            rows = max(1, _BLOCK_ELEMS // _row_doubles(*means.shape))
             for r in range(0, N, rows):
                 clp = _component_log_prob(X[r : r + rows], weights, means, variances)
                 out[r : r + rows, cols] = _logsumexp(clp, axis=-1)

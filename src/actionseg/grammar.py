@@ -167,7 +167,8 @@ def parse_ebnf(
 class GraphNode:
     """One unit instance in the decoding graph.
 
-    edges are (successor index, log weight) pairs; terminal nodes may end
+    edges are (successor index, log weight) pairs, each weight a
+    log-probability: <= 0, -inf allowed, never NaN.  Terminal nodes may end
     the path (the sentence is complete after this unit).
     """
 
@@ -181,7 +182,10 @@ class GraphNode:
 @dataclass(eq=False)
 class DecodingGraph:
     """Unit-level transition structure plus the HMMs that flesh out each
-    node.  Immutable after construction; safe to share across threads."""
+    node.  Edge and start weights are log-probabilities (<= 0, -inf
+    allowed): a NaN or positive weight raises DataError, since the
+    decoder's frame step relies on it.  Immutable after construction;
+    safe to share across threads."""
 
     nodes: tuple[GraphNode, ...]
     start_edges: tuple[tuple[int, float], ...]
@@ -197,12 +201,19 @@ class DecodingGraph:
         for node in self.nodes:
             if node.unit_id not in self.hmms:
                 raise DataError(f"no trained model for unit id {node.unit_id}")
-            for j, _ in node.edges:
+            for j, w in node.edges:
                 if not 0 <= j < count:
                     raise DataError(f"edge from node {node.index} to missing node {j}")
-        for j, _ in self.start_edges:
+                _check_weight(w, f"edge from node {node.index} to node {j}")
+        for j, w in self.start_edges:
             if not 0 <= j < count:
                 raise DataError(f"start edge to missing node {j}")
+            _check_weight(w, f"start edge to node {j}")
+
+
+def _check_weight(w: float, edge: str) -> None:
+    if not w <= 0:
+        raise DataError(f"{edge} has weight {w!r}, not a log-probability <= 0")
 
 
 def compose(grammar: Grammar, hmms: Mapping[int, UnitHmm]) -> DecodingGraph:

@@ -492,15 +492,16 @@ def load_bundle(path) -> ModelBundle:
         raise DataError(f'{priors_path} is not a valid priors file: no "log_priors" object')
     priors = {}
     for name, v in log_priors.items():
-        # abs(v) <= max rejects NaN, the infinities and ints too large for a float
+        # -max <= v <= 0 rejects NaN, the infinities, positive priors and
+        # ints too large for a float
         if v is not None and (
             isinstance(v, bool)
             or not isinstance(v, (int, float))
-            or not abs(v) <= sys.float_info.max
+            or not -sys.float_info.max <= v <= 0
         ):
             raise DataError(
                 f"{priors_path} is not a valid priors file: "
-                f"the prior of {name!r} is {v!r}, not null or a finite number"
+                f"the prior of {name!r} is {v!r}, not null or a finite number <= 0"
             )
         priors[lexicon.id_of(name)] = -np.inf if v is None else float(v)
     config_path = path / "pipeline-config.json"

@@ -442,6 +442,7 @@ def reference_candidates(graph: DecodingGraph) -> dict:
 # reference decoder
 
 
+@np.errstate(over="ignore")  # as actionseg.decoder.decode
 def reference_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> DecodeResult:
     """Token passing with a Python loop over graph nodes per frame and a
     per-Gmm observation table from the reference kernels: the
@@ -584,6 +585,7 @@ def reference_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> Decod
     )
 
 
+@np.errstate(over="ignore")  # as actionseg.decoder.decode
 def arena_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> DecodeResult:
     """The vectorized token passing that actionseg.decoder.decode replaced:
     every frame carries each state's link forward, and every unit entry
@@ -691,6 +693,7 @@ def arena_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> DecodeRes
     )
 
 
+@np.errstate(over="ignore")  # as actionseg.decoder.decode
 def csr_decode(graph: DecodingGraph, seq, beam=None, priors=None) -> DecodeResult:
     """The frame step that actionseg.decoder.decode replaced, over the
     lattice it still keeps: every state first stays or advances within its

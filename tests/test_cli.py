@@ -196,7 +196,11 @@ def _first_prior(doc: dict) -> str:
     lambda doc: doc.clear(),
     lambda doc: doc["log_priors"].update({_first_prior(doc): float("nan")}),
     lambda doc: doc["log_priors"].update({_first_prior(doc): 10**400}),
-], ids=["priors-a-number", "string-prior", "empty-object", "nan-prior", "int-beyond-float"])
+    lambda doc: doc["log_priors"].update({_first_prior(doc): 0.5}),
+], ids=[
+    "priors-a-number", "string-prior", "empty-object", "nan-prior", "int-beyond-float",
+    "positive-prior",
+])
 def test_malformed_priors_file_exits_2(capsys, workspace, tmp_path, mutate):
     code, err = _decode_with_mutated(capsys, workspace, tmp_path, "priors.json", mutate)
     assert code == 2, err

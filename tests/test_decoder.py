@@ -89,7 +89,7 @@ def test_decode_matches_oracle_with_priors():
         graph, lex = compose_random_graph(rng, names, hmms, n_sentences=3, max_inner=2)
         T = int(rng.integers(3, 6))
         frames = rng.normal(size=(T, 2))
-        priors = {u: float(rng.normal(0.0, 2.0)) for u in range(4)}
+        priors = {u: -abs(float(rng.normal(0.0, 2.0))) for u in range(4)}  # log-probabilities
         want_lp, want_labels = oracle_decode_best(graph, frames, priors=priors)
         if want_lp == -np.inf:
             continue
@@ -430,11 +430,12 @@ def hand_built_cases(draw):
     """A hand-built graph whose first states have zero, one or several
     incoming edges (node 0 always several, the last node exactly one), so
     both candidate paths of the frame step run in the same frame.  Edges
-    may repeat and loop, and weights and priors may be -inf or values whose
-    sums round.  In half the graphs of four or more nodes two twin nodes,
-    of unit 0 and of unit 3 (a copy of unit 0's model), share their
-    incoming and start edges, so they score alike at every frame and tie
-    as sources of node 0.  Also NaN or infinite frames in some clips, and
+    may repeat and loop, and weights and priors may be -inf, values whose
+    sums round, or values near -1e308 whose sums overflow to -inf.  In
+    half the graphs of four or more nodes two twin nodes, of unit 0 and of
+    unit 3 (a copy of unit 0's model), share their incoming and start
+    edges, so they score alike at every frame and tie as sources of node
+    0.  Also NaN or infinite frames in some clips, and
     a beam from 1 to every state in half of the cases."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 2))
@@ -446,7 +447,8 @@ def hand_built_cases(draw):
     counts[0], counts[-1] = max(counts[0], 2), 1
 
     def weight() -> float:
-        return float(rng.choice([0.0, -np.inf, rng.uniform(-2.0, 0.0)], p=[0.3, 0.1, 0.6]))
+        pool = [0.0, -np.inf, rng.uniform(-2.0, 0.0), rng.uniform(-1.7e308, -0.9e308)]
+        return float(rng.choice(pool, p=[0.3, 0.1, 0.45, 0.15]))
 
     units = [int(rng.integers(3)) for _ in range(n)]
     incoming = [[(int(i), weight()) for i in rng.integers(0, n, size=k)] for k in counts]
@@ -489,6 +491,7 @@ def test_decode_of_hand_built_graphs_matches_every_oracle(case):
     lay = decoder._layout(graph)
     assert lay.m_first.size and (lay.t1[lay.offsets] > -np.inf).any()
     got = _result_or_error(decode, graph, frames, beam, priors)
+    assert not isinstance(got, tuple) or issubclass(got[0], DecodeError), got
     for oracle in (csr_decode, arena_decode, reference_decode):
         want = _result_or_error(oracle, graph, frames, beam, priors)
         if isinstance(want, tuple):
@@ -520,6 +523,19 @@ def test_layout_cache_holds_no_graph():
     gc.collect()
     assert ref() is None
     assert len(decoder._LAYOUTS) == before
+
+
+def test_decode_rejects_priors_that_are_not_log_probabilities():
+    rng = np.random.default_rng(93)
+    hmms = {u: random_unit_hmm(rng, u, 1, 1, 2) for u in range(2)}
+    graph, frames = unconstrained_graph(hmms), rng.normal(size=(5, 2))
+    for ok in (0.0, -0.0, -np.inf, -1e308):
+        decode(graph, frames, priors={0: ok, 1: -1.0})
+    for bad in (np.nan, 1e-300, 0.5, np.inf):
+        with pytest.raises(DataError, match=r"^the prior of unit 1 is .*, not a log-probability"):
+            decode(graph, frames, priors={0: -1.0, 1: bad})
+    # a unit outside the graph plays no part
+    decode(graph, frames, priors={0: -1.0, 1: -1.0, 7: 2.0})
 
 
 def test_decode_rejects_frames_of_another_dim():

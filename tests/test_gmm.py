@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,60 @@ def test_numpy_sums_short_axes_left_to_right():
         assert np.array_equal(_bits(np.sum(a[..., None], axis=-2)[..., 0]), _bits(acc)), n
 
 
+def test_numpy_log_of_one_and_exp_of_minus_inf_are_plus_zero():
+    # The two-term log-sum-exp leaves out three steps of the slice path
+    # that change nothing: adding exp(-inf - max), dividing by one tie and
+    # adding log(1.0).  That holds because both give +0.0 (not -0.0) on
+    # arrays, where numpy's SIMD loops run; this fails if a release
+    # changes that.
+    for n in (1, 3, 8, 17, 1001):
+        assert not _bits(np.log(np.ones(n))).any(), n
+        assert not _bits(np.exp(np.full(n, -np.inf))).any(), n
+        assert not _bits(np.exp(-np.inf - np.linspace(-1e300, 1e300, n))).any(), n
+
+
+# Values that stress the two-term log-sum-exp: signed zeros, the
+# infinities, NaN, subnormals, the extremes and values whose sums overflow.
+_LSE_POOL = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+    1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max, 1.0, -1.0, -745.5,
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    others=st.lists(st.integers(1, 6), max_size=2),
+    position=st.sampled_from([0, 1, -1]),
+    keepdims=st.booleans(),
+    special=st.floats(0.0, 1.0),
+    tied=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_term_logsumexp_equals_references_bit_for_bit(
+    others, position, keepdims, special, tied, seed
+):
+    rng = np.random.default_rng(seed)
+    at = len(others) if position == -1 or position > len(others) else position
+    shape = (*others[:at], 2, *others[at:])
+    a = np.round(rng.normal(0.0, 30.0, shape), int(rng.integers(0, 3)))
+    pick = rng.random(shape) < special
+    a[pick] = rng.choice(_LSE_POOL, size=int(pick.sum()))
+    # copy the first term onto the second in some rows: exact ties
+    lead = (slice(None),) * at
+    copy = rng.random(a[lead + (0,)].shape) < tied
+    a[lead + (1,)] = np.where(copy, a[lead + (0,)], a[lead + (1,)])
+    axis = at if position != -1 else -1
+    got = gmm_module._logsumexp(a, axis=axis, keepdims=keepdims)
+    want = reference_logsumexp(a, axis=axis, keepdims=keepdims)
+    with np.errstate(all="ignore"):  # scipy does not silence its overflow
+        scipy_want = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
+    for other in (want, scipy_want):
+        assert np.shape(got) == np.shape(other)
+        nan = np.isnan(other)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(_bits(got)[~nan], _bits(other)[~nan])
+
+
 def _mixture_stack(rng, stack, K, m, ties, tiny_weight, floor_var, integer):
     means = rng.normal(0.0, 2.0, (*stack, K, m))
     variances = rng.uniform(0.2, 1.5, (*stack, K, m))
@@ -343,3 +398,23 @@ def test_bank_and_log_prob_equal_reference_bit_for_bit(
     assert np.array_equal(_bits(GmmBank(gmms).log_prob(X)), _bits(want))
     for s, g in enumerate(gmms):
         assert np.array_equal(_bits(g.log_prob(X)), _bits(want[:, s]))
+
+
+@pytest.mark.parametrize("S,K,m", [(22, 8, 48), (92, 2, 2)], ids=["encoded-fv", "wide-grammar"])
+def test_bank_temporaries_stay_within_the_row_budget(S, K, m):
+    # Beyond its (N, size) output, GmmBank.log_prob holds one row block's
+    # temporaries at a time: a bounded amount that does not grow with N.
+    rng = np.random.default_rng(23)
+    bank = GmmBank([random_gmm(rng, K, m) for _ in range(S)])
+    extra = {}
+    for N in (2000, 8000):
+        X = rng.normal(0.0, 2.0, (N, m))
+        tracemalloc.start()
+        try:
+            out = bank.log_prob(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra[N] = peak - out.nbytes
+        assert extra[N] <= 2 * 8 * gmm_module._BLOCK_ELEMS, (N, extra[N])
+    assert extra[8000] <= extra[2000] + 1024, extra

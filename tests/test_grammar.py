@@ -188,6 +188,33 @@ def test_decoding_graph_validation():
         DecodingGraph(nodes=(good,), start_edges=((0, 0.0),), hmms={}, kind="x")
 
 
+def test_decoding_graph_weights_are_log_probabilities():
+    rng = np.random.default_rng(76)
+    hmms = {u: random_unit_hmm(rng, u, 1, 1, 1) for u in range(3)}
+
+    def graph(w01, w10, start):
+        nodes = (
+            GraphNode(index=0, unit_id=0, activity=None, terminal=True, edges=((1, w01),)),
+            GraphNode(index=1, unit_id=1, activity=None, terminal=True, edges=((0, w10),)),
+            GraphNode(index=2, unit_id=2, activity=None, terminal=True, edges=()),
+        )
+        return DecodingGraph(nodes=nodes, start_edges=((0, start),), hmms=hmms, kind="x")
+
+    for ok in (0.0, -0.0, -np.inf, -1e308):
+        graph(ok, ok, ok)
+    for bad in (np.nan, 1e-300, 1.0, np.inf):
+        with pytest.raises(DataError, match=r"^edge from node 0 to node 1 has weight "):
+            graph(bad, 0.0, 0.0)
+        with pytest.raises(DataError, match=r"^edge from node 1 to node 0 has weight "):
+            graph(0.0, bad, 0.0)
+        with pytest.raises(DataError, match=r"^start edge to node 0 has weight "):
+            graph(0.0, 0.0, bad)
+    # A graph whose scores can reach +inf, where a later -inf observation
+    # makes +inf - inf = NaN: the decoder's max step needs it refused.
+    with pytest.raises(DataError, match=r"has weight 1e\+308, not a log-probability <= 0"):
+        graph(1e308, 1e308, 1e308)
+
+
 def assert_candidates_match_reference(graph: DecodingGraph, want: dict) -> None:
     lay = _layout(graph)
     assert lay.tb_cands == want.pop("tb_cands")
