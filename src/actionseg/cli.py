@@ -357,11 +357,10 @@ def cmd_encode(args) -> None:
                 f"clip {cid!r}: features have dim {seq.dim}, earlier clips have dim {dim}"
             )
     fit_frames = [raw[rec.clip_id].frames for rec in fit_records]
-    pooled = np.concatenate(fit_frames)
 
     pca1 = None
-    if args.pca_dim is not None and args.pca_dim < pooled.shape[1]:
-        pca1 = fit_pca(pooled, args.pca_dim)
+    if args.pca_dim is not None and args.pca_dim < dim:
+        pca1 = fit_pca(fit_frames, args.pca_dim)
     projected = [apply_pca(pca1, f) if pca1 is not None else f for f in fit_frames]
     codebook_seed = derive_seed(args.seed, "encode-codebook")
     try:
@@ -369,10 +368,9 @@ def cmd_encode(args) -> None:
     except ValueError as exc:  # too few (distinct) frames for K components
         raise DataError(f"cannot fit --gmm-k {args.gmm_k} codebook components: {exc}") from None
     fv = FvEncoderConfig(gmm=codebook, window=args.window, signed_sqrt=args.signed_sqrt)
-    fv_pool = np.concatenate([window_fv_matrix(f, pca1, fv) for f in fit_frames])
     pca2 = None
-    if args.pca_dim is not None and args.pca_dim < fv_pool.shape[1]:
-        pca2 = fit_pca(fv_pool, args.pca_dim)
+    if args.pca_dim is not None and args.pca_dim < fv.out_dim:
+        pca2 = fit_pca((window_fv_matrix(f, pca1, fv) for f in fit_frames), args.pca_dim)
     encoder = FrameEncoder(pca1=pca1, fv=fv, pca2=pca2, codebook_seed=codebook_seed)
 
     out = Path(args.out)
@@ -426,6 +424,7 @@ def cmd_grid(args) -> None:
     hypotheses: dict[str, list[list[str]]] = {cid: [] for cid in test_ids}
     rows = []
     summaries = []
+    pcas = {}  # (D, mirrored) -> PcaModel, fit once for every K
     for K, D, mir in settings:
         tag = f"k{K}_" + (f"d{D}" if D is not None else "dfull") + ("_m" if mir else "")
         sdir = out / "settings" / tag
@@ -433,14 +432,16 @@ def cmd_grid(args) -> None:
         clip_dir.mkdir(parents=True, exist_ok=True)
 
         mirror_map = MirrorMap.sign_flip(base_dim) if mir else None
-        train_frames = [raw[cid].frames for cid in train_ids]
-        if mir:
-            train_frames += [
-                mirror_features(raw[cid], mirror_map).frames for cid in train_ids
-            ]
         pca = None
         if D is not None and D < base_dim:
-            pca = fit_pca(np.concatenate(train_frames), D)
+            if (D, mir) not in pcas:
+                train_frames = [raw[cid].frames for cid in train_ids]
+                if mir:
+                    train_frames += [
+                        mirror_features(raw[cid], mirror_map).frames for cid in train_ids
+                    ]
+                pcas[D, mir] = fit_pca(train_frames, D)
+            pca = pcas[D, mir]
 
         def transform(seq: FeatureSequence) -> FeatureSequence:
             if pca is None:

@@ -10,7 +10,7 @@ command reads it back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,14 +68,42 @@ class PcaModel:
         }
 
 
-def fit_pca(samples: np.ndarray, target_dim: int) -> PcaModel:
-    """Principal directions of the sample covariance via thin SVD.
+def _pool_rows(blocks: Iterable) -> np.ndarray:
+    """Stack (n_i, d) row blocks into one new float64 array the caller owns.
+
+    The block list is dropped on return, before the caller's SVD.
+    """
+    arrays = []
+    for block in blocks:
+        arr = np.atleast_2d(np.asarray(block, dtype=np.float64))
+        if arrays and arr.shape[1] != arrays[0].shape[1]:
+            raise DataError(
+                f"PCA input block {len(arrays)} has width {arr.shape[1]}, "
+                f"earlier blocks have width {arrays[0].shape[1]}"
+            )
+        arrays.append(arr)
+    if sum(arr.shape[0] for arr in arrays) == 0:
+        raise DataError("PCA input has no rows")
+    return np.concatenate(arrays)
+
+
+def fit_pca(blocks: Iterable, target_dim: int) -> PcaModel:
+    """Principal directions of the sample covariance of the pooled row
+    blocks, from the SVD of the centered (N, d) pool.
+
+    The singular vectors U are never formed.  When N >= 11d/6 (LAPACK
+    dgesdd's MNTHR = INT(MINMN*11/6)), dgesdd itself first QR-factors its
+    input and takes the SVD of the (d, d) factor R (Chan's R-SVD, ACM
+    TOMS 1982).  Doing that QR step here runs the same routines on the
+    same R, so S and Vt keep the bits of the direct thin SVD, while the
+    (N, d) U that dgesdd would build and return is skipped.  Below the
+    threshold dgesdd never forms R, so the direct call stays.
 
     The sign of each basis column is fixed so its largest-magnitude entry
     is positive.  Raises when the centered data's numerical rank cannot
     support target_dim directions.
     """
-    X = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    X = _pool_rows(blocks)
     if not np.all(np.isfinite(X)):
         raise DataError("PCA input contains non-finite values")
     N, d = X.shape
@@ -84,7 +112,10 @@ def fit_pca(samples: np.ndarray, target_dim: int) -> PcaModel:
     if target_dim > d:
         raise DataError(f"cannot keep {target_dim} of {d} dimensions")
     mean = X.mean(axis=0)
-    _, S, Vt = np.linalg.svd(X - mean, full_matrices=False)
+    X -= mean
+    if N >= d * 11 // 6:
+        X = np.linalg.qr(X, mode="r")
+    _, S, Vt = np.linalg.svd(X, full_matrices=False)
     tol = (S.max(initial=0.0)) * max(N, d) * np.finfo(np.float64).eps
     rank = int(np.sum(S > tol))
     if rank < target_dim:

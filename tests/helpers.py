@@ -21,7 +21,13 @@ from actionseg.data import (
 )
 from actionseg.decoder import DecodeResult, _layout, _no_path
 from actionseg.errors import BeamPrunedError, DataError, NoPathError
-from actionseg.features import FvEncoderConfig, _frame_stats, _signed_sqrt, _window_bounds
+from actionseg.features import (
+    FvEncoderConfig,
+    PcaModel,
+    _frame_stats,
+    _signed_sqrt,
+    _window_bounds,
+)
 from actionseg.gmm import Gmm, _logsumexp, variance_floor
 from actionseg.grammar import DecodingGraph, Grammar, GraphNode, build_grammar, compose
 from actionseg.hmm import (
@@ -139,6 +145,33 @@ def reference_em_step(gmm: Gmm, X: np.ndarray, floor: np.ndarray) -> tuple[Gmm, 
         new_mu[k] = mu
         new_var[k] = np.maximum(sq - mu * mu, floor)
     return Gmm(weights=new_w, means=new_mu, variances=new_var), ll
+
+
+def reference_fit_pca(samples: np.ndarray, target_dim: int) -> PcaModel:
+    """fit_pca as one direct thin SVD of the centered (N, d) matrix, which
+    forms the (N, d) singular vectors U and discards them."""
+    X = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    if not np.all(np.isfinite(X)):
+        raise DataError("PCA input contains non-finite values")
+    N, d = X.shape
+    if target_dim < 1:
+        raise DataError("target dimension must be at least 1")
+    if target_dim > d:
+        raise DataError(f"cannot keep {target_dim} of {d} dimensions")
+    mean = X.mean(axis=0)
+    _, S, Vt = np.linalg.svd(X - mean, full_matrices=False)
+    tol = (S.max(initial=0.0)) * max(N, d) * np.finfo(np.float64).eps
+    rank = int(np.sum(S > tol))
+    if rank < target_dim:
+        raise DataError(
+            f"data rank {rank} cannot support {target_dim} principal directions"
+        )
+    basis = Vt[:target_dim].T.copy()
+    for j in range(target_dim):
+        i = int(np.argmax(np.abs(basis[:, j])))
+        if basis[i, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return PcaModel(mean=mean, basis=basis)
 
 
 def fisher_vector(X: np.ndarray, gmm: Gmm, signed_sqrt: bool = False) -> np.ndarray:

@@ -746,6 +746,27 @@ def test_grid_votes_over_settings(capsys, workspace, tmp_path):
         assert read_segment_names(out_dir / "voted" / f"{cid}.seg") == runs
 
 
+def test_grid_fits_each_pca_once_for_every_k(capsys, workspace, tmp_path, monkeypatch):
+    # a setting's PCA depends on its dimension and mirroring, not on K
+    _, data, _ = workspace
+    fit_pca = actionseg.cli.fit_pca
+    fits = []
+
+    def counted(blocks, D):
+        fits.append(D)
+        return fit_pca(blocks, D)
+
+    monkeypatch.setattr(actionseg.cli, "fit_pca", counted)
+    code, out, _ = run_cli(
+        capsys, "grid", "--manifest", str(data / "manifest.json"),
+        "--train-split", "train", "--test-split", "test", "--gmm-k", "1,2", "--pca-dim", "1",
+        "--mirror", "--seed", "1", "--out", str(tmp_path / "grid"), *TRAIN_SPEED,
+    )
+    assert code == 0
+    tags = [s["setting"] for s in json.loads(out)["settings"]]
+    assert tags == ["k1_d1", "k1_d1_m", "k2_d1", "k2_d1_m"]
+    assert fits == [1, 1]
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "actionseg.cli", "synth", "--help"],

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from actionseg.features import (
     save_encoder,
     window_fv_matrix,
 )
-from helpers import encode_fv, fisher_vector, random_gmm
+from helpers import encode_fv, fisher_vector, random_gmm, reference_fit_pca
 
 
 def manual_fisher_vector(X: np.ndarray, gmm) -> np.ndarray:
@@ -48,7 +52,7 @@ def manual_fisher_vector(X: np.ndarray, gmm) -> np.ndarray:
 def test_fit_pca_matches_eigendecomposition():
     rng = np.random.default_rng(50)
     X = rng.normal(size=(200, 4)) @ np.diag([3.0, 2.0, 1.0, 0.5])
-    model = fit_pca(X, 2)
+    model = fit_pca([X], 2)
     assert model.out_dim == 2
     proj = apply_pca(model, X)
     evals = np.sort(np.linalg.eigvalsh(np.cov(X.T, bias=True)))[::-1]
@@ -62,7 +66,7 @@ def test_fit_pca_matches_eigendecomposition():
 def test_fit_pca_full_dimension_reconstructs():
     rng = np.random.default_rng(51)
     X = rng.normal(size=(40, 3))
-    model = fit_pca(X, 3)
+    model = fit_pca([X], 3)
     proj = apply_pca(model, X)
     back = proj @ model.basis.T + model.mean
     np.testing.assert_allclose(back, X, atol=1e-9)
@@ -71,8 +75,8 @@ def test_fit_pca_full_dimension_reconstructs():
 def test_fit_pca_sign_convention_and_determinism():
     rng = np.random.default_rng(52)
     X = rng.normal(size=(60, 5))
-    a = fit_pca(X, 3)
-    b = fit_pca(X.copy(), 3)
+    a = fit_pca([X], 3)
+    b = fit_pca([X.copy()], 3)
     np.testing.assert_array_equal(a.basis, b.basis)
     for j in range(a.out_dim):
         col = a.basis[:, j]
@@ -83,14 +87,91 @@ def test_fit_pca_rank_and_argument_errors():
     rng = np.random.default_rng(53)
     line = np.outer(rng.normal(size=30), np.array([1.0, 2.0, -1.0]))
     with pytest.raises(DataError):
-        fit_pca(line, 2)
+        fit_pca([line], 2)
     X = rng.normal(size=(10, 2))
     with pytest.raises(DataError):
-        fit_pca(X, 3)
+        fit_pca([X], 3)
     with pytest.raises(DataError):
-        fit_pca(X, 0)
+        fit_pca([X], 0)
     with pytest.raises(DataError):
-        fit_pca(np.array([[1.0, np.nan]]), 1)
+        fit_pca([np.array([[1.0, np.nan]])], 1)
+
+
+def _uneven_blocks(X: np.ndarray, rng) -> list[np.ndarray]:
+    """X cut into row blocks of uneven sizes, the first two one row each."""
+    cuts = {1, 2, *rng.integers(1, X.shape[0], size=3).tolist()}
+    return np.split(X, sorted(c for c in cuts if c < X.shape[0]))
+
+
+def _fit_or_error(fit, blocks, target_dim):
+    try:
+        return fit(blocks, target_dim)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 48, 128])
+@pytest.mark.parametrize("offset", [-1, 0, 1, "10d"])
+def test_fit_pca_matches_the_direct_svd_bit_for_bit(d, offset):
+    # dgesdd QR-factors its input once N >= MNTHR = d*11//6; fit_pca does
+    # that step itself there, and below it must keep the direct call
+    N = 10 * d if offset == "10d" else d * 11 // 6 + offset
+    rng = np.random.default_rng(1000 * d + N)
+    scales = np.geomspace(1e-3, 1e3, d)
+    cases = [
+        (rng.normal(size=(N, d)) * scales, min(d, N - 1), False),
+        (rng.normal(size=(N, 1)) * rng.normal(size=(1, d)) * scales, 2, True),  # rank 1
+    ]
+    for X, target, deficient in cases:
+        want = _fit_or_error(reference_fit_pca, X, target)
+        blocks = _uneven_blocks(X, rng)
+        kept = [b.copy() for b in blocks]
+        got = _fit_or_error(fit_pca, (b for b in blocks), target)
+        assert isinstance(want, str) == deficient
+        if deficient:
+            assert want == "data rank 1 cannot support 2 principal directions"
+            assert got == want
+        else:
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.basis, want.basis)
+        for b, k in zip(blocks, kept):  # the pool is centred, not the blocks
+            assert np.array_equal(b, k)
+
+
+def test_fit_pca_rejects_empty_input_and_mixed_widths():
+    for blocks in ([], [np.empty((0, 3))], [np.empty((0, 3)), np.empty((0, 3))]):
+        with pytest.raises(DataError, match="^PCA input has no rows$"):
+            fit_pca(blocks, 1)
+    with pytest.raises(DataError, match="^PCA input block 2 has width 5, earlier blocks have width 3$"):
+        fit_pca([np.zeros((4, 3)), np.ones((1, 3)), np.zeros((2, 5))], 1)
+
+
+def test_fit_pca_peak_memory_stays_under_four_copies_of_the_pool():
+    # the QR step drops the (N, d) U that the direct SVD builds twice;
+    # measured in a fresh single-threaded interpreter.  ru_maxrss survives
+    # exec, so a child exec'd from this large process would start at its
+    # high-water mark: a small launcher in between resets it.
+    pytest.importorskip("resource")
+    N, d, n_blocks = 20000, 128, 100
+    code = f"""
+import resource
+import numpy as np
+from actionseg.features import fit_pca
+rng = np.random.default_rng(0)
+blocks = (rng.normal(size=({N // n_blocks}, {d})) for _ in range({n_blocks}))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+fit_pca(blocks, 4)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    launch = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
+    out = subprocess.run(
+        [sys.executable, "-c", launch, code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    grown = int(out.stdout) * 1024  # ru_maxrss counts KiB on Linux
+    assert grown < 3.9 * N * d * 8, grown / (N * d * 8)
 
 
 def test_pca_model_validation_and_round_trip():
@@ -98,7 +179,7 @@ def test_pca_model_validation_and_round_trip():
         PcaModel(mean=np.zeros(2), basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(DataError):
         PcaModel(mean=np.zeros(2), basis=np.eye(3))
-    model = fit_pca(np.random.default_rng(54).normal(size=(30, 3)), 2)
+    model = fit_pca([np.random.default_rng(54).normal(size=(30, 3))], 2)
     back = PcaModel(**model.to_dict())
     np.testing.assert_array_equal(back.mean, model.mean)
     np.testing.assert_array_equal(back.basis, model.basis)
@@ -160,7 +241,7 @@ def test_window_fv_matrix_equals_per_frame_encoding():
 def test_window_fv_matrix_with_pca_and_none_stages():
     rng = np.random.default_rng(59)
     X = rng.normal(size=(20, 4))
-    pca = fit_pca(X, 2)
+    pca = fit_pca([X], 2)
     np.testing.assert_array_equal(window_fv_matrix(X, None, None), X)
     np.testing.assert_allclose(window_fv_matrix(X, pca, None), apply_pca(pca, X))
     gmm = random_gmm(rng, 2, 2)
@@ -174,11 +255,11 @@ def test_window_fv_matrix_with_pca_and_none_stages():
 def test_encode_clip_full_chain():
     rng = np.random.default_rng(60)
     seq = FeatureSequence(rng.normal(size=(25, 4)), clip_id="c9")
-    pca1 = fit_pca(seq.frames, 3)
+    pca1 = fit_pca([seq.frames], 3)
     gmm = random_gmm(rng, 2, 3)
     cfg = FvEncoderConfig(gmm=gmm, window=6)
     mid = window_fv_matrix(seq.frames, pca1, cfg)
-    pca2 = fit_pca(mid, 4)
+    pca2 = fit_pca([mid], 4)
     out = FrameEncoder(pca1=pca1, fv=cfg, pca2=pca2).encode(seq)
     assert out.clip_id == "c9"
     want = apply_pca(pca2, mid)
@@ -211,7 +292,7 @@ def test_fit_fv_codebook_deterministic_and_capped():
 def test_save_encoder_records_the_chain(tmp_path):
     rng = np.random.default_rng(62)
     X = rng.normal(size=(40, 3))
-    pca1 = fit_pca(X, 2)
+    pca1 = fit_pca([X], 2)
     gmm = random_gmm(rng, 2, 2)
     enc = FrameEncoder(
         pca1=pca1,
