@@ -402,6 +402,45 @@ def cmd_encode(args) -> None:
     )
 
 
+def _grid_clips(records, raw, train_ids, D, mir, clip_dir):
+    """The clip records and train split of the grid settings of PCA
+    dimension D (None: raw features) and mirroring mir, whatever their K.
+    Projected and mirrored features are written to clip_dir."""
+    base_dim = raw[train_ids[0]].dim
+    mirror_map = MirrorMap.sign_flip(base_dim) if mir else None
+    pca = None
+    if D is not None and D < base_dim:
+        train_frames = [raw[cid].frames for cid in train_ids]
+        if mir:
+            train_frames += [mirror_features(raw[cid], mirror_map).frames for cid in train_ids]
+        pca = fit_pca(train_frames, D)
+    clip_dir.mkdir(parents=True, exist_ok=True)
+
+    def transform(seq: FeatureSequence) -> FeatureSequence:
+        return seq if pca is None else FeatureSequence(apply_pca(pca, seq.frames), seq.clip_id)
+
+    new_clips = []
+    split_train = list(train_ids)
+    for cid in sorted(records):
+        rec = records[cid]
+        if pca is not None:  # else the input file already holds these features
+            path = clip_dir / f"{cid}.feat"
+            save_features(path, transform(raw[cid]))
+            rec = ClipRecord(cid, str(path), rec.activity, rec.segmentation, rec.transcript)
+        new_clips.append(rec)
+    if mir:
+        for cid in train_ids:
+            rec = records[cid]
+            mcid = f"{cid}~m"
+            path = clip_dir / f"{mcid}.feat"
+            save_features(path, transform(mirror_features(raw[cid], mirror_map)))
+            new_clips.append(
+                ClipRecord(mcid, str(path), rec.activity, rec.segmentation, rec.transcript)
+            )
+            split_train.append(mcid)
+    return new_clips, split_train
+
+
 def cmd_grid(args) -> None:
     manifest = load_manifest(args.manifest)
     train_ids = sorted(manifest.split_ids(args.train_split))
@@ -410,7 +449,6 @@ def cmd_grid(args) -> None:
         raise DataError("grid needs non-empty train and test splits")
     records = {rec.clip_id: rec for rec in manifest.clips}
     raw = {cid: load_features(records[cid].features) for cid in sorted(records)}
-    base_dim = raw[train_ids[0]].dim
     gt_names = {
         cid: _reference_frame_names(records[cid], raw[cid].num_frames) for cid in test_ids
     }
@@ -424,49 +462,14 @@ def cmd_grid(args) -> None:
     hypotheses: dict[str, list[list[str]]] = {cid: [] for cid in test_ids}
     rows = []
     summaries = []
-    pcas = {}  # (D, mirrored) -> PcaModel, fit once for every K
+    clip_sets = {}  # (D, mirrored) -> (clip records, train split), made once for every K
     for K, D, mir in settings:
         tag = f"k{K}_" + (f"d{D}" if D is not None else "dfull") + ("_m" if mir else "")
         sdir = out / "settings" / tag
-        clip_dir = sdir / "clips"
-        clip_dir.mkdir(parents=True, exist_ok=True)
-
-        mirror_map = MirrorMap.sign_flip(base_dim) if mir else None
-        pca = None
-        if D is not None and D < base_dim:
-            if (D, mir) not in pcas:
-                train_frames = [raw[cid].frames for cid in train_ids]
-                if mir:
-                    train_frames += [
-                        mirror_features(raw[cid], mirror_map).frames for cid in train_ids
-                    ]
-                pcas[D, mir] = fit_pca(train_frames, D)
-            pca = pcas[D, mir]
-
-        def transform(seq: FeatureSequence) -> FeatureSequence:
-            if pca is None:
-                return seq
-            return FeatureSequence(apply_pca(pca, seq.frames), seq.clip_id)
-
-        new_clips = []
-        split_train = list(train_ids)
-        for cid in sorted(records):
-            rec = records[cid]
-            if pca is not None:  # else the input file already holds these features
-                path = clip_dir / f"{cid}.feat"
-                save_features(path, transform(raw[cid]))
-                rec = ClipRecord(cid, str(path), rec.activity, rec.segmentation, rec.transcript)
-            new_clips.append(rec)
-        if mir:
-            for cid in train_ids:
-                rec = records[cid]
-                mcid = f"{cid}~m"
-                path = clip_dir / f"{mcid}.feat"
-                save_features(path, transform(mirror_features(raw[cid], mirror_map)))
-                new_clips.append(
-                    ClipRecord(mcid, str(path), rec.activity, rec.segmentation, rec.transcript)
-                )
-                split_train.append(mcid)
+        sdir.mkdir(parents=True, exist_ok=True)
+        if (D, mir) not in clip_sets:
+            clip_sets[D, mir] = _grid_clips(records, raw, train_ids, D, mir, sdir / "clips")
+        new_clips, split_train = clip_sets[D, mir]
         setting_manifest = DatasetManifest(
             tuple(new_clips),
             {"train": tuple(split_train), "test": tuple(test_ids)},

@@ -400,32 +400,29 @@ def em_step(gmm: Gmm, X: np.ndarray, floor: np.ndarray) -> tuple[Gmm, float]:
     clp = gmm._component_log_prob(X)                       # (N, K)
     row_ll = _logsumexp(clp, axis=1)
     resp = np.exp(clp - row_ll[:, None])                   # (N, K)
-    # One product per component: a single resp.T @ X may round differently.
-    XX = X * X
-    Sx = np.array([resp[:, k] @ X for k in range(gmm.n_components)])
-    Sxx = np.array([resp[:, k] @ XX for k in range(gmm.n_components)])
-    new = gmm_from_stats(gmm, resp.sum(axis=0), Sx, Sxx, float(X.shape[0]), floor)
-    return new, float(row_ll.mean())
+    return gmm_from_resp(gmm, resp, X, X * X, floor), float(row_ll.mean())
 
 
-def gmm_from_stats(
-    prev: Gmm,
-    Nk: np.ndarray,
-    Sx: np.ndarray,
-    Sxx: np.ndarray,
-    total: float,
-    floor: np.ndarray,
+def gmm_from_resp(
+    prev: Gmm, resp: np.ndarray, X: np.ndarray, XX: np.ndarray, floor: np.ndarray
 ) -> Gmm:
-    """The M-step: the mixture implied by per-component responsibility
-    masses Nk (K,) and responsibility-weighted sums of the frames Sx and
-    of their squares Sxx (K, m).  Weights are Nk / total; variances are
+    """The M-step: the mixture implied by the (N, K) component
+    responsibilities resp of the frames X (N, m), whose squares are XX.
+    Weights are the responsibility masses over their sum; variances are
     floored.  Starved components keep prev's parameters at a tiny weight.
+
+    Each statistic is one sum over all N rows: the masses by resp.sum(0),
+    the weighted sums of X and XX by np.einsum.  einsum never calls BLAS,
+    so the model's bits do not depend on which BLAS kernel is loaded.
     """
+    Nk = resp.sum(axis=0)
+    Sx = np.einsum("nk,nm->km", resp, X)
+    Sxx = np.einsum("nk,nm->km", resp, XX)
     new_w = prev.weights.copy()
     new_mu = prev.means.copy()
     new_var = prev.variances.copy()
     alive = Nk > 1e-12
-    new_w[alive] = Nk[alive] / total
+    new_w[alive] = Nk[alive] / Nk.sum()
     new_w[~alive] = 1e-12
     new_w /= new_w.sum()
     mu = Sx[alive] / Nk[alive, None]

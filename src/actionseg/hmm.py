@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import FeatureSequence, UnitLexicon
 from .errors import DataError, NoPathError
-from .gmm import Gmm, GmmBank, _logsumexp, em_step, fit_em, gmm_from_stats, variance_floor
+from .gmm import Gmm, GmmBank, _logsumexp, em_step, fit_em, gmm_from_resp, variance_floor
 from .util import derive_seed, read_json, write_json
 
 SELF_LOOP_INIT = 0.9
@@ -330,12 +330,10 @@ class _Segments:
         self.starts = np.concatenate([[0], np.cumsum(self.lengths)])
         self.seg = np.repeat(np.arange(self.count), self.lengths)
         self.time = np.arange(self.frames.shape[0]) - self.starts[self.seg]
-        # Frame pairs (t, t + 1) within a sequence, by the row of frame t;
-        # sequence b owns pairs pair_starts[b] .. pair_starts[b + 1] - 1.
+        # Frame pairs (t, t + 1) within a sequence, by the row of frame t.
         paired = np.ones(self.frames.shape[0], dtype=bool)
         paired[self.starts[1:] - 1] = False
         self.cur = np.flatnonzero(paired)
-        self.pair_starts = self.starts - np.arange(self.count + 1)
 
     def pad(self, rows: np.ndarray) -> np.ndarray:
         """(N, k) concatenated rows -> (T_max, B, k), zero past each end."""
@@ -463,10 +461,9 @@ def baum_welch(
     never decreases.
     With max_iter = 0 an unchanged copy is returned.
 
-    All sequences run through one batched forward and backward pass.  The
-    sums whose rounding depends on their order (expected transitions and
-    the mixture statistics) are still taken one sequence at a time, in
-    input order.
+    All sequences run through one batched forward and backward pass, and
+    each expected count or mixture statistic is one sum over the rows of
+    every sequence, concatenated in input order.
     """
     model = hmm.copy()
     usable = _usable_frames(model, seqs)
@@ -474,8 +471,8 @@ def baum_welch(
         return model
     segs = _Segments(usable)
     floor = variance_floor(segs.frames)
-    n, m = model.n, model.dim
-    squares = [a * a for a in usable]
+    n = model.n
+    squares = segs.frames * segs.frames
     cur, nxt = segs.cur, segs.cur + 1
     last = segs.starts[1:] - 1
 
@@ -505,26 +502,12 @@ def baum_welch(
         xi_adv = np.exp(
             alpha[cur, :-1] + ln[:-1] + obs[nxt, 1:] + beta[nxt, 1:] - ll_rows[cur]
         )
-        self_exp = np.zeros(n)
-        adv_exp = np.zeros(n)
-        for lo, hi in zip(segs.pair_starts[:-1], segs.pair_starts[1:]):
-            if hi > lo:
-                self_exp += xi_self[lo:hi].sum(axis=0)
-                adv_exp[:-1] += xi_adv[lo:hi].sum(axis=0)
-        adv_exp[n - 1] = segs.count  # every sequence leaves once
-
+        self_exp = xi_self.sum(axis=0)
+        adv_exp = np.append(xi_adv.sum(axis=0), segs.count)  # every sequence leaves once
         new_obs = []
         for j, (g, comp) in enumerate(zip(model.obs, comps)):
-            r_all = np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1])
-            Rk = np.zeros(g.n_components)
-            Sx = np.zeros((g.n_components, m))
-            Sxx = np.zeros((g.n_components, m))
-            for b, (a, aa) in enumerate(zip(usable, squares)):
-                r = r_all[segs.starts[b] : segs.starts[b + 1]]
-                Rk += r.sum(axis=0)
-                Sx += r.T @ a
-                Sxx += r.T @ aa
-            new_obs.append(gmm_from_stats(g, Rk, Sx, Sxx, Rk.sum(), floor))
+            r = np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1])
+            new_obs.append(gmm_from_resp(g, r, segs.frames, squares, floor))
         model = UnitHmm(model.unit_id, *_reestimate_transitions(self_exp, adv_exp), new_obs)
     return model
 

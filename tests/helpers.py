@@ -122,29 +122,32 @@ def log_gaussian(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float
 
 
 def reference_em_step(gmm: Gmm, X: np.ndarray, floor: np.ndarray) -> tuple[Gmm, float]:
-    """actionseg.gmm.em_step with its own M-step, one component at a time."""
+    """actionseg.gmm.em_step through reference_m_step."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     clp = gmm._component_log_prob(X)
     row_ll = _logsumexp(clp, axis=1)
     resp = np.exp(clp - row_ll[:, None])
-    total = float(X.shape[0])
-    ll = float(row_ll.mean())
+    return reference_m_step(gmm, resp, X, floor), float(row_ll.mean())
 
+
+def reference_m_step(prev: Gmm, resp: np.ndarray, X: np.ndarray, floor: np.ndarray) -> Gmm:
+    """actionseg.gmm.gmm_from_resp one component at a time, from the same
+    sums over all rows."""
     Nk = resp.sum(axis=0)
-    new_w = gmm.weights.copy()
-    new_mu = gmm.means.copy()
-    new_var = gmm.variances.copy()
+    Sx = np.einsum("nk,nm->km", resp, X)
+    Sxx = np.einsum("nk,nm->km", resp, X * X)
+    new_w = prev.weights.copy()
+    new_mu = prev.means.copy()
+    new_var = prev.variances.copy()
     alive = Nk > 1e-12
-    new_w[alive] = Nk[alive] / total
+    new_w[alive] = Nk[alive] / Nk.sum()
     new_w[~alive] = 1e-12
     new_w /= new_w.sum()
-    XX = X * X
     for k in np.flatnonzero(alive):
-        mu = resp[:, k] @ X / Nk[k]
-        sq = resp[:, k] @ XX / Nk[k]
+        mu = Sx[k] / Nk[k]
         new_mu[k] = mu
-        new_var[k] = np.maximum(sq - mu * mu, floor)
-    return Gmm(weights=new_w, means=new_mu, variances=new_var), ll
+        new_var[k] = np.maximum(Sxx[k] / Nk[k] - mu * mu, floor)
+    return Gmm(weights=new_w, means=new_mu, variances=new_var)
 
 
 def reference_fit_pca(samples: np.ndarray, target_dim: int) -> PcaModel:
@@ -961,23 +964,23 @@ def reference_viterbi_train(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=N
 
 
 def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None) -> UnitHmm:
-    """actionseg.hmm.baum_welch with one forward-backward loop per sequence."""
+    """actionseg.hmm.baum_welch with one forward-backward loop per sequence.
+    Each sequence's expected transitions and responsibilities are kept as
+    rows, and the rows of all sequences are summed at once, in input order."""
     model = hmm.copy()
     usable = _usable_frames(model, seqs)
     if max_iter <= 0:
         return model
-    floor = variance_floor(np.concatenate(usable))
-    n, m = model.n, model.dim
+    X = np.concatenate(usable)
+    floor = variance_floor(X)
+    n = model.n
 
     prev_total = -np.inf
     for it in range(max_iter):
         ls, ln = model.log_self, model.log_next
         total = 0.0
-        self_exp = np.zeros(n)
-        adv_exp = np.zeros(n)
-        Rk = [np.zeros(g.n_components) for g in model.obs]
-        Sx = [np.zeros((g.n_components, m)) for g in model.obs]
-        Sxx = [np.zeros((g.n_components, m)) for g in model.obs]
+        xi_self, xi_adv = [], []
+        resp = [[] for _ in range(n)]
 
         for a in usable:
             T = a.shape[0]
@@ -1000,20 +1003,12 @@ def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None
                 beta[t] = np.logaddexp(stay, adv)
 
             gamma_log = alpha + beta - ll
-            if T > 1:
-                self_exp += np.exp(alpha[:-1] + ls + obs[1:] + beta[1:] - ll).sum(axis=0)
-                adv_exp[:-1] += np.exp(
-                    alpha[:-1, :-1] + ln[:-1] + obs[1:, 1:] + beta[1:, 1:] - ll
-                ).sum(axis=0)
-            adv_exp[n - 1] += 1.0
-
+            xi_self.append(np.exp(alpha[:-1] + ls + obs[1:] + beta[1:] - ll))
+            xi_adv.append(np.exp(alpha[:-1, :-1] + ln[:-1] + obs[1:, 1:] + beta[1:, 1:] - ll))
             for j in range(n):
                 g = model.obs[j]
                 comp = reference_component_log_prob(a, g.weights, g.means, g.variances)
-                r = np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1])
-                Rk[j] += r.sum(axis=0)
-                Sx[j] += r.T @ a
-                Sxx[j] += r.T @ (a * a)
+                resp[j].append(np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1]))
 
         if history is not None:
             history.append(float(total))
@@ -1021,20 +1016,12 @@ def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None
             break
         prev_total = total
 
-        new_obs = []
-        for j in range(n):
-            g = model.obs[j]
-            new_w = g.weights.copy()
-            new_mu = g.means.copy()
-            new_var = g.variances.copy()
-            alive = Rk[j] > 1e-12
-            new_w[alive] = Rk[j][alive] / Rk[j].sum()
-            new_w[~alive] = 1e-12
-            new_w /= new_w.sum()
-            for k in np.flatnonzero(alive):
-                mu = Sx[j][k] / Rk[j][k]
-                new_mu[k] = mu
-                new_var[k] = np.maximum(Sxx[j][k] / Rk[j][k] - mu * mu, floor)
-            new_obs.append(Gmm(weights=new_w, means=new_mu, variances=new_var))
+        self_exp = np.concatenate(xi_self).sum(axis=0)
+        adv_exp = np.zeros(n)
+        adv_exp[:-1] = np.concatenate(xi_adv).sum(axis=0)
+        adv_exp[n - 1] = len(usable)
+        new_obs = [
+            reference_m_step(model.obs[j], np.concatenate(resp[j]), X, floor) for j in range(n)
+        ]
         model = UnitHmm(model.unit_id, *_reestimate_transitions(self_exp, adv_exp), new_obs)
     return model

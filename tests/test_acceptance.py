@@ -4,7 +4,7 @@ Each test pins one externally meaningful guarantee: dynamic-programming
 routines agree with exhaustive enumeration, training objectives never
 decrease, the synthetic pipeline recovers its generating structure, and
 every command line entry point is bit-reproducible under seeds and
-thread counts.
+thread counts, and training also under the BLAS kernel.
 """
 
 import contextlib
@@ -12,11 +12,17 @@ import filecmp
 import io
 import itertools
 import json
+import os
+import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import actionseg
 from actionseg.cli import main as cli_main
 from actionseg.data import (
     FeatureSequence,
@@ -413,6 +419,56 @@ def test_train_and_decode_identical_across_runs_and_jobs(repro_root):
     d8 = capture_cli([*decode_args, "--jobs", "8"])
     assert d1 == d1_again == d8
     json.loads(d1)
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+# Trains a model and bootstraps another in one interpreter, so OpenBLAS
+# picks its kernel once from the environment.
+_TRAIN_AND_BOOTSTRAP = """
+import sys
+from actionseg.cli import main
+manifest, out = sys.argv[1:]
+flags = ["--manifest", manifest, "--balance-lower", "1", "--viterbi-iters", "3",
+         "--baum-welch-iters", "3"]
+sys.exit(main(["train", "--split", "train", "--out", out + "/train", *flags])
+         or main(["bootstrap", "--annotated-split", "train", "--transcript-split", "test",
+                  "--out", out + "/bootstrap", *flags]))
+"""
+
+
+def test_trained_models_do_not_depend_on_the_blas_kernel(tmp_path):
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS core types are x86-64 names")
+    if not _numpy_uses_openblas():
+        pytest.skip("numpy is not built on OpenBLAS")
+    data = tmp_path / "data"
+    capture_cli(["synth", "--out", str(data), "--activities", "2", "--units", "2",
+                 "--clips", "6", "--dim", "3", "--seed", "3"])
+    src = Path(actionseg.__file__).resolve().parents[1]
+    models = {}
+    for coretype in (None, "Prescott", "Haswell"):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / f"models-{coretype}"
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRAIN_AND_BOOTSTRAP, str(data / "manifest.json"), str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        if proc.returncode != 0 and coretype is not None:
+            pytest.skip(f"OPENBLAS_CORETYPE={coretype} does not run here: {proc.stderr[-200:]}")
+        assert proc.returncode == 0, proc.stderr
+        models[coretype] = [(out / cmd / "hmms.json").read_bytes() for cmd in ("train", "bootstrap")]
+    assert models["Prescott"] == models[None]
+    assert models["Haswell"] == models[None]
 
 
 # ---------------------------------------------------------------------------

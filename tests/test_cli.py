@@ -766,6 +766,17 @@ def test_grid_fits_each_pca_once_for_every_k(capsys, workspace, tmp_path, monkey
     tags = [s["setting"] for s in json.loads(out)["settings"]]
     assert tags == ["k1_d1", "k1_d1_m", "k2_d1", "k2_d1_m"]
     assert fits == [1, 1]
+    # the K = 2 settings train on the K = 1 settings' files and write none
+    settings = tmp_path / "grid" / "settings"
+    for suffix in ("d1", "d1_m"):
+        assert not list((settings / f"k2_{suffix}").rglob("*.feat"))
+        first, second = (
+            load_manifest(settings / f"k{K}_{suffix}" / "manifest.json") for K in (1, 2)
+        )
+        clip_dir = (settings / f"k1_{suffix}" / "clips").resolve()
+        assert all(Path(c.features).resolve().parent == clip_dir for c in first.clips)
+        assert [c.features for c in second.clips] == [c.features for c in first.clips]
+
 
 def test_module_entry_point():
     proc = subprocess.run(
