@@ -56,13 +56,11 @@ from .grammar import (
 )
 from .decoder import (
     DecodeResult,
-    classify_activity,
     decode,
     force_align,
     majority_vote,
 )
 from .metrics import (
-    ConfusionMatrix,
     accuracy,
     jaccard,
     mof,
@@ -71,12 +69,10 @@ from .metrics import (
 from .pipeline import (
     BalanceConfig,
     BootstrapConfig,
-    MirrorMap,
     ModelBundle,
     TrainConfig,
     bootstrap,
     load_bundle,
-    mirror_features,
     save_bundle,
     train_supervised,
 )
@@ -89,7 +85,6 @@ __all__ = [
     "BeamPrunedError",
     "BootstrapConfig",
     "ClipRecord",
-    "ConfusionMatrix",
     "DataError",
     "DatasetManifest",
     "DecodeError",
@@ -100,7 +95,6 @@ __all__ = [
     "FvEncoderConfig",
     "Gmm",
     "Grammar",
-    "MirrorMap",
     "ModelBundle",
     "NoPathError",
     "PcaModel",
@@ -116,7 +110,6 @@ __all__ = [
     "baum_welch",
     "bootstrap",
     "build_grammar",
-    "classify_activity",
     "compose",
     "decode",
     "em_step",
@@ -135,7 +128,6 @@ __all__ = [
     "load_hmm_set",
     "load_manifest",
     "majority_vote",
-    "mirror_features",
     "mof",
     "moc",
     "parse_ebnf",

@@ -35,7 +35,7 @@ from .data import (
     save_manifest,
     write_segment_names,
 )
-from .decoder import classify_activity, decode, force_align, majority_vote
+from .decoder import decode, force_align, majority_vote
 from .errors import DataError, DecodeError
 from .features import (
     DEFAULT_FV_WINDOW,
@@ -48,17 +48,15 @@ from .features import (
     window_fv_matrix,
 )
 from .grammar import compose
-from .metrics import accuracy, jaccard, mof, moc, report_row, write_report_csv, write_report_json
+from .metrics import accuracy, jaccard, mof, moc, report_row, write_report_csv
 from .pipeline import (
     DEFAULT_SILENCE,
     BalanceConfig,
     BootstrapConfig,
-    MirrorMap,
     ModelBundle,
     TrainConfig,
     bootstrap,
     load_bundle,
-    mirror_features,
     save_bundle,
     train_supervised,
 )
@@ -225,10 +223,8 @@ def cmd_classify(args) -> None:
     priors = bundle.priors if args.prior == "on" else None
 
     def run(rec: ClipRecord):
-        act, res = classify_activity(
-            graph, load_features(rec.features), beam=args.beam, priors=priors
-        )
-        return act, res.log_prob
+        res = decode(graph, load_features(rec.features), beam=args.beam, priors=priors)
+        return res.activity, res.log_prob
 
     results = parallel_map(run, records)
     doc = {
@@ -239,9 +235,7 @@ def cmd_classify(args) -> None:
     }
     truth = [rec.activity for rec in records]
     if all(truth):
-        acc, confusion = accuracy(truth, [act for act, _ in results])
-        doc["accuracy"] = acc
-        doc["confusion"] = confusion.to_dict()
+        doc["accuracy"], doc["confusion"] = accuracy(truth, [act for act, _ in results])
     _emit(args, doc, "classification.json")
 
 
@@ -283,29 +277,18 @@ def cmd_eval(args) -> None:
     manifest = load_manifest(args.manifest)
     records = _select_records(manifest, args.split)
     pred_dir = Path(args.pred)
-    pairs = []
-    names: set[str] = {args.silence}
+    per_clip = {}
+    gt, pred = [], []
     for rec in records:
         gt_names = _reference_frame_names(rec)
         pred_names = _frame_names(
             pred_dir / f"{rec.clip_id}.seg", rec.clip_id, "prediction", len(gt_names)
         )
-        names.update(gt_names)
-        names.update(pred_names)
-        pairs.append((rec.clip_id, gt_names, pred_names))
-    lexicon = UnitLexicon.from_names(sorted(names), silence=args.silence)
-    per_clip = {}
-    gt_all, pred_all = [], []
-    for cid, gt_names, pred_names in pairs:
-        gt = np.array([lexicon.id_of(n) for n in gt_names], dtype=np.int64)
-        pred = np.array([lexicon.id_of(n) for n in pred_names], dtype=np.int64)
-        per_clip[cid] = {"mof": mof(gt, pred)}
-        gt_all.append(gt)
-        pred_all.append(pred)
-    gt = np.concatenate(gt_all)
-    pred = np.concatenate(pred_all)
+        per_clip[rec.clip_id] = {"mof": mof(gt_names, pred_names)}
+        gt.extend(gt_names)
+        pred.extend(pred_names)
     overall = {
-        "jaccard": jaccard(gt, pred, background=lexicon.silence_id),
+        "jaccard": jaccard(gt, pred, background=args.silence),
         "mof": mof(gt, pred),
         "moc": moc(gt, pred),
     }
@@ -316,7 +299,7 @@ def cmd_eval(args) -> None:
     if args.out:
         out = Path(args.out)
         if out.suffix == ".json":
-            write_report_json(out, rows)
+            write_json(out, rows)
         else:
             write_report_csv(out, rows)
     _print_json({"clips": per_clip, "overall": overall})
@@ -406,14 +389,12 @@ def _grid_clips(records, raw, train_ids, D, mir, clip_dir):
     """The clip records and train split of the grid settings of PCA
     dimension D (None: raw features) and mirroring mir, whatever their K.
     Projected and mirrored features are written to clip_dir."""
-    base_dim = raw[train_ids[0]].dim
-    mirror_map = MirrorMap.sign_flip(base_dim) if mir else None
+    # a sign flip of every dimension stands in for mirroring the video
+    mirrored = {cid: FeatureSequence(-raw[cid].frames, cid) for cid in train_ids} if mir else {}
     pca = None
-    if D is not None and D < base_dim:
+    if D is not None and D < raw[train_ids[0]].dim:
         train_frames = [raw[cid].frames for cid in train_ids]
-        if mir:
-            train_frames += [mirror_features(raw[cid], mirror_map).frames for cid in train_ids]
-        pca = fit_pca(train_frames, D)
+        pca = fit_pca(train_frames + [seq.frames for seq in mirrored.values()], D)
     clip_dir.mkdir(parents=True, exist_ok=True)
 
     def transform(seq: FeatureSequence) -> FeatureSequence:
@@ -428,16 +409,15 @@ def _grid_clips(records, raw, train_ids, D, mir, clip_dir):
             save_features(path, transform(raw[cid]))
             rec = ClipRecord(cid, str(path), rec.activity, rec.segmentation, rec.transcript)
         new_clips.append(rec)
-    if mir:
-        for cid in train_ids:
-            rec = records[cid]
-            mcid = f"{cid}~m"
-            path = clip_dir / f"{mcid}.feat"
-            save_features(path, transform(mirror_features(raw[cid], mirror_map)))
-            new_clips.append(
-                ClipRecord(mcid, str(path), rec.activity, rec.segmentation, rec.transcript)
-            )
-            split_train.append(mcid)
+    for cid, seq in mirrored.items():
+        rec = records[cid]
+        mcid = f"{cid}~m"
+        path = clip_dir / f"{mcid}.feat"
+        save_features(path, transform(seq))
+        new_clips.append(
+            ClipRecord(mcid, str(path), rec.activity, rec.segmentation, rec.transcript)
+        )
+        split_train.append(mcid)
     return new_clips, split_train
 
 

@@ -12,7 +12,6 @@ File formats
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .util import read_json, read_text
+from .util import read_json, read_text, write_json
 
 MANIFEST_VERSION = 1
 
@@ -422,9 +421,7 @@ def save_manifest(path: str | os.PathLike, manifest: DatasetManifest) -> None:
         ],
         "splits": {k: list(v) for k, v in manifest.splits.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------

@@ -283,23 +283,6 @@ def decode(
     )
 
 
-def classify_activity(
-    graph: DecodingGraph,
-    seq,
-    beam: int | None = None,
-    priors: Mapping[int, float] | None = None,
-) -> tuple[str, DecodeResult]:
-    """Best activity label for a whole sequence.
-
-    The union graph of all activities (as composed from a grammar) is
-    decoded in one pass and the winning path's activity tag decides.
-    """
-    result = decode(graph, seq, beam=beam, priors=priors)
-    if result.activity is None:
-        raise DecodeError("graph carries no activity tags; compose it from a grammar")
-    return result.activity, result
-
-
 # force_align runs the sequences of a transcript, longest first, in padded
 # batches of at most this many (frame, row, state) cells.
 _ALIGN_CELLS = 1 << 16

@@ -132,7 +132,7 @@ class UnitHmm:
             return [-np.inf if v is None else float(v) for v in vs]
 
         return cls(
-            unit_id=int(d["unit_id"]),
+            unit_id=_json_int("unit_id", d["unit_id"]),
             log_self=dec(d["log_self"]),
             log_next=dec(d["log_next"]),
             obs=[Gmm.from_dict(s) for s in d["states"]],
@@ -222,9 +222,11 @@ def init_hmm(
 
 
 def _ends_by_frame(lengths: np.ndarray) -> dict[int, np.ndarray]:
-    """Last frame -> indices of the sequences that end there."""
+    """Last frame -> indices of the sequences that end there, ascending."""
     last = np.asarray(lengths) - 1
-    return {int(t): np.flatnonzero(last == t) for t in np.unique(last)}
+    order = np.argsort(last, kind="stable")
+    ends, first = np.unique(last[order], return_index=True)
+    return dict(zip(ends.tolist(), np.split(order, first[1:])))
 
 
 def _apply_beam(scores: np.ndarray, beam: int) -> None:
@@ -547,6 +549,13 @@ def save_hmm_set(path, hmms: Mapping[int, UnitHmm], lexicon: UnitLexicon) -> Non
     write_json(path, doc)
 
 
+def _json_int(what: str, v) -> int:
+    """A JSON integer; a float, bool or string is a DataError."""
+    if type(v) is not int:
+        raise DataError(f"{what} {v!r} is not an integer")
+    return v
+
+
 def load_hmm_set(path) -> tuple[dict[int, UnitHmm], UnitLexicon]:
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != HMMSET_FORMAT:
@@ -554,10 +563,13 @@ def load_hmm_set(path) -> tuple[dict[int, UnitHmm], UnitLexicon]:
     try:
         lex_doc = doc["lexicon"]
         names = [str(s) for s in lex_doc["names"]]
+        counts = [_json_int("sample count", c) for c in lex_doc["sample_count"]]
+        if len(counts) != len(names):
+            raise DataError(f"{len(counts)} sample counts for {len(names)} unit names")
         lexicon = UnitLexicon.from_names(
             names,
             silence=str(lex_doc["silence"]),
-            counts=dict(zip(names, lex_doc["sample_count"])),
+            counts=dict(zip(names, counts)),
         )
         hmms = {}
         for d in doc["units"]:

@@ -1,28 +1,23 @@
 """Evaluation metrics and report output.
 
 Frame metrics (mean over frames, mean over class, Jaccard) work on
-per-frame label sequences or segmentations; clip metrics (accuracy,
-confusion) on per-clip label lists.  Labels may be ids or names, any
-sortable hashable works.
+per-frame label sequences; clip metrics (accuracy, confusion counts) on
+per-clip label lists.  Labels may be ids or names, any sortable hashable
+works.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Segmentation, frame_labels
 from .errors import DataError
-from .util import write_json
 
 REPORT_FIELDS = ("metric", "split", "K", "value")
 
 
 def _as_labels(x) -> np.ndarray:
-    if isinstance(x, Segmentation):
-        return np.asarray(frame_labels(x, x.num_frames))
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise DataError("per-frame labels must be a 1-D sequence")
@@ -75,47 +70,24 @@ def jaccard(gt, pred, background=None) -> float:
     return float(np.mean(scores))
 
 
-@dataclass(eq=False)
-class ConfusionMatrix:
-    """Square count matrix, rows = ground truth, columns = prediction."""
-
-    labels: tuple
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        L = len(self.labels)
-        if counts.shape != (L, L):
-            raise DataError(f"confusion counts shape {counts.shape} for {L} labels")
-        if counts.min(initial=0) < 0:
-            raise DataError("negative confusion count")
-        self.labels = tuple(self.labels)
-        self.counts = counts
-
-    def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "counts": [[int(v) for v in row] for row in self.counts],
-        }
-
-
-def accuracy(gt_labels: Sequence, pred_labels: Sequence) -> tuple[float, ConfusionMatrix]:
-    """Clip-level accuracy plus the confusion matrix over the union of
-    observed labels (sorted)."""
+def accuracy(gt_labels: Sequence, pred_labels: Sequence) -> tuple[float, dict]:
+    """Clip-level accuracy plus the confusion counts over the union of
+    observed labels (sorted): {"labels": [...], "counts": rows of ground
+    truth by columns of prediction}."""
     if len(gt_labels) != len(pred_labels):
         raise DataError(
             f"label lengths differ: {len(gt_labels)} vs {len(pred_labels)}"
         )
     if len(gt_labels) == 0:
         raise DataError("cannot score zero clips")
-    labels = tuple(sorted(set(gt_labels) | set(pred_labels)))
+    labels = sorted(set(gt_labels) | set(pred_labels))
     index = {lbl: i for i, lbl in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    counts = [[0] * len(labels) for _ in labels]
     hits = 0
     for g, p in zip(gt_labels, pred_labels):
-        counts[index[g], index[p]] += 1
+        counts[index[g]][index[p]] += 1
         hits += g == p
-    return hits / len(gt_labels), ConfusionMatrix(labels=labels, counts=counts)
+    return hits / len(gt_labels), {"labels": labels, "counts": counts}
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +110,3 @@ def write_report_csv(path, rows: Sequence[Mapping]) -> None:
         w.writeheader()
         for row in rows:
             w.writerow({k: row.get(k, "") for k in REPORT_FIELDS})
-
-
-def write_report_json(path, rows: Sequence[Mapping]) -> None:
-    write_json(path, [dict(r) for r in rows])

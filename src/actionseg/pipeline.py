@@ -10,13 +10,12 @@ Semi-supervised bootstrapping first trains on a fully annotated subset,
 then force-aligns transcript-only clips with those models and
 re-estimates everything on the union.
 
-Also here: the mirrored-feature augmentation hook and model bundle
-persistence.
+Also here: model bundle persistence.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -73,14 +72,6 @@ class BalanceConfig:
         if self.jitter_sigma < 0:
             raise DataError("jitter_sigma cannot be negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "jitter_sigma": self.jitter_sigma,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class TrainConfig:
@@ -92,16 +83,6 @@ class TrainConfig:
     baum_welch_iters: int = 10
     tol: float = 1e-4
     silence: str = DEFAULT_SILENCE
-
-    def to_dict(self) -> dict:
-        return {
-            "balance": self.balance.to_dict(),
-            "seed": self.seed,
-            "viterbi_iters": self.viterbi_iters,
-            "baum_welch_iters": self.baum_welch_iters,
-            "tol": self.tol,
-            "silence": self.silence,
-        }
 
 
 @dataclass
@@ -340,7 +321,7 @@ def _train_supervised(
     config = {
         "K": K,
         "split": list(split) if not isinstance(split, (str, type(None))) else split,
-        **cfg.to_dict(),
+        **asdict(cfg),
     }
     bundle = _train_bundle(per_unit, transcripts, counts, lexicon, K, cfg, config, {})
     return bundle, per_unit, transcripts, counts
@@ -405,48 +386,6 @@ def bootstrap(
 
 
 # ---------------------------------------------------------------------------
-# mirrored-feature augmentation
-
-
-@dataclass(eq=False)
-class MirrorMap:
-    """Per-dimension permutation and sign flips standing in for the
-    descriptor-specific effect of mirroring the underlying video."""
-
-    perm: np.ndarray
-    signs: np.ndarray
-
-    def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.int64)
-        signs = np.asarray(self.signs, dtype=np.float64)
-        if perm.shape != signs.shape or perm.ndim != 1:
-            raise DataError("perm and signs must be equal-length 1-D arrays")
-        if sorted(perm.tolist()) != list(range(perm.size)):
-            raise DataError("perm must be a permutation of the dimensions")
-        if not np.all(np.abs(signs) == 1.0):
-            raise DataError("signs must be +1 or -1")
-        self.perm = perm
-        self.signs = signs
-
-    @property
-    def dim(self) -> int:
-        return self.perm.size
-
-    @classmethod
-    def sign_flip(cls, dim: int) -> "MirrorMap":
-        return cls(perm=np.arange(dim), signs=-np.ones(dim))
-
-
-def mirror_features(seq: FeatureSequence, mirror: MirrorMap) -> FeatureSequence:
-    """Apply a mirror map to a clip's features."""
-    if mirror.dim != seq.dim:
-        raise DataError(
-            f"mirror map has {mirror.dim} dimensions, features have {seq.dim}"
-        )
-    return FeatureSequence(seq.frames[:, mirror.perm] * mirror.signs, clip_id=seq.clip_id)
-
-
-# ---------------------------------------------------------------------------
 # bundle persistence
 
 
@@ -491,19 +430,21 @@ def load_bundle(path) -> ModelBundle:
     if not isinstance(log_priors, dict):
         raise DataError(f'{priors_path} is not a valid priors file: no "log_priors" object')
     priors = {}
-    for name, v in log_priors.items():
-        # -max <= v <= 0 rejects NaN, the infinities, positive priors and
-        # ints too large for a float
-        if v is not None and (
-            isinstance(v, bool)
-            or not isinstance(v, (int, float))
-            or not -sys.float_info.max <= v <= 0
-        ):
-            raise DataError(
-                f"{priors_path} is not a valid priors file: "
-                f"the prior of {name!r} is {v!r}, not null or a finite number <= 0"
-            )
-        priors[lexicon.id_of(name)] = -np.inf if v is None else float(v)
+    try:
+        for name, v in log_priors.items():
+            # -max <= v <= 0 rejects NaN, the infinities, positive priors and
+            # ints too large for a float
+            if v is not None and (
+                isinstance(v, bool)
+                or not isinstance(v, (int, float))
+                or not -sys.float_info.max <= v <= 0
+            ):
+                raise DataError(
+                    f"the prior of {name!r} is {v!r}, not null or a finite number <= 0"
+                )
+            priors[lexicon.id_of(name)] = -np.inf if v is None else float(v)
+    except DataError as exc:
+        raise DataError(f"{priors_path} is not a valid priors file: {exc}") from None
     config_path = path / "pipeline-config.json"
     config = read_json(config_path)
     if not isinstance(config, dict) or config.get("format") != BUNDLE_CONFIG_FORMAT:

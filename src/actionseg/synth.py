@@ -28,6 +28,9 @@ from .util import child_rng, read_json, write_json
 
 TRAIN_SPLIT = "train"
 TEST_SPLIT = "test"
+# Each generating state stays a geometric number of frames, capped here.
+SELF_LOOP = 0.9
+MAX_STATE_FRAMES = 60
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,6 @@ class SynthSpec:
     noise_sigma: float = 0.1
     sentences_per_activity: int = 3
     min_sentence_units: int = 3
-    self_loop: float = 0.9
-    max_state_frames: int = 60
     silence: str = "SIL"
 
     def __post_init__(self):
@@ -60,15 +61,12 @@ class SynthSpec:
             "feature_dim",
             "sentences_per_activity",
             "min_sentence_units",
-            "max_state_frames",
         ):
             value = getattr(self, name)
             if int(value) != value or value < 1:
                 raise DataError(f"{name} must be a positive integer, got {value!r}")
         if self.noise_sigma < 0:
             raise DataError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not 0.0 < self.self_loop < 1.0:
-            raise DataError(f"self_loop must lie in (0, 1), got {self.self_loop}")
         if self.min_sentence_units > self.units_per_activity:
             raise DataError(
                 "min_sentence_units exceeds units_per_activity "
@@ -151,14 +149,14 @@ def _clip_frames(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
     """Sample one clip: per-state geometric durations plus isotropic noise."""
-    p_leave = 1.0 - spec.self_loop
+    p_leave = 1.0 - SELF_LOOP
     blocks = []
     rows = []
     cursor = 0
     for name in tokens:
         unit_blocks = []
         for s in range(spec.states_per_unit):
-            dur = min(int(rng.geometric(p_leave)), spec.max_state_frames)
+            dur = min(int(rng.geometric(p_leave)), MAX_STATE_FRAMES)
             noise = rng.standard_normal((dur, spec.feature_dim)) * spec.noise_sigma
             unit_blocks.append(means[name][s] + noise)
         chunk = np.concatenate(unit_blocks, axis=0)

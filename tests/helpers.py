@@ -862,6 +862,13 @@ def chain_graph(hmms, units) -> DecodingGraph:
 # reference unit recursions and training
 
 
+def reference_ends_by_frame(lengths) -> dict[int, np.ndarray]:
+    """One flatnonzero per distinct end frame: the direct form of
+    actionseg.hmm._ends_by_frame, which must match it exactly."""
+    last = np.asarray(lengths) - 1
+    return {int(t): np.flatnonzero(last == t) for t in np.unique(last)}
+
+
 def reference_viterbi_align(hmm: UnitHmm, seq) -> StatePath:
     """One sequence, one Python loop over frames: the straightforward form
     of actionseg.hmm.viterbi_align, which must match it exactly."""

@@ -31,7 +31,7 @@ from actionseg.data import (
     read_segment_names,
     read_transcript_names,
 )
-from actionseg.decoder import classify_activity, decode, majority_vote
+from actionseg.decoder import decode, majority_vote
 from actionseg.errors import NoPathError
 from actionseg.gmm import fit_em
 from actionseg.grammar import compose
@@ -212,8 +212,7 @@ def test_synthetic_activity_accuracy_at_least_95(synth_run):
     # the per-clip classifier is the same decode, spot-check the agreement
     for cid in test_ids[:3]:
         seq = load_features(manifest.clip(cid).features)
-        act, _ = classify_activity(synth_run["graph"], seq)
-        assert act == synth_run["results"][cid][0].activity
+        assert decode(synth_run["graph"], seq).activity == synth_run["results"][cid][0].activity
 
 
 def test_synthetic_heldout_mof_at_least_90(synth_run):

@@ -173,11 +173,17 @@ def _decode_with_mutated(capsys, workspace, tmp_path, name, mutate):
     lambda doc: _unit0(doc).update(log_self=[float("nan"), *_unit0(doc)["log_self"][1:]]),
     lambda doc: _unit0(doc).update(log_next="x"),
     lambda doc: _widen(doc["units"][1]),
+    lambda doc: doc["units"][0].update(unit_id=0.9),
+    lambda doc: doc["units"][0].update(unit_id="0"),
+    lambda doc: doc["units"][1].update(unit_id=True),
+    lambda doc: doc["lexicon"]["sample_count"].__setitem__(0, "7"),
+    lambda doc: doc["lexicon"].update(sample_count=doc["lexicon"]["sample_count"][:-1]),
 ], ids=[
     "negative-weight", "nan-mean", "negative-variance", "string-mean", "string-weight",
     "string-unit-id", "units-an-object", "null-state", "ragged-means", "lexicon-a-number",
     "duplicate-unit-id", "log-self-too-long", "positive-log-next", "row-sum-not-1",
-    "nan-log-self", "string-log-next", "unit-1-wider",
+    "nan-log-self", "string-log-next", "unit-1-wider", "float-unit-id", "numeric-string-unit-id",
+    "bool-unit-id", "string-sample-count", "short-sample-count",
 ])
 def test_malformed_model_file_exits_2(capsys, workspace, tmp_path, mutate):
     code, err = _decode_with_mutated(capsys, workspace, tmp_path, "hmms.json", mutate)
@@ -197,9 +203,10 @@ def _first_prior(doc: dict) -> str:
     lambda doc: doc["log_priors"].update({_first_prior(doc): float("nan")}),
     lambda doc: doc["log_priors"].update({_first_prior(doc): 10**400}),
     lambda doc: doc["log_priors"].update({_first_prior(doc): 0.5}),
+    lambda doc: doc["log_priors"].update(nosuch=-1.0),
 ], ids=[
     "priors-a-number", "string-prior", "empty-object", "nan-prior", "int-beyond-float",
-    "positive-prior",
+    "positive-prior", "unknown-unit",
 ])
 def test_malformed_priors_file_exits_2(capsys, workspace, tmp_path, mutate):
     code, err = _decode_with_mutated(capsys, workspace, tmp_path, "priors.json", mutate)
@@ -343,7 +350,7 @@ def test_classify_reports_accuracy(capsys, workspace, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["accuracy"] == 1.0
-    assert set(doc["confusion"]["labels"]) == {"activity00", "activity01"}
+    assert doc["confusion"] == {"labels": ["activity00", "activity01"], "counts": [[3, 0], [0, 3]]}
     saved = json.loads((out_dir / "classification.json").read_text())
     assert saved == doc
 
@@ -724,6 +731,11 @@ def test_grid_votes_over_settings(capsys, workspace, tmp_path):
         "k1_dfull": [],
         "k1_dfull_m": sorted(f"{cid}~m.feat" for cid in manifest.split_ids("train")),
     }
+    # a mirrored clip holds exactly the negated input frames, signed zeros included
+    for cid in manifest.split_ids("train"):
+        raw = load_features(manifest.clip(cid).features).frames
+        mirrored = load_features(out_dir / "settings" / "k1_dfull_m" / "clips" / f"{cid}~m.feat")
+        assert mirrored.frames.tobytes() == (-raw).tobytes()
     # each voted .seg holds the runs of the frame-wise vote over the settings' decodes
     hypotheses = {}
     for tag in tags:

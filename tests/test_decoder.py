@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from actionseg import decoder
 from actionseg.data import Transcript, UnitLexicon, frame_labels
-from actionseg.decoder import classify_activity, decode, force_align, majority_vote
+from actionseg.decoder import decode, force_align, majority_vote
 from actionseg.errors import BeamPrunedError, DataError, DecodeError, NoPathError
 from actionseg.grammar import (
     DecodingGraph,
@@ -291,29 +291,21 @@ def test_classify_union_and_mapping_agree():
     }
     for trial in range(10):
         frames = rng.normal(size=(int(rng.integers(3, 8)), 2))
-        act_u, res_u = classify_activity(union, frames)
+        res_u = decode(union, frames)
         by_act = {act: decode(per_act[act], frames) for act in sorted(per_act)}
         act_m = max(by_act, key=lambda act: by_act[act].log_prob)
-        assert act_u == act_m, f"trial {trial}"
+        assert res_u.activity == act_m, f"trial {trial}"
         assert res_u.log_prob == pytest.approx(by_act[act_m].log_prob, abs=1e-9)
-
-
-def test_classify_needs_activity_tags():
-    rng = np.random.default_rng(88)
-    hmms = {0: random_unit_hmm(rng, 0, 1, 1, 1)}
-    with pytest.raises(DecodeError):
-        classify_activity(unconstrained_graph(hmms), rng.normal(size=(4, 1)))
 
 
 def test_classify_skips_impossible_activities():
     lex = UnitLexicon.from_names(["SIL", "short", "long"])
     hmms = {0: fixed_obs_hmm(0, 1, 0.0), 1: fixed_obs_hmm(1, 1, 0.0), 2: fixed_obs_hmm(2, 8, 0.0)}
     union = compose(build_grammar([("fits", (0, 1, 0)), ("needs10", (0, 2, 0))], lex), hmms)
-    act, _ = classify_activity(union, np.zeros((4, 1)))
-    assert act == "fits"
+    assert decode(union, np.zeros((4, 1))).activity == "fits"
     only_long = compose(build_grammar([("needs10", (0, 2, 0))], lex), hmms)
     with pytest.raises(DecodeError):
-        classify_activity(only_long, np.zeros((4, 1)))
+        decode(only_long, np.zeros((4, 1)))
 
 
 def test_majority_vote_rules():

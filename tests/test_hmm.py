@@ -9,6 +9,7 @@ from actionseg.gmm import Gmm
 from actionseg.hmm import (
     StatePath,
     UnitHmm,
+    _ends_by_frame,
     baum_welch,
     init_hmm,
     load_hmm_set,
@@ -23,6 +24,7 @@ from helpers import (
     oracle_viterbi,
     random_unit_hmm,
     reference_baum_welch,
+    reference_ends_by_frame,
     reference_forward_loglik,
     reference_viterbi_align,
     reference_viterbi_train,
@@ -406,3 +408,14 @@ def test_hmm_set_round_trip(tmp_path):
     (tmp_path / "junk.json").write_text("{}\n")
     with pytest.raises(DataError):
         load_hmm_set(tmp_path / "junk.json")
+
+
+def test_ends_by_frame_matches_flatnonzero_form():
+    rng = np.random.default_rng(2000)
+    for trial in range(2000):
+        lengths = rng.integers(1, int(rng.integers(2, 40)), size=int(rng.integers(0, 80)))
+        got, want = _ends_by_frame(lengths), reference_ends_by_frame(lengths)
+        assert list(got) == list(want), f"trial {trial}"
+        for t in want:
+            assert type(t) is int and got[t].dtype == want[t].dtype, f"trial {trial}"
+            np.testing.assert_array_equal(got[t], want[t])

@@ -1,20 +1,10 @@
 import json
 
-import numpy as np
 import pytest
 
-from actionseg.data import Segmentation
 from actionseg.errors import DataError
-from actionseg.metrics import (
-    ConfusionMatrix,
-    accuracy,
-    jaccard,
-    moc,
-    mof,
-    report_row,
-    write_report_csv,
-    write_report_json,
-)
+from actionseg.metrics import accuracy, jaccard, moc, mof, report_row, write_report_csv
+from actionseg.util import write_json
 
 
 def test_mof_hand_computed():
@@ -25,14 +15,6 @@ def test_mof_hand_computed():
         mof([1, 2], [1])
     with pytest.raises(DataError):
         mof([], [])
-
-
-def test_mof_accepts_segmentations():
-    gt = Segmentation(((0, 0, 1), (1, 2, 3)))
-    pred = Segmentation(((0, 0, 2), (1, 3, 3)))
-    # frames: gt 0 0 1 1, pred 0 0 0 1
-    assert mof(gt, pred) == pytest.approx(0.75)
-    assert mof(gt, [0, 0, 0, 1]) == pytest.approx(0.75)
 
 
 def test_moc_hand_computed():
@@ -64,25 +46,16 @@ def test_jaccard_hand_computed():
 def test_accuracy_and_confusion():
     acc, cm = accuracy(["x", "y", "x"], ["x", "x", "x"])
     assert acc == pytest.approx(2 / 3)
-    assert cm.labels == ("x", "y")
-    np.testing.assert_array_equal(cm.counts, [[2, 0], [1, 0]])
-    assert cm.to_dict() == {"labels": ["x", "y"], "counts": [[2, 0], [1, 0]]}
+    assert cm == {"labels": ["x", "y"], "counts": [[2, 0], [1, 0]]}
+    assert all(type(v) is int for row in cm["counts"] for v in row)
     # labels seen only in predictions still get a column
     acc2, cm2 = accuracy(["x"], ["z"])
     assert acc2 == 0.0
-    assert cm2.labels == ("x", "z")
-    np.testing.assert_array_equal(cm2.counts, [[0, 1], [0, 0]])
+    assert cm2 == {"labels": ["x", "z"], "counts": [[0, 1], [0, 0]]}
     with pytest.raises(DataError):
         accuracy(["x"], [])
     with pytest.raises(DataError):
         accuracy([], [])
-
-
-def test_confusion_matrix_validation():
-    with pytest.raises(DataError):
-        ConfusionMatrix(labels=("a",), counts=np.zeros((2, 2)))
-    with pytest.raises(DataError):
-        ConfusionMatrix(labels=("a", "b"), counts=np.array([[1, 0], [0, -1]]))
 
 
 def test_report_row_and_csv(tmp_path):
@@ -98,8 +71,9 @@ def test_report_row_and_csv(tmp_path):
 
 
 def test_report_json(tmp_path):
+    # eval --out FILE.json writes its report rows through write_json
     rows = [report_row("mof", 0.25, split="test", K=2)]
     p = tmp_path / "report.json"
-    write_report_json(p, rows)
+    write_json(p, rows)
     doc = json.loads(p.read_text())
     assert doc == [{"metric": "mof", "split": "test", "K": 2, "value": 0.25}]

@@ -23,14 +23,12 @@ from actionseg.grammar import compose
 from actionseg.pipeline import (
     BalanceConfig,
     BootstrapConfig,
-    MirrorMap,
     TrainConfig,
     balance_units,
     bootstrap,
     collect_lexicon,
     extract_segments,
     load_bundle,
-    mirror_features,
     save_bundle,
     train_supervised,
 )
@@ -304,25 +302,6 @@ def test_bootstrap_reports_the_first_bad_clip_in_sorted_order(tmp_path):
     bcfg = BootstrapConfig(("c0", "c2"), ("c3",), rounds=1)
     with pytest.raises(DataError, match="clip 'c3' has no transcript"):
         bootstrap(manifest, bcfg, K=1, cfg=quick_cfg())
-
-
-def test_mirror_map_and_features():
-    rng = np.random.default_rng(104)
-    seq = FeatureSequence(rng.normal(size=(5, 3)), clip_id="c")
-    flip = MirrorMap.sign_flip(3)
-    out = mirror_features(seq, flip)
-    np.testing.assert_array_equal(out.frames, -seq.frames)
-    assert out.clip_id == "c"
-    swap = MirrorMap(perm=np.array([1, 0, 2]), signs=np.array([1.0, -1.0, 1.0]))
-    out2 = mirror_features(seq, swap)
-    np.testing.assert_array_equal(out2.frames[:, 0], seq.frames[:, 1])
-    np.testing.assert_array_equal(out2.frames[:, 1], -seq.frames[:, 0])
-    with pytest.raises(DataError):
-        MirrorMap(perm=np.array([0, 0]), signs=np.array([1.0, 1.0]))
-    with pytest.raises(DataError):
-        MirrorMap(perm=np.array([0, 1]), signs=np.array([1.0, 2.0]))
-    with pytest.raises(DataError):
-        mirror_features(seq, MirrorMap.sign_flip(2))
 
 
 def test_bundle_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from actionseg.data import load_features, load_manifest, read_segment_names, read_transcript_names
 from actionseg.errors import DataError
 from actionseg.synth import (
+    MAX_STATE_FRAMES,
     SynthSpec,
     activity_names,
     generate_dataset,
@@ -33,10 +34,6 @@ def test_spec_validation():
         SynthSpec(clips_per_activity=-1)
     with pytest.raises(DataError):
         SynthSpec(noise_sigma=-0.5)
-    with pytest.raises(DataError):
-        SynthSpec(self_loop=1.0)
-    with pytest.raises(DataError):
-        SynthSpec(self_loop=0.0)
     with pytest.raises(DataError):
         SynthSpec(min_sentence_units=9, units_per_activity=5)
 
@@ -109,7 +106,7 @@ def test_generated_annotations_are_consistent(tmp_path):
             assert s2 == e1 + 1
         for s, e, _ in rows:
             L = e - s + 1
-            assert SMALL.states_per_unit <= L <= SMALL.states_per_unit * SMALL.max_state_frames
+            assert SMALL.states_per_unit <= L <= SMALL.states_per_unit * MAX_STATE_FRAMES
     # the manifest on disk resolves to the same clip set
     back = load_manifest(out / "manifest.json")
     assert {c.clip_id for c in back.clips} == all_ids

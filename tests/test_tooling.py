@@ -2,6 +2,7 @@
 keep finding them.  Every public function must be reached from outside
 its own module."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -10,12 +11,14 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import actionseg
 from actionseg.cli import build_parser
 from actionseg.data import FeatureSequence, UnitLexicon
 from actionseg.decoder import decode, force_align
 from actionseg.grammar import Grammar, compose
+from actionseg.synth import SynthSpec
 from helpers import random_unit_hmm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,3 +161,23 @@ def test_every_public_function_is_named_outside_its_module():
         if not any(word.search(text) for p, text in texts.items() if p not in home):
             unreached.append(name)
     assert not unreached, f"public functions no command, module or demo names: {unreached}"
+
+
+class _SpecCaptured(Exception):
+    pass
+
+
+def test_every_synth_spec_field_is_set_by_the_synth_command(monkeypatch):
+    # a field that the synth command never sets is a knob with one value:
+    # it belongs in synth.py as a constant
+    captured = {}
+
+    def capture(**kwargs):
+        captured.update(kwargs)
+        raise _SpecCaptured
+
+    monkeypatch.setattr(actionseg.cli, "SynthSpec", capture)
+    parser, _ = build_parser()
+    with pytest.raises(_SpecCaptured):
+        actionseg.cli.cmd_synth(parser.parse_args(["synth", "--out", "unused"]))
+    assert set(captured) == {f.name for f in dataclasses.fields(SynthSpec)}
