@@ -287,10 +287,15 @@ def cmd_eval(args) -> None:
         per_clip[rec.clip_id] = {"mof": mof(gt_names, pred_names)}
         gt.extend(gt_names)
         pred.extend(pred_names)
+    # integer codes in sorted-name order: the metrics see the classes in the
+    # order of the names, at 8 bytes a frame
+    code = {name: i for i, name in enumerate(sorted(set(gt) | set(pred)))}
+    g = np.fromiter(map(code.__getitem__, gt), np.int64, len(gt))
+    p = np.fromiter(map(code.__getitem__, pred), np.int64, len(pred))
     overall = {
-        "jaccard": jaccard(gt, pred, background=args.silence),
-        "mof": mof(gt, pred),
-        "moc": moc(gt, pred),
+        "jaccard": jaccard(g, p, background=code.get(args.silence)),
+        "mof": mof(g, p),
+        "moc": moc(g, p),
     }
     rows = [
         report_row(metric, value, split=args.split or "", K=args.gmm_k)

@@ -13,7 +13,31 @@ and combine the slices with elementwise operations, adding them left to
 right.  That is the order in which np.sum adds fewer than eight terms (its
 pairwise summation only splits longer runs), so both forms give the same
 bits; tests/test_gmm.py pins this numpy behaviour.  Longer axes keep the
-np.sum and np.max reductions.
+np.sum and np.max reductions in the log-sum-exp.
+
+Long axes.  From _SHORT_AXIS dimensions on, a mixture's component
+log-densities take the standard form for diagonal Gaussians (Kaldi's
+DiagGmm; Povey et al., ASRU 2011):
+
+    log w_k + log N(x | mu_k, var_k)
+        = xs^2 . (-1/(2 var_k)) + xs . (mus_k / var_k) + c_k,
+    c_k = log w_k - (m log 2pi + sum log var_k + sum mus_k^2 / var_k) / 2,
+
+two np.einsum contractions over the m dimensions of the centred frame
+xs = x - shift and means mus_k = mu_k - shift.  einsum never calls BLAS, so
+the bits do not depend on which BLAS kernel is loaded.  The shift is the
+mean of the mixture's own K means.  Without it the expansion cancels: its
+terms grow with x^2 / var while their sum is the much smaller
+(x - mu)^2 / var, and on means near 1e3 with variances of 1e-12 it kept
+no correct digit.  Each mixture takes its own shift, so a stack of
+mixtures gives each the bits it gets alone.  The error of an entry is at
+most about m eps (1 + sum xs^2/var + sum mus^2/var + sum |log var|)
+(tests/test_gmm.py checks this bound): as accurate as the direct form
+while frame and components lie within a few standard deviations of the
+shift.  Accuracy degrades where they do not.  In a mixture whose
+components lie many standard deviations apart, a frame that sits on one
+of them scores with an absolute error of about m eps mus^2/var, where the
+direct form's error is about m eps.
 
 Two terms, the CLI's default component count, take a shorter form still:
 log1p(exp(lo - hi)) + hi, from their maximum hi and minimum lo.  On a
@@ -31,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import child_rng
+from .util import child_rng, json_numbers
 
 # Variance floor: this fraction of the global per-dimension variance of the
 # training sample (plus a tiny absolute term so constant dimensions stay
@@ -100,9 +124,9 @@ class Gmm:
     @classmethod
     def from_dict(cls, d: dict) -> "Gmm":
         return cls(
-            weights=np.array(d["weights"], dtype=np.float64),
-            means=np.array(d["means"], dtype=np.float64),
-            variances=np.array(d["variances"], dtype=np.float64),
+            weights=np.array(json_numbers("weight", d["weights"]), dtype=np.float64),
+            means=np.array(json_numbers("mean", d["means"]), dtype=np.float64),
+            variances=np.array(json_numbers("variance", d["variances"]), dtype=np.float64),
         )
 
     def __eq__(self, other) -> bool:
@@ -219,30 +243,67 @@ def _component_log_prob(
     Every entry is computed by the same elementwise steps and the same
     order of additions over the m dimensions whatever the leading stack
     shape, so a stacked evaluation equals the one-mixture evaluation bit
-    for bit.  A frame far enough from a component overflows its quadratic
+    for bit; on a long axis each mixture of the stack is contracted on
+    its own.  A frame far enough from a component overflows its quadratic
     term to inf, which is the right limit (log-density -inf), so that
     overflow is not reported.
     """
     N, m = X.shape
+    if not 0 < m < _SHORT_AXIS:
+        out = np.empty((N, *means.shape[:-1]))
+        for i in np.ndindex(means.shape[:-2]):
+            terms = _long_axis_terms(weights[i], means[i], variances[i])
+            _contract(X, terms, out=out[(slice(None), *i)])
+        return out
     lead = (N,) + (1,) * (means.ndim - 1)
     with np.errstate(over="ignore"):
-        if 0 < m < _SHORT_AXIS:
-            quad = None
-            for j in range(m):
-                d = X[:, j].reshape(lead) - means[..., j]                   # (N, ..., K)
-                np.multiply(d, d, out=d)
-                np.divide(d, variances[..., j], out=d)
-                quad = d if quad is None else np.add(quad, d, out=quad)
-        else:
-            diff = X.reshape(*lead, m) - means                              # (N, ..., K, m)
-            np.multiply(diff, diff, out=diff)
-            np.divide(diff, variances, out=diff)
-            quad = np.sum(diff, axis=-1)
+        quad = None
+        for j in range(m):
+            d = X[:, j].reshape(lead) - means[..., j]                       # (N, ..., K)
+            np.multiply(d, d, out=d)
+            np.divide(d, variances[..., j], out=d)
+            quad = d if quad is None else np.add(quad, d, out=quad)
         logdet = np.sum(np.log(variances), axis=-1)                         # (..., K)
         const = m * np.log(2.0 * np.pi)
         np.add(quad, const + logdet, out=quad)
         np.multiply(quad, 0.5, out=quad)
         return np.subtract(np.log(weights), quad, out=quad)
+
+
+def _long_axis_terms(weights: np.ndarray, means: np.ndarray, variances: np.ndarray) -> tuple:
+    """The constants of one mixture's long-axis form (see the module
+    docstring): its shift, the mean of its K means (m,); -1/(2 var) and
+    (mu - shift)/var, both (K, m) and C-ordered; and the (K,) constant
+    log w - (m log 2pi + sum log var + sum (mu - shift)^2/var) / 2."""
+    means = np.ascontiguousarray(means)
+    variances = np.ascontiguousarray(variances)
+    shift = means.mean(axis=0)
+    centred = means - shift
+    prec = 1.0 / variances
+    lin = centred * prec
+    const = np.sum(centred * lin, axis=-1)
+    const += np.sum(np.log(variances), axis=-1)
+    const += means.shape[1] * np.log(2.0 * np.pi)
+    const *= -0.5
+    const += np.log(weights)
+    return shift, prec * -0.5, lin, const
+
+
+def _contract(X: np.ndarray, terms: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """The (N, K) component log-densities of one mixture, from its
+    _long_axis_terms, for the rows of X (N, m): two contractions over the
+    centred frames.  Each entry is a dot product over m taken by einsum's
+    contiguous inner loop, whatever N or the layout of X, so row blocks
+    give the bits of the whole.  NaN, from a linear term that overflows
+    against an infinite quadratic one, is the -inf limit."""
+    shift, quad, lin, const = terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.subtract(X, shift, order="C")                              # (N, m)
+        acc = np.einsum("nm,km->nk", xs, lin)
+        np.multiply(xs, xs, out=xs)
+        acc += np.einsum("nm,km->nk", xs, quad)
+        acc += const
+        return np.fmax(acc, -np.inf, out=out)
 
 
 # Doubles of temporaries per row block in GmmBank.log_prob (see
@@ -254,12 +315,13 @@ _BLOCK_ELEMS = 1 << 17
 def _row_doubles(S: int, K: int, m: int) -> int:
     """Doubles GmmBank.log_prob holds per frame row while it evaluates S
     mixtures of K components in m dimensions: the (S, K) component
-    log-densities, with _component_log_prob's temporaries and then with
+    log-densities, with the density kernel's temporaries and then with
     _logsumexp's."""
     clp = S * K
-    # the (S, K, m) differences of a long feature axis, or up to three
-    # (S, K) slices, the running sum among them, of a short one
-    kernel = clp * (m + 1) if m >= _SHORT_AXIS else clp * min(m, 3)
+    # a long feature axis: beside the (S, K) table, one mixture's centred
+    # row and its two (K,) contractions; a short one: up to three (S, K)
+    # slices, the running sum among them
+    kernel = clp + m + 2 * K if m >= _SHORT_AXIS else clp * min(m, 3)
     # two (S,) arrays and two masks for two terms, about six (S,) arrays
     # for other short axes, a shifted (S, K) copy, a mask and a few (S,)
     # arrays for long ones
@@ -271,9 +333,10 @@ class GmmBank:
     """Many mixtures of one dimension, evaluated in one call.
 
     log_prob(X)[:, s] equals gmms[s].log_prob(X) bit for bit.  Mixtures
-    are stacked by component count, and frames are taken in row blocks so
-    the broadcast temporaries stay bounded; neither changes any row's
-    arithmetic.
+    are grouped by component count, and frames are taken in row blocks so
+    the temporaries stay bounded; neither changes any row's arithmetic.
+    On a long feature axis each mixture keeps its _long_axis_terms and is
+    contracted on its own; on a short one each group is one stack.
     """
 
     def __init__(self, gmms: Sequence[Gmm]):
@@ -284,15 +347,17 @@ class GmmBank:
             if g.dim != self.dim:
                 raise ValueError(f"mixture {s} has dim {g.dim}, expected {self.dim}")
             by_k.setdefault(g.n_components, []).append(s)
-        self._groups = [
-            (
-                np.array(cols),
-                np.stack([gmms[s].weights for s in cols]),
-                np.stack([gmms[s].means for s in cols]),
-                np.stack([gmms[s].variances for s in cols]),
-            )
-            for _, cols in sorted(by_k.items())
-        ]
+        self._long = self.dim >= _SHORT_AXIS
+        self._groups = []
+        for K, cols in sorted(by_k.items()):
+            mix = [gmms[s] for s in cols]
+            if self._long:
+                params = [_long_axis_terms(g.weights, g.means, g.variances) for g in mix]
+            else:
+                params = [
+                    np.stack([getattr(g, a) for g in mix]) for a in ("weights", "means", "variances")
+                ]
+            self._groups.append((np.array(cols), K, params))
 
     def log_prob(self, X: np.ndarray) -> np.ndarray:
         """(N, size) log mixture densities for the rows of X (N, m)."""
@@ -300,10 +365,16 @@ class GmmBank:
         _check_dim(X, self.dim)
         N = X.shape[0]
         out = np.empty((N, self.size))
-        for cols, weights, means, variances in self._groups:
-            rows = max(1, _BLOCK_ELEMS // _row_doubles(*means.shape))
+        for cols, K, params in self._groups:
+            rows = max(1, _BLOCK_ELEMS // _row_doubles(len(cols), K, self.dim))
             for r in range(0, N, rows):
-                clp = _component_log_prob(X[r : r + rows], weights, means, variances)
+                block = X[r : r + rows]
+                if self._long:
+                    clp = np.empty((block.shape[0], len(cols), K))
+                    for i, terms in enumerate(params):
+                        _contract(block, terms, out=clp[:, i])
+                else:
+                    clp = _component_log_prob(block, *params)
                 out[r : r + rows, cols] = _logsumexp(clp, axis=-1)
         return out
 

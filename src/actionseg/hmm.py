@@ -23,7 +23,7 @@ import numpy as np
 from .data import FeatureSequence, UnitLexicon
 from .errors import DataError, NoPathError
 from .gmm import Gmm, GmmBank, _logsumexp, em_step, fit_em, gmm_from_resp, variance_floor
-from .util import derive_seed, read_json, write_json
+from .util import derive_seed, json_numbers, read_json, write_json
 
 SELF_LOOP_INIT = 0.9
 ADVANCE_INIT = 0.1
@@ -128,13 +128,13 @@ class UnitHmm:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnitHmm":
-        def dec(vs) -> list[float]:
-            return [-np.inf if v is None else float(v) for v in vs]
+        def dec(what: str, vs) -> list[float]:
+            return [-np.inf if v is None else float(json_numbers(what, v)) for v in vs]
 
         return cls(
             unit_id=_json_int("unit_id", d["unit_id"]),
-            log_self=dec(d["log_self"]),
-            log_next=dec(d["log_next"]),
+            log_self=dec("log_self", d["log_self"]),
+            log_next=dec("log_next", d["log_next"]),
             obs=[Gmm.from_dict(s) for s in d["states"]],
         )
 
@@ -584,6 +584,11 @@ def load_hmm_set(path) -> tuple[dict[int, UnitHmm], UnitLexicon]:
             for g in model.obs:
                 if not (np.isfinite(g.means).all() and np.isfinite(g.variances).all()):
                     raise DataError(f"unit {model.unit_id} has a non-finite mean or variance")
+                with np.errstate(over="ignore"):
+                    if not np.isfinite(1.0 / g.variances).all():
+                        raise DataError(
+                            f"unit {model.unit_id} has a variance whose reciprocal overflows"
+                        )
             hmms[model.unit_id] = model
     except (DataError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise DataError(f"{path} is not a valid HMM set: {exc}") from None

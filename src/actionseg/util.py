@@ -23,6 +23,20 @@ def _key_words(seed: int, keys) -> list[int]:
     return words
 
 
+def json_numbers(what: str, v):
+    """v, a JSON number or nested lists of them, as it is; a bool, string,
+    null or object anywhere in it is a DataError naming what it is."""
+    items = v if type(v) is list else [v]
+    kinds = set(map(type, items))
+    if list in kinds:
+        for x in items:
+            json_numbers(what, x)
+    elif not kinds <= {int, float}:
+        bad = next(x for x in items if type(x) not in (int, float))
+        raise DataError(f"{what} {bad!r} is not a number")
+    return v
+
+
 def child_rng(seed: int, *keys: int | str) -> np.random.Generator:
     """Derive an independent generator from a root seed and a stable key path.
 

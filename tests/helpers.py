@@ -86,8 +86,11 @@ def reference_logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.
 def reference_component_log_prob(
     X: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
-    """actionseg.gmm._component_log_prob as one broadcast (N, ..., K, m)
-    array summed over its last axis, whatever m."""
+    """The direct kernel: log w - (m log 2pi + sum log var + sum (x - mu)^2
+    / var) / 2 from one broadcast (N, ..., K, m) array summed over its
+    last axis, whatever m.  actionseg.gmm._component_log_prob has its bits
+    on feature axes shorter than eight; on longer ones it is the accuracy
+    reference for the contraction."""
     m = X.shape[1]
     with np.errstate(over="ignore"):
         diff = X.reshape(X.shape[0], *(1,) * (means.ndim - 1), m) - means
@@ -99,10 +102,50 @@ def reference_component_log_prob(
         return np.log(weights) - 0.5 * (const + logdet + quad)
 
 
+def reference_contraction_log_prob(
+    X: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """actionseg.gmm._component_log_prob on a long feature axis: for each
+    mixture of the (..., K, m) stack, c + xs.(mus/var) + xs^2.(-1/(2 var))
+    over the frames xs and means mus centred on the mixture's mean of its
+    K means, with NaN taken as -inf.  The operations and their order are
+    src's, so the results are equal bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    N, m = X.shape
+    out = np.empty((N, *means.shape[:-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.ndindex(means.shape[:-2]):
+            mu = np.ascontiguousarray(means[i])
+            var = np.ascontiguousarray(variances[i])
+            shift = mu.mean(axis=0)
+            mus = mu - shift
+            prec = 1.0 / var
+            lin = mus * prec
+            c = np.log(weights[i]) - 0.5 * (
+                np.sum(mus * lin, axis=-1) + np.sum(np.log(var), axis=-1) + m * np.log(2.0 * np.pi)
+            )
+            xs = np.ascontiguousarray(X - shift)
+            lp = np.einsum("nm,km->nk", xs, lin) + np.einsum("nm,km->nk", xs * xs, prec * -0.5)
+            lp = lp + c
+            out[(slice(None), *i)] = np.where(np.isnan(lp), -np.inf, lp)
+    return out
+
+
+def reference_kernel_log_prob(
+    X: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """The oracle whose bits actionseg.gmm._component_log_prob reproduces:
+    the broadcast kernel on a feature axis shorter than eight, the
+    contraction from eight on."""
+    short = X.shape[1] < 8
+    kernel = reference_component_log_prob if short else reference_contraction_log_prob
+    return kernel(X, weights, means, variances)
+
+
 def reference_gmm_log_prob(gmm: Gmm, X: np.ndarray) -> np.ndarray:
     """Gmm.log_prob through the reference kernels."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    comp = reference_component_log_prob(X, gmm.weights, gmm.means, gmm.variances)
+    comp = reference_kernel_log_prob(X, gmm.weights, gmm.means, gmm.variances)
     return reference_logsumexp(comp, axis=1)
 
 
@@ -1014,7 +1057,7 @@ def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None
             xi_adv.append(np.exp(alpha[:-1, :-1] + ln[:-1] + obs[1:, 1:] + beta[1:, 1:] - ll))
             for j in range(n):
                 g = model.obs[j]
-                comp = reference_component_log_prob(a, g.weights, g.means, g.variances)
+                comp = reference_kernel_log_prob(a, g.weights, g.means, g.variances)
                 resp[j].append(np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1]))
 
         if history is not None:

@@ -442,14 +442,16 @@ sys.exit(main(["train", "--split", "train", "--out", out + "/train", *flags])
 """
 
 
-def test_trained_models_do_not_depend_on_the_blas_kernel(tmp_path):
+# dim 3 scores its Gaussians slice by slice, dim 8 by the long-axis contraction
+@pytest.mark.parametrize("dim", [3, 8])
+def test_trained_models_do_not_depend_on_the_blas_kernel(tmp_path, dim):
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("OpenBLAS core types are x86-64 names")
     if not _numpy_uses_openblas():
         pytest.skip("numpy is not built on OpenBLAS")
     data = tmp_path / "data"
     capture_cli(["synth", "--out", str(data), "--activities", "2", "--units", "2",
-                 "--clips", "6", "--dim", "3", "--seed", "3"])
+                 "--clips", "6", "--dim", str(dim), "--seed", "3"])
     src = Path(actionseg.__file__).resolve().parents[1]
     models = {}
     for coretype in (None, "Prescott", "Haswell"):

@@ -178,12 +178,20 @@ def _decode_with_mutated(capsys, workspace, tmp_path, name, mutate):
     lambda doc: doc["units"][1].update(unit_id=True),
     lambda doc: doc["lexicon"]["sample_count"].__setitem__(0, "7"),
     lambda doc: doc["lexicon"].update(sample_count=doc["lexicon"]["sample_count"][:-1]),
+    lambda doc: _unit0(doc).update(log_self=[repr(v) for v in _unit0(doc)["log_self"]]),
+    lambda doc: _unit0(doc).update(log_self=[False] * 2, log_next=[None] * 2),
+    lambda doc: _state0(doc)["means"][0].__setitem__(0, repr(_state0(doc)["means"][0][0])),
+    lambda doc: _state0(doc)["means"][0].__setitem__(0, True),
+    lambda doc: _state0(doc).update(weights=["1.0"]),
+    lambda doc: _state0(doc)["variances"][0].__setitem__(0, 1e-320),
 ], ids=[
     "negative-weight", "nan-mean", "negative-variance", "string-mean", "string-weight",
     "string-unit-id", "units-an-object", "null-state", "ragged-means", "lexicon-a-number",
     "duplicate-unit-id", "log-self-too-long", "positive-log-next", "row-sum-not-1",
     "nan-log-self", "string-log-next", "unit-1-wider", "float-unit-id", "numeric-string-unit-id",
-    "bool-unit-id", "string-sample-count", "short-sample-count",
+    "bool-unit-id", "string-sample-count", "short-sample-count", "numeric-string-log-self",
+    "bool-log-self", "numeric-string-mean", "bool-mean", "numeric-string-weight",
+    "variance-reciprocal-overflows",
 ])
 def test_malformed_model_file_exits_2(capsys, workspace, tmp_path, mutate):
     code, err = _decode_with_mutated(capsys, workspace, tmp_path, "hmms.json", mutate)

@@ -23,8 +23,9 @@ from helpers import (
     log_gaussian,
     random_gmm,
     reference_component_log_prob,
-    reference_gmm_log_prob,
     reference_em_step,
+    reference_gmm_log_prob,
+    reference_kernel_log_prob,
     reference_logsumexp,
 )
 
@@ -240,6 +241,7 @@ def test_bank_equals_column_stacked_log_prob():
         X[::3] = np.round(X[::3])
         want = np.column_stack([g.log_prob(X) for g in gmms])
         assert np.array_equal(GmmBank(gmms).log_prob(X), want)
+        assert np.array_equal(GmmBank(gmms).log_prob(np.asfortranarray(X)), want)
         with pytest.raises(ValueError, match=f"input dim 1 != model dim {m}"):
             GmmBank(gmms).log_prob(X[:, :1])
 
@@ -359,7 +361,7 @@ def test_kernels_equal_reference_bit_for_bit(
         X = X.astype(np.float64)
         X[0] = 1e300  # overflows the quadratic term: log-density -inf
     got = gmm_module._component_log_prob(X, weights, means, variances)
-    want = reference_component_log_prob(X, weights, means, variances)
+    want = reference_kernel_log_prob(X, weights, means, variances)
     assert got.shape == want.shape == (N, *stack, K)
     assert np.array_equal(_bits(got), _bits(want))
     for axis in range(-1, -got.ndim - 1, -1):
@@ -398,6 +400,67 @@ def test_bank_and_log_prob_equal_reference_bit_for_bit(
     assert np.array_equal(_bits(GmmBank(gmms).log_prob(X)), _bits(want))
     for s, g in enumerate(gmms):
         assert np.array_equal(_bits(g.log_prob(X)), _bits(want[:, s]))
+
+
+def _contraction_error_bound(X, means, variances) -> np.ndarray:
+    """(N, K) bound on |contraction - direct kernel| for one mixture:
+    m eps (1 + sum xs^2/var + sum mus^2/var + sum |log var|), with frames
+    and means centred on the mean of the K means."""
+    shift = means.mean(axis=0)
+    xs, mus = X - shift, means - shift
+    terms = np.einsum("nm,km->nk", xs * xs, 1.0 / variances)
+    terms += np.sum(mus * mus / variances, axis=1) + np.sum(np.abs(np.log(variances)), axis=1)
+    return X.shape[1] * np.finfo(np.float64).eps * (1.0 + terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(8, 64),
+    K=st.integers(1, 10),
+    N=st.integers(1, 30),
+    offset=st.sampled_from([0.0, 1.0, -1.0, 1e3, -1e3, 1e4]),
+    log_var=st.floats(-12.0, 2.0),
+    spread=st.sampled_from([0.0, 1.0, 10.0, 1e3]),
+    far=st.sampled_from([1.0, 30.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contraction_stays_within_its_error_bound(m, K, N, offset, log_var, spread, far, seed):
+    # The direct kernel is the accuracy reference; variances reach the
+    # floor, means sit at offsets where the uncentred expansion cancels,
+    # and frames lie up to 1e4 standard deviations from every mean.
+    rng = np.random.default_rng(seed)
+    variances = np.maximum(10.0 ** (log_var + rng.uniform(-1.0, 1.0, (K, m))), 1e-12)
+    sigma = np.sqrt(variances.max(axis=0))
+    centre = offset * rng.uniform(0.5, 1.5, m)
+    means = centre + spread * sigma * rng.normal(size=(K, m))
+    X = centre + far * sigma * rng.normal(size=(N, m))
+    weights = rng.uniform(0.2, 1.0, K)
+    weights /= weights.sum()
+    got = gmm_module._component_log_prob(X, weights, means, variances)
+    want = reference_component_log_prob(X, weights, means, variances)
+    assert np.isfinite(got).all()
+    assert (np.abs(got - want) <= _contraction_error_bound(X, means, variances)).all()
+
+
+def test_contraction_centres_each_mixture():
+    # Means near 1e3 at the variance floor: the plain expansion's terms
+    # reach x^2/var = 1e18, so without the shift no digit survives.
+    rng = np.random.default_rng(24)
+    K, m, N = 8, 48, 200
+    variances = np.full((K, m), gmm_module.VAR_FLOOR_ABS)
+    means = 1e3 + 1e-6 * rng.normal(size=(K, m))
+    X = 1e3 + 3e-6 * rng.normal(size=(N, m))
+    weights = np.full(K, 1.0 / K)
+    want = reference_component_log_prob(X, weights, means, variances)
+    got = Gmm(weights, means, variances)._component_log_prob(X)
+    assert (np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want))).all()
+    # the same contraction without the shift
+    prec = 1.0 / variances
+    const = np.log(weights) - 0.5 * (
+        m * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=1) + np.sum(means**2 * prec, axis=1)
+    )
+    plain = gmm_module._contract(X, (np.zeros(m), -0.5 * prec, means * prec, const))
+    assert (np.abs(plain - want) > 1e-9 * (1.0 + np.abs(want))).any()
 
 
 @pytest.mark.parametrize("S,K,m", [(22, 8, 48), (92, 2, 2)], ids=["encoded-fv", "wide-grammar"])

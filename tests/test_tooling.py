@@ -1,6 +1,6 @@
 """The benchmark's layer tracer names functions of the program; it must
 keep finding them.  Every public function must be reached from outside
-its own module."""
+its own module, and training arithmetic never calls BLAS."""
 import ast
 import dataclasses
 import importlib
@@ -161,6 +161,30 @@ def test_every_public_function_is_named_outside_its_module():
         if not any(word.search(text) for p, text in texts.items() if p not in home):
             unreached.append(name)
     assert not unreached, f"public functions no command, module or demo names: {unreached}"
+
+
+# numpy routes each of these through BLAS, whose kernel changes the bits
+_BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+@pytest.mark.parametrize("module", ["gmm", "hmm"])
+def test_training_arithmetic_never_calls_blas(module):
+    # trained models must not depend on the BLAS kernel: no matrix product
+    # operator, no dot or matmul, and no einsum(optimize=...), which may
+    # hand its contraction to BLAS
+    found = []
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name in _BLAS_CALLS:
+            found.append(f"line {node.lineno}: {name}")
+        if "optimize" in {k.arg for k in node.keywords}:
+            found.append(f"line {node.lineno}: optimize=")
+    assert not found, found
 
 
 class _SpecCaptured(Exception):
