@@ -235,26 +235,20 @@ def window_fv_matrix(
     return _signed_sqrt(out) if cfg.signed_sqrt else out
 
 
-def fit_fv_codebook(
-    frame_arrays: Sequence[np.ndarray],
-    K: int,
-    seed: int = 0,
-    sample_cap: int = FV_SAMPLE_CAP,
-    max_iter: int = 100,
-) -> Gmm:
+def fit_fv_codebook(frame_arrays: Sequence[np.ndarray], K: int, seed: int = 0) -> Gmm:
     """Fit the FV codebook GMM on a random subsample of the pooled frames.
 
-    At most sample_cap frames are drawn without replacement; the draw is
-    a pure function of the seed, which callers should record alongside
+    At most FV_SAMPLE_CAP frames are drawn without replacement; the draw
+    is a pure function of the seed, which callers should record alongside
     the model.
     """
     X = np.concatenate([np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in frame_arrays])
-    if X.shape[0] > sample_cap:
+    if X.shape[0] > FV_SAMPLE_CAP:
         rng = child_rng(seed, "fv-codebook-sample")
-        idx = rng.choice(X.shape[0], size=sample_cap, replace=False)
+        idx = rng.choice(X.shape[0], size=FV_SAMPLE_CAP, replace=False)
         idx.sort()
         X = X[idx]
-    return fit_em(X, K, seed=derive_seed(seed, "fv-codebook-em"), max_iter=max_iter)
+    return fit_em(X, K, seed=derive_seed(seed, "fv-codebook-em"))
 
 
 # ---------------------------------------------------------------------------

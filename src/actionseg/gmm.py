@@ -4,16 +4,14 @@ Used both as the per-state observation model of unit HMMs and as the
 codebook for Fisher-Vector encoding.  All probability arithmetic is done in
 natural-log space.
 
-Short axes.  The density sum over the m feature dimensions and the
-log-sum-exp over the K components are the innermost reductions of every
-evaluation, and on a short axis a numpy reduction costs one small
-inner-loop call per output element.  So when the reduced axis is shorter
-than _SHORT_AXIS (8), both kernels take one slice of the axis at a time
-and combine the slices with elementwise operations, adding them left to
-right.  That is the order in which np.sum adds fewer than eight terms (its
-pairwise summation only splits longer runs), so both forms give the same
-bits; tests/test_gmm.py pins this numpy behaviour.  Longer axes keep the
-np.sum and np.max reductions in the log-sum-exp.
+Short axes.  The density sum over the m feature dimensions is the
+innermost reduction of every evaluation, and on a short axis a numpy
+reduction costs one small inner-loop call per output element.  So below
+_SHORT_AXIS (8) dimensions the density kernel takes one dimension at a
+time and adds the slices left to right with elementwise operations.  That
+is the order in which np.sum adds fewer than eight terms (its pairwise
+summation only splits longer runs), so the slices give np.sum's bits;
+tests/test_gmm.py pins this numpy behaviour.
 
 Long axes.  From _SHORT_AXIS dimensions on, a mixture's component
 log-densities take the standard form for diagonal Gaussians (Kaldi's
@@ -29,8 +27,8 @@ the bits do not depend on which BLAS kernel is loaded.  The shift is the
 mean of the mixture's own K means.  Without it the expansion cancels: its
 terms grow with x^2 / var while their sum is the much smaller
 (x - mu)^2 / var, and on means near 1e3 with variances of 1e-12 it kept
-no correct digit.  Each mixture takes its own shift, so a stack of
-mixtures gives each the bits it gets alone.  The error of an entry is at
+no correct digit.  Each mixture takes its own shift, so each mixture of
+a GmmBank gets the bits it gets alone.  The error of an entry is at
 most about m eps (1 + sum xs^2/var + sum mus^2/var + sum |log var|)
 (tests/test_gmm.py checks this bound): as accurate as the direct form
 while frame and components lie within a few standard deviations of the
@@ -39,14 +37,16 @@ components lie many standard deviations apart, a frame that sits on one
 of them scores with an absolute error of about m eps mus^2/var, where the
 direct form's error is about m eps.
 
-Two terms, the CLI's default component count, take a shorter form still:
+Log-sum-exp.  The sum over the K components is scipy.special.logsumexp's
+arithmetic, taken by numpy reductions over the component axis.  Two
+terms, the CLI's default component count, take a shorter form:
 log1p(exp(lo - hi)) + hi, from their maximum hi and minimum lo.  On a
-row whose terms differ and whose result is finite, the slice form adds
-exp(-inf - hi) = +0.0 to exp(lo - hi), divides it by its one maximum and
-adds log(1.0) = +0.0 to a log1p that is at least +0.0: three steps that
+row whose terms differ and whose result is finite, the reductions add
+exp(-inf - hi) = +0.0 to exp(lo - hi), divide it by its one maximum and
+add log(1.0) = +0.0 to a log1p that is at least +0.0: three steps that
 change no bit (tests/test_gmm.py pins the +0.0s).  Tied rows and rows
-with a result that is not finite (infinite or NaN terms) are redone by the
-slice form.
+with a result that is not finite (infinite or NaN terms) are redone by
+the reductions.
 """
 from __future__ import annotations
 
@@ -139,7 +139,7 @@ class Gmm:
         )
 
 
-# Reduced axes shorter than this are combined slice by slice, left to right,
+# Feature axes shorter than this are summed slice by slice, left to right,
 # which is the order np.sum uses below its pairwise-summation block size.
 _SHORT_AXIS = 8
 
@@ -150,31 +150,25 @@ def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     The arithmetic is that of scipy.special.logsumexp, step for step, so
     results match it bit for bit: the maxima are taken out of the sum
     (m tied maxima give log1p(s / m) + log(m) + max), and rows whose
-    result is not finite fall back to the direct log(sum(exp(a))).  Axes
-    shorter than _SHORT_AXIS are reduced slice by slice, and axes of two
-    by a two-term form (see the module docstring); both give the same
-    values.
+    result is not finite fall back to the direct log(sum(exp(a))).  An
+    axis of two takes the two-term form and redoes its other rows by
+    _logsumexp_reduce (see the module docstring); any other length is
+    _logsumexp_reduce.
     """
-    n = a.shape[axis]
-    if not 0 < n < _SHORT_AXIS:
+    if a.shape[axis] != 2:
         return _logsumexp_reduce(a, axis, keepdims)
     head = (slice(None),) * (axis % a.ndim)
-    parts = [a[head + (k,)] for k in range(n)]
-    if n == 2:
-        out, ok = _logsumexp_pair(*parts)
-        if not ok.all():
-            redo = ~ok
-            rows = np.moveaxis(a, axis, -1)[redo]
-            out[redo] = _logsumexp_slices([rows[:, 0], rows[:, 1]])
-    else:
-        out = _logsumexp_slices(parts)
+    out, ok = _logsumexp_pair(a[head + (0,)], a[head + (1,)])
+    if not ok.all():
+        redo = ~ok
+        out[redo] = _logsumexp_reduce(np.moveaxis(a, axis, -1)[redo], -1, False)
     return np.expand_dims(out, axis) if keepdims else out
 
 
 def _logsumexp_pair(p0, p1) -> tuple[np.ndarray, np.ndarray]:
     """log(exp(p0) + exp(p1)) as log1p(exp(lo - hi)) + hi, and where that
-    equals _logsumexp_slices([p0, p1]): the untied rows whose result is
-    finite.  The other rows are left for the slice path."""
+    equals _logsumexp_reduce over the pair: the untied rows whose result
+    is finite.  The other rows are left for _logsumexp_reduce."""
     with np.errstate(invalid="ignore", over="ignore"):
         hi = np.maximum(p0, p1)
         out = np.minimum(p0, p1, out=np.empty(np.shape(hi)))  # an array even for one row
@@ -187,32 +181,8 @@ def _logsumexp_pair(p0, p1) -> tuple[np.ndarray, np.ndarray]:
     return out, ok
 
 
-def _logsumexp_slices(parts: list) -> np.ndarray:
-    """_logsumexp over the slices of a short axis, combined left to right."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = parts[0]
-        for p in parts[1:]:
-            a_max = np.maximum(a_max, p)
-        ties = parts[0] == a_max
-        m = ties.astype(np.float64)
-        s = np.exp(np.where(ties, -np.inf, parts[0]) - a_max)
-        for p in parts[1:]:
-            ties = p == a_max
-            m += ties
-            s += np.exp(np.where(ties, -np.inf, p) - a_max)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            direct = np.exp(parts[0])
-            for p in parts[1:]:
-                direct += np.exp(p)
-            out = np.where(finite, out, np.log(direct))
-    return out
-
-
 def _logsumexp_reduce(a: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
-    """_logsumexp by numpy reductions over the axis, for long axes."""
+    """_logsumexp by numpy reductions over the axis, whatever its length."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=axis, keepdims=True)
         ties = a == a_max
@@ -237,26 +207,23 @@ def _check_dim(X: np.ndarray, dim: int) -> None:
 def _component_log_prob(
     X: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
-    """log w_k + log N(x | mu_k, var_k) for the rows of X (N, m) against
-    components stacked as (..., K, m); returns (N, ..., K).
+    """log w_k + log N(x | mu_k, var_k) for the rows of X (N, m).
 
-    Every entry is computed by the same elementwise steps and the same
-    order of additions over the m dimensions whatever the leading stack
-    shape, so a stacked evaluation equals the one-mixture evaluation bit
-    for bit; on a long axis each mixture of the stack is contracted on
-    its own.  A frame far enough from a component overflows its quadratic
-    term to inf, which is the right limit (log-density -inf), so that
-    overflow is not reported.
+    On a short feature axis the components may be stacked as (..., K, m),
+    and the result is (N, ..., K).  Every entry is computed by the same
+    elementwise steps and the same order of additions over the m
+    dimensions whatever the leading stack shape, so a stacked evaluation
+    equals the one-mixture evaluation bit for bit.  A long axis takes one
+    (K, m) mixture, scored by _contract; GmmBank contracts its mixtures
+    one at a time itself.  A frame far enough from a component overflows
+    its quadratic term to inf, and a zero weight has log -inf: both are
+    the right limit (log-density -inf), so neither is reported.
     """
     N, m = X.shape
     if not 0 < m < _SHORT_AXIS:
-        out = np.empty((N, *means.shape[:-1]))
-        for i in np.ndindex(means.shape[:-2]):
-            terms = _long_axis_terms(weights[i], means[i], variances[i])
-            _contract(X, terms, out=out[(slice(None), *i)])
-        return out
+        return _contract(X, _long_axis_terms(weights, means, variances))
     lead = (N,) + (1,) * (means.ndim - 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         quad = None
         for j in range(m):
             d = X[:, j].reshape(lead) - means[..., j]                       # (N, ..., K)
@@ -285,7 +252,8 @@ def _long_axis_terms(weights: np.ndarray, means: np.ndarray, variances: np.ndarr
     const += np.sum(np.log(variances), axis=-1)
     const += means.shape[1] * np.log(2.0 * np.pi)
     const *= -0.5
-    const += np.log(weights)
+    with np.errstate(divide="ignore"):  # a zero weight: the -inf limit
+        const += np.log(weights)
     return shift, prec * -0.5, lin, const
 
 
@@ -316,16 +284,17 @@ def _row_doubles(S: int, K: int, m: int) -> int:
     """Doubles GmmBank.log_prob holds per frame row while it evaluates S
     mixtures of K components in m dimensions: the (S, K) component
     log-densities, with the density kernel's temporaries and then with
-    _logsumexp's."""
+    _logsumexp's.  numpy's ufunc buffers, up to two of np.getbufsize()
+    doubles whatever the rows, come on top."""
     clp = S * K
     # a long feature axis: beside the (S, K) table, one mixture's centred
     # row and its two (K,) contractions; a short one: up to three (S, K)
     # slices, the running sum among them
     kernel = clp + m + 2 * K if m >= _SHORT_AXIS else clp * min(m, 3)
-    # two (S,) arrays and two masks for two terms, about six (S,) arrays
-    # for other short axes, a shifted (S, K) copy, a mask and a few (S,)
-    # arrays for long ones
-    lse = 3 * S if K == 2 else 6 * S if K < _SHORT_AXIS else 2 * clp
+    # two terms: two (S,) arrays and two (S,) masks; any other count: a
+    # shifted (S, K) copy, its one-byte (S, K) tie mask and up to seven
+    # (S,) arrays
+    lse = 3 * S if K == 2 else clp + clp // 8 + 7 * S
     return max(kernel, clp + lse)
 
 
@@ -336,7 +305,9 @@ class GmmBank:
     are grouped by component count, and frames are taken in row blocks so
     the temporaries stay bounded; neither changes any row's arithmetic.
     On a long feature axis each mixture keeps its _long_axis_terms and is
-    contracted on its own; on a short one each group is one stack.
+    contracted on its own; on a short one each group is one stack for
+    _component_log_prob.  Each block's log-sum-exp is one _logsumexp call
+    over the group.
     """
 
     def __init__(self, gmms: Sequence[Gmm]):
@@ -376,6 +347,7 @@ class GmmBank:
                 else:
                     clp = _component_log_prob(block, *params)
                 out[r : r + rows, cols] = _logsumexp(clp, axis=-1)
+                del clp  # not alive while the next block's table is built
         return out
 
 

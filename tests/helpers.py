@@ -105,30 +105,27 @@ def reference_component_log_prob(
 def reference_contraction_log_prob(
     X: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
-    """actionseg.gmm._component_log_prob on a long feature axis: for each
-    mixture of the (..., K, m) stack, c + xs.(mus/var) + xs^2.(-1/(2 var))
-    over the frames xs and means mus centred on the mixture's mean of its
-    K means, with NaN taken as -inf.  The operations and their order are
-    src's, so the results are equal bit for bit."""
+    """actionseg.gmm._component_log_prob on a long feature axis, for one
+    (K, m) mixture: c + xs.(mus/var) + xs^2.(-1/(2 var)) over the frames
+    xs and means mus centred on the mixture's mean of its K means, with
+    NaN taken as -inf.  The operations and their order are src's, so the
+    results are equal bit for bit."""
     X = np.asarray(X, dtype=np.float64)
-    N, m = X.shape
-    out = np.empty((N, *means.shape[:-1]))
+    m = X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in np.ndindex(means.shape[:-2]):
-            mu = np.ascontiguousarray(means[i])
-            var = np.ascontiguousarray(variances[i])
-            shift = mu.mean(axis=0)
-            mus = mu - shift
-            prec = 1.0 / var
-            lin = mus * prec
-            c = np.log(weights[i]) - 0.5 * (
-                np.sum(mus * lin, axis=-1) + np.sum(np.log(var), axis=-1) + m * np.log(2.0 * np.pi)
-            )
-            xs = np.ascontiguousarray(X - shift)
-            lp = np.einsum("nm,km->nk", xs, lin) + np.einsum("nm,km->nk", xs * xs, prec * -0.5)
-            lp = lp + c
-            out[(slice(None), *i)] = np.where(np.isnan(lp), -np.inf, lp)
-    return out
+        mu = np.ascontiguousarray(means)
+        var = np.ascontiguousarray(variances)
+        shift = mu.mean(axis=0)
+        mus = mu - shift
+        prec = 1.0 / var
+        lin = mus * prec
+        c = np.log(weights) - 0.5 * (
+            np.sum(mus * lin, axis=-1) + np.sum(np.log(var), axis=-1) + m * np.log(2.0 * np.pi)
+        )
+        xs = np.ascontiguousarray(X - shift)
+        lp = np.einsum("nm,km->nk", xs, lin) + np.einsum("nm,km->nk", xs * xs, prec * -0.5)
+        lp = lp + c
+        return np.where(np.isnan(lp), -np.inf, lp)
 
 
 def reference_kernel_log_prob(

@@ -832,3 +832,33 @@ def test_decode_of_huge_frames_exits_3_with_one_line(workspace, tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stderr.startswith("error: no legal path covers all 40 frames")
+
+
+@pytest.mark.parametrize("command", ["decode", "align"])
+def test_zero_mixture_weight_decodes_without_a_warning(workspace, tmp_path, command):
+    # A model may hold a component of weight 0: its log-density is the -inf
+    # limit, and the log of that weight must not print a numpy warning.
+    root, data, model = workspace
+    zero = tmp_path / "model"
+    shutil.copytree(model, zero)
+    doc = json.loads((zero / "hmms.json").read_text())
+    for unit in doc["units"]:
+        for state in unit["states"]:
+            state.update(
+                weights=[1.0, 0.0],
+                means=[state["means"][0], [v + 1.0 for v in state["means"][0]]],
+                variances=state["variances"] * 2,
+            )
+    (zero / "hmms.json").write_text(json.dumps(doc))
+    src = Path(actionseg.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "actionseg.cli", command, "--model", str(zero),
+         "--manifest", str(data / "manifest.json"), "--split", "test"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["clips"]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from actionseg import features
 from actionseg.data import FeatureSequence
 from actionseg.errors import DataError
 from actionseg.features import (
@@ -277,16 +278,18 @@ def test_encode_clip_normalizes_even_without_stages():
     np.testing.assert_array_equal(out.frames[:, 1], [0.0, 0.0])
 
 
-def test_fit_fv_codebook_deterministic_and_capped():
+def test_fit_fv_codebook_deterministic_and_capped(monkeypatch):
     rng = np.random.default_rng(61)
     arrays = [rng.normal(size=(80, 2)), rng.normal(size=(70, 2)) + 3.0]
-    a = fit_fv_codebook(arrays, K=2, seed=5, sample_cap=100)
-    b = fit_fv_codebook([x.copy() for x in arrays], K=2, seed=5, sample_cap=100)
-    assert a == b
-    c = fit_fv_codebook(arrays, K=2, seed=6, sample_cap=100)
-    assert a != c
     full = fit_fv_codebook(arrays, K=2, seed=5)
     assert full.n_components == 2
+    monkeypatch.setattr(features, "FV_SAMPLE_CAP", 100)
+    a = fit_fv_codebook(arrays, K=2, seed=5)
+    b = fit_fv_codebook([x.copy() for x in arrays], K=2, seed=5)
+    assert a == b
+    assert a != full  # the cap is read at call time
+    c = fit_fv_codebook(arrays, K=2, seed=6)
+    assert a != c
 
 
 def test_save_encoder_records_the_chain(tmp_path):

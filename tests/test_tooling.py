@@ -1,6 +1,7 @@
 """The benchmark's layer tracer names functions of the program; it must
 keep finding them.  Every public function must be reached from outside
-its own module, and training arithmetic never calls BLAS."""
+its own module, every private one from somewhere in src, and training
+arithmetic never calls BLAS."""
 import ast
 import dataclasses
 import importlib
@@ -161,6 +162,27 @@ def test_every_public_function_is_named_outside_its_module():
         if not any(word.search(text) for p, text in texts.items() if p not in home):
             unreached.append(name)
     assert not unreached, f"public functions no command, module or demo names: {unreached}"
+
+
+def test_every_private_function_is_called_in_src():
+    # a private function that no code in src names is left over from a
+    # caller that was rewired: it belongs in tests/helpers.py as an
+    # oracle, or nowhere
+    defined, named = {}, set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert defined
+    unused = sorted(f"{name} ({where})" for name, where in defined.items() if name not in named)
+    assert not unused, f"private functions no code in src names: {unused}"
 
 
 # numpy routes each of these through BLAS, whose kernel changes the bits
