@@ -5,21 +5,20 @@ frame's step computes only scores.  Each state stays or takes its best
 candidate: inside a unit the state before it, with its advance
 log-probability; at a unit's first state the exit of each node with an
 edge into it, plus the exit log-probability, the edge weight and the
-entered unit's prior.  A composed grammar enters each node by at most one
-edge, so each state has at most one candidate and the step is one gather
-of predecessor scores plus per-state log weights, and one np.maximum with
+entered unit's prior.  The step is hmm._max_product, which forced
+alignment and unit training run on unit chains.  A composed grammar
+enters each node by at most one edge, so the step is one gather of
+predecessor scores plus per-state log weights, and one np.maximum with
 the stay; np.maximum.reduceat picks the best for states of several
 candidates, which only hand-built and unconstrained graphs have.
 Observation log-likelihoods come from one batched evaluation of every
 distinct unit state per sequence, gathered into a (T, states) table in
-graph-state order; each row, once its frame is scored, is overwritten
-with the frame's scores, so the table becomes the score lattice.  No links are
-carried: the trace-back walks from the best terminal exit to frame 0 and
-redoes, for the one winning state per frame, that state's choice from the
-lattice row before it, with the same float operations in the same order,
-so the unit boundaries come out as the frame step chose them.  The layout
-behind all this is built on a graph's first decode and cached for as
-long as the graph lives.
+graph-state order that each frame's scores overwrite, so the table
+becomes the score lattice.  No links are carried: hmm._trace_back walks
+from the best terminal exit to frame 0 and redoes, for the one winning
+state per frame, that state's choice from the lattice row before it, with
+the same float operations in the same order, so the unit boundaries come
+out as the frame step chose them.
 
 np.maximum propagates a NaN candidate where a comparison would keep the
 stay, so the step needs every weight to be a log-probability: edge and
@@ -61,7 +60,7 @@ from .data import (
 from .errors import BeamPrunedError, DataError, DecodeError, NoPathError
 from .gmm import GmmBank
 from .grammar import DecodingGraph
-from .hmm import UnitHmm, _apply_beam, _frames, _Segments, _viterbi
+from .hmm import UnitHmm, _chain_paths, _frames, _max_product, _Segments, _trace_back
 
 
 @dataclass(eq=False)
@@ -104,20 +103,16 @@ def _chain(hmms: Mapping[int, UnitHmm], units: Sequence[int]) -> tuple:
 class _Layout:
     """Flattened state indexing, candidate predecessors and observation
     model of one graph: node i's states occupy offsets[i] .. offsets[i] +
-    n_i - 1.
-
-    tb_cands[s] lists the candidates of state s in tie-breaking order, as
-    (source node, or None within a unit; predecessor state; t1; t2): state
-    s - 1 with its advance log-probability inside a unit, and at a unit's
-    first state the exit state of each incoming edge's source, by source,
-    with its exit log-probability and the edge weight.  A state with one
-    candidate holds it as pred[s], t1[s], t2[s], and one with none holds
-    t1[s] = -inf.  The edges into states with several (never those of a
-    composed grammar) form one CSR list: m_exit, m_exit_log, m_w and
-    m_target from m_start[k] on, for state m_first[k].
-
-    It keeps no reference to the graph, so the per-graph cache below
-    never keeps a graph alive.
+    n_i - 1.  Inside a unit, state s has one candidate: state s - 1 with
+    its advance log-probability.  A unit's first state has one per
+    incoming edge: the exit state of the edge's source, with its exit
+    log-probability and the edge weight.  A state with one candidate holds
+    it as pred[s], t1[s], t2[s], and one with none holds t1[s] = -inf.  The
+    edges into states with several (never those of a composed grammar)
+    form one CSR list, sorted by source so that the first edge reaching
+    the best wins: m_exit, m_exit_log, m_w and m_target from m_start[k] on,
+    for state m_first[k].  It keeps no reference to the graph, so the
+    per-graph cache below never keeps a graph alive.
     """
 
     def __init__(self, graph: DecodingGraph):
@@ -127,25 +122,20 @@ class _Layout:
         self.exit_state = np.append(self.offsets[1:], self.total) - 1
         self.exit_log = log_next[self.exit_state]
         self.terminal = [i for i, node in enumerate(graph.nodes) if node.terminal]
-        self.tb_self = self.log_self.tolist()
-        advance = [[(None, s, x, 0.0)] for s, x in enumerate(log_next[:-1].tolist())]
-        self.tb_cands = [[], *advance]
-        for o in self.offsets.tolist():
-            self.tb_cands[o] = []
-        exit_state, exit_log = self.exit_state.tolist(), self.exit_log.tolist()
-        # sorted by (target, source): the first edge reaching the best wins
-        for j, i, w in sorted((j, node.index, w) for node in graph.nodes for j, w in node.edges):
-            self.tb_cands[self.offsets[j]].append((i, exit_state[i], exit_log[i], w))
-        none = (None, 0, -np.inf, 0.0)  # t1 = -inf: no candidate
-        _, pred, t1, t2 = zip(*(c[0] if len(c) == 1 else none for c in self.tb_cands))
-        self.pred = np.array(pred, dtype=np.int64)
-        self.t1, self.t2 = np.array(t1, dtype=np.float64), np.array(t2, dtype=np.float64)
-        many = [(s, e) for s, c in enumerate(self.tb_cands) if len(c) > 1 for e in c]
-        self.m_target = np.array([s for s, _ in many], dtype=np.int64)
+        self.first = np.isin(np.arange(self.total), self.offsets)
+        edges = sorted((j, node.index, w) for node in graph.nodes for j, w in node.edges)
+        tgt, src = (np.array([e[k] for e in edges], dtype=np.int64) for k in (0, 1))
+        w = np.array([e[2] for e in edges], dtype=np.float64)
+        one = np.bincount(tgt, minlength=len(units))[tgt] == 1
+        self.pred, self.t2 = np.arange(self.total) - 1, np.zeros(self.total)
+        self.t1 = np.append(-np.inf, log_next[:-1])
+        self.pred[self.offsets], self.t1[self.offsets] = 0, -np.inf  # no candidate
+        s = self.offsets[tgt[one]]
+        self.pred[s], self.t1[s], self.t2[s] = self.exit_state[src[one]], self.exit_log[src[one]], w[one]
+        self.m_target = self.offsets[tgt[~one]]
         self.m_first, self.m_start = np.unique(self.m_target, return_index=True)
-        self.m_exit = np.array([e[1] for _, e in many], dtype=np.int64)
-        self.m_exit_log = np.array([e[2] for _, e in many], dtype=np.float64)
-        self.m_w = np.array([e[3] for _, e in many], dtype=np.float64)
+        self.m_exit, self.m_exit_log = self.exit_state[src[~one]], self.exit_log[src[~one]]
+        self.m_w = w[~one]
 
     def obs_table(self, frames: np.ndarray) -> np.ndarray:
         """(T, total) observation log-likelihoods: one evaluation of every
@@ -166,6 +156,12 @@ def _layout(graph: DecodingGraph) -> _Layout:
         if lay is None:
             lay = _LAYOUTS[graph] = _Layout(graph)
         return lay
+
+
+def _first_dead(S: np.ndarray) -> int:
+    """The first frame with no score above -inf (NaN counts as none), or T."""
+    dead = np.flatnonzero(~(S.max(axis=1) > -np.inf))
+    return int(dead[0]) if dead.size else len(S)
 
 
 def _no_path(beam: int | None, T: int, t: int) -> DecodeError:
@@ -200,9 +196,7 @@ def decode(
     lay = _layout(graph)
     frames = _frames(seq, lay.bank.dim)
     T = frames.shape[0]
-    # Row t of the observation table is read only while frame t is scored,
-    # so each row is overwritten with that frame's scores: S is the lattice.
-    S = lay.obs_table(frames)
+    S = lay.obs_table(frames)  # _max_product makes it the lattice
     prior = [0.0 if priors is None else float(priors.get(n.unit_id, 0.0)) for n in graph.nodes]
     # t3: each node's prior, added at its first state to every candidate
     t3 = np.zeros(lay.total)
@@ -210,71 +204,34 @@ def decode(
     if not (t3 <= 0).all():
         u, v = next((n.unit_id, v) for n, v in zip(graph.nodes, prior) if not v <= 0)
         raise DataError(f"the prior of unit {u} is {v!r}, not a log-probability <= 0")
-    m_prior = t3.take(lay.m_target)
 
     start = np.full(lay.total, -np.inf)
     for j, w in graph.start_edges:
         cand = w + prior[j]
         if cand > start[lay.offsets[j]]:
             start[lay.offsets[j]] = cand
-    S[0] += start
-    if beam is not None:
-        _apply_beam(S[0], beam)
-
+    multi = (lay.m_first, lay.m_start, lay.m_exit, (lay.m_exit_log, lay.m_w, t3.take(lay.m_target)))
     # Adding 0.0 changes no score, since no score is -0.0 (no observation
     # log-likelihood is).  So t2 and t3, 0.0 within units, are skipped when
     # all zero: t2 for composed grammars, t3 without priors.
-    extra = [t for t in (lay.t2, t3) if t.any()]
-    stay, adv = np.empty(lay.total), np.empty(lay.total)
-    for score, row in zip(S, S[1:]):
-        np.add(score, lay.log_self, out=stay)
-        score.take(lay.pred, out=adv, mode="clip")  # valid indices; "raise" buffers out
-        adv += lay.t1
-        for t in extra:
-            adv += t
-        if lay.m_start.size:
-            cand = ((score.take(lay.m_exit) + lay.m_exit_log) + lay.m_w) + m_prior
-            adv[lay.m_first] = np.maximum.reduceat(cand, lay.m_start)
-        np.maximum(adv, stay, out=adv)
-        row += adv
-        if beam is not None:
-            _apply_beam(row, beam)
-    # a frame without a score above -inf (a NaN counts as none) ends the
-    # search; the frames after it hold no path
-    dead = np.flatnonzero(~(S.max(axis=1) > -np.inf))
-    if dead.size:
-        raise _no_path(beam, T, int(dead[0]))
+    step = (lay.log_self, lay.pred, (lay.t1, *(t for t in (lay.t2, t3) if t.any())), multi)
+    _max_product(S, start, step, beam, 1)
+    dead = _first_dead(S)
+    finals = [S.item(T - 1, lay.exit_state[i]) + lay.exit_log[i] for i in lay.terminal]
+    if dead < T or not any(f > -np.inf for f in finals):
+        raise _no_path(beam, T, min(dead, T - 1))
+    best_score = max(finals)  # the first terminal reaching it wins
+    best_i = lay.terminal[finals.index(best_score)]
 
-    best_i = -1
-    best_score = -np.inf
-    for i in lay.terminal:
-        s = S[T - 1, lay.exit_state[i]] + lay.exit_log[i]
-        if s > best_score:
-            best_score = s
-            best_i = i
-    if best_i < 0 or best_score == -np.inf:
-        raise _no_path(beam, T, T - 1)
-
-    # Trace back: redo each winning state's choice at frame t from row t - 1
-    # with the frame loop's float operations in its order, so every tie
-    # goes as it did there: the first candidate reaching the best wins, and
-    # it beats a same-scored stay.
-    segs = []
-    node, end, s = best_i, T - 1, int(lay.exit_state[best_i])
-    tb_t3 = t3.tolist()
-    for t in range(T - 1, 0, -1):
-        best, came = -np.inf, None
-        for src, p, x, w in lay.tb_cands[s]:
-            cand = S.item(t - 1, p) + x + w + tb_t3[s]
-            if cand > best:
-                best, came = cand, (src, p)
-        if came is not None and best >= S.item(t - 1, s) + lay.tb_self[s]:
-            src, s = came
-            if src is not None:
-                segs.append((graph.nodes[node].unit_id, t, end))
-                node, end = src, t - 1
-    segs.append((graph.nodes[node].unit_id, 0, end))
-    segmentation = Segmentation(tuple(reversed(segs)))
+    # A unit starts wherever the path advances into a node's first state,
+    # which only an edge enters.
+    states, moved = _trace_back(S, step, [T - 1], [lay.exit_state[best_i]])
+    starts = [0, *np.flatnonzero(moved & lay.first[states]).tolist()]
+    ends = [t - 1 for t in starts[1:]] + [T - 1]
+    nodes = np.searchsorted(lay.offsets, states[starts], side="right") - 1
+    segmentation = Segmentation(
+        tuple((graph.nodes[i].unit_id, s, e) for i, s, e in zip(nodes.tolist(), starts, ends))
+    )
     return DecodeResult(
         activity=graph.nodes[best_i].activity,
         segmentation=segmentation,
@@ -284,7 +241,11 @@ def decode(
 
 
 # force_align runs the sequences of a transcript, longest first, in padded
-# batches of at most this many (frame, row, state) cells.
+# batches of at most this many (frame, row, state) cells.  The kernel turns
+# a batch's observation table into its lattice in place (8 bytes a cell),
+# and the trace-back adds only the paths, one state per frame of each row.
+# The rows the table is gathered from set the peak: 26 bytes a cell for a
+# 20-state chain under tracemalloc (1.6 MB a batch), 74 for a 1-state one.
 _ALIGN_CELLS = 1 << 16
 
 
@@ -299,9 +260,10 @@ def force_align(
     Each result equals decoding a single-sentence graph of exactly its
     transcript (no silence bracketing is required here).  On that chain a
     unit entry is a 0-weight advance out of the previous unit, so the
-    sequences of each transcript run together through the Viterbi kernel
-    of unit training.  The first sequence, in input order, that cannot be
-    aligned raises what aligning it alone would raise.
+    sequences of each transcript run together, as side-by-side chains,
+    through decode's max-product kernel and trace-back.  The first
+    sequence, in input order, that cannot be aligned raises what aligning
+    it alone would raise.
     """
     checked: list[tuple[tuple, np.ndarray]] = []
     invalid = None
@@ -337,17 +299,17 @@ def force_align(
             size = max(1, _ALIGN_CELLS // (ls.size * len(checked[rows[0]][1])))
             block, rows = rows[:size], rows[size:]
             segs = _Segments([checked[i][1] for i in block])
-            obs = segs.pad(bank.log_prob(segs.frames)[:, cols])
-            states, totals, dead = _viterbi(obs, ls, ln, segs.lengths, beam)
+            obs = segs.pad(bank.log_prob(segs.frames)[:, cols])  # C order: becomes the lattice
+            states, totals = _chain_paths(obs, ls, ln, segs.lengths, beam)
             for b, i in enumerate(block):
                 # A row that loses every finite score never regains one, and
                 # a NaN observation (from a non-finite frame or parameter)
                 # leaves a chain no finite path: the total tells each failure.
                 T = int(segs.lengths[b])
                 if not totals[b] > -np.inf:
-                    out[i] = _no_path(beam, T, T - 1 if dead is None else min(int(dead[b]), T - 1))
+                    out[i] = _no_path(beam, T, min(_first_dead(obs[:T, b]), T - 1))
                     continue
-                starts = np.searchsorted(states[:T, b], offsets)
+                starts = np.searchsorted(states[segs.starts[b] : segs.starts[b + 1]], offsets)
                 ends = np.append(starts[1:], T) - 1
                 out[i] = Segmentation(tuple(zip(units, starts.tolist(), ends.tolist())))
     for result in [*out, invalid]:

@@ -213,12 +213,12 @@ def init_hmm(
 # ---------------------------------------------------------------------------
 # recursions
 #
-# The kernels run B sequences at once over a (T, B, n) observation table
-# padded past each sequence's end; lengths[b] frames of sequence b are
-# real, left-aligned from frame 0.  Every real entry takes the same
-# elementwise steps as a one-sequence recursion, so a batch reproduces the
-# per-sequence results bit for bit.  Entries past a sequence's end hold
-# filler that no result reads.
+# One max-product kernel and one trace-back serve every Viterbi search:
+# graph decoding, forced alignment and unit training, where B chains of n
+# states are one graph of B * n states.  Batches of B sequences are padded
+# past each end; lengths[b] frames of sequence b are real, from frame 0,
+# and take the same elementwise steps as alone, so a batch reproduces the
+# per-sequence results bit for bit.  No result reads the filler.
 
 
 def _ends_by_frame(lengths: np.ndarray) -> dict[int, np.ndarray]:
@@ -239,50 +239,92 @@ def _apply_beam(scores: np.ndarray, beam: int) -> None:
         scores[scores < cutoff] = -np.inf
 
 
-def _viterbi(
-    obs: np.ndarray, ls: np.ndarray, ln: np.ndarray, lengths: np.ndarray, beam: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Best paths: (T, B) states, (B,) log-probabilities (-inf or NaN when
-    a sequence has no path of finite probability), and dead (see below).
-
-    On equal scores the advancing predecessor wins, which makes each path
-    the lexicographically smallest optimum (frames sit in the lowest state
-    index compatible with the best score).  With a beam, every frame's
-    scores are pruned row by row by _apply_beam, and dead[b] is the first
-    frame at which sequence b has no score above -inf (a NaN counts as
-    none), or lengths[b] if that never happens; without one, dead is None.
-    """
-    T, B, n = obs.shape
-    ends = _ends_by_frame(lengths)
-    take_adv = np.zeros((T, B, n), dtype=bool)
-    adv = np.full((B, n), -np.inf)
-    delta = np.full((B, n), -np.inf)
-    delta[:, 0] = 0.0  # every path enters at state 0
-    delta += obs[0]
-    dead = None if beam is None else np.array(lengths)
-    final = np.empty(B)
-    for t in range(T):
-        if t:
-            stay = delta + ls
-            np.add(delta[:, :-1], ln[:-1], out=adv[:, 1:])
-            np.greater_equal(adv, stay, out=take_adv[t])
-            delta = np.where(take_adv[t], adv, stay) + obs[t]
+def _max_product(S: np.ndarray, start, step: tuple, beam: int | None, rows: int) -> None:
+    """Turn the (T, W) observation log-likelihoods S into the score lattice,
+    in place, from the start weights at frame 0.  step is (log_self, pred,
+    adds, multi): state s stays with log_self[s] or advances from pred[s],
+    scoring score[pred[s]] plus each of adds at s in turn (-inf: no
+    candidate); np.maximum lets an advance win a tie and propagates NaN.
+    multi is (first, starts, exits, adds) for states of several
+    candidates: candidate k scores score[exits[k]] plus each of adds at k,
+    and state first[i] takes the best from starts[i] on.  A beam prunes
+    each block of W / rows states per frame."""
+    T, W = S.shape
+    log_self, pred, adds, (first, starts, exits, m_adds) = step
+    blocks = S.reshape(T, rows, -1) if rows > 1 else S  # a 1-D row prunes faster
+    S[0] += start
+    if beam is not None:
+        _apply_beam(blocks[0], beam)
+    stay, adv = np.empty(W), np.empty(W)
+    for score, row, block in zip(S, S[1:], blocks[1:]):
+        np.add(score, log_self, out=stay)
+        score.take(pred, out=adv, mode="clip")  # valid indices; "raise" buffers out
+        for a in adds:
+            adv += a
+        if first.size:
+            cand = score.take(exits)
+            for a in m_adds:
+                cand += a
+            adv[first] = np.maximum.reduceat(cand, starts)
+        np.maximum(adv, stay, out=adv)
+        row += adv
         if beam is not None:
-            _apply_beam(delta, beam)
-            dead[~(delta.max(axis=1) > -np.inf) & (dead > t)] = t
-        if t in ends:
-            final[ends[t]] = delta[ends[t], n - 1]
+            _apply_beam(block, beam)
 
-    states = np.empty((T, B), dtype=np.int64)
-    s = np.full(B, n - 1)
-    rows = np.arange(B)
-    for t in range(T - 1, -1, -1):
-        if t in ends:
-            s[ends[t]] = n - 1
-        states[t] = s
-        # Filler frames may step below state 0; clamp them so they index.
-        s = np.maximum(s - take_adv[t, rows, s], 0)
-    return states, final + ln[n - 1], dead
+
+def _trace_back(S: np.ndarray, step: tuple, last, end) -> tuple[np.ndarray, np.ndarray]:
+    """The states of the paths through _max_product's lattice S that end in
+    state end[b] at frame last[b], and whether an advance entered each
+    frame: frames 0 .. last[b] of each path in turn.  Each choice is redone
+    from the row before with the kernel's float operations in its order,
+    so every tie goes as it did there (among several candidates, the first
+    reaching the best wins)."""
+    log_self, pred, adds, (first, starts, exits, m_adds) = step
+    item, log_self, pred, adds = S.item, log_self.tolist(), pred.tolist(), [a.tolist() for a in adds]
+    bounds = np.append(starts, exits.size).tolist()
+    entries = dict(zip(first.tolist(), zip(bounds, bounds[1:])))  # state -> its candidates
+    states, moved = [], []
+    for t_end, s in zip(np.asarray(last).tolist(), np.asarray(end).tolist()):
+        path, adv_at = [0] * (t_end + 1), [False] * (t_end + 1)
+        for t in range(t_end, 0, -1):
+            path[t] = s
+            if s in entries:
+                k0, k1 = entries[s]
+                cand = S[t - 1].take(exits[k0:k1])
+                for a in m_adds:
+                    cand += a[k0:k1]
+                k = int(np.argmax(cand))
+                adv, came = cand.item(k), int(exits[k0 + k])
+            else:
+                came = pred[s]
+                adv = item(t - 1, came)
+                for a in adds:
+                    adv += a[s]
+            if adv >= item(t - 1, s) + log_self[s]:
+                adv_at[t], s = True, came
+        path[0] = s
+        states += path
+        moved += adv_at
+    return np.array(states, dtype=np.int64), np.array(moved, dtype=bool)
+
+
+def _chain_paths(obs: np.ndarray, ls, ln, lengths, beam: int | None = None) -> tuple:
+    """The best paths of B unit chains through their (T, B, n) padded
+    observation table, which becomes their lattice: each sequence's states
+    in turn and (B,) log-probabilities (-inf or NaN: no path of finite
+    probability).  Paths enter at state 0 and leave through the exit; an
+    advance winning ties makes each path the lexicographically smallest
+    optimum."""
+    T, B, n = obs.shape
+    pred = np.arange(B * n) - 1
+    pred[::n] += 1  # a chain's first state has no candidate, and a NaN stays in its chain
+    none = np.empty(0, dtype=np.int64)  # no state of several candidates
+    step = (np.tile(ls, B), pred, (np.tile(np.append(-np.inf, ln[:-1]), B),), (none, none, none, ()))
+    S = obs.reshape(T, B * n)
+    _max_product(S, np.tile(np.append(0.0, np.full(n - 1, -np.inf)), B), step, beam, B)
+    last, base = np.asarray(lengths) - 1, np.arange(B) * n
+    states, _ = _trace_back(S, step, last, base + n - 1)
+    return states - np.repeat(base, lengths), S[last, base + n - 1] + ln[n - 1]
 
 
 def _forward(obs: np.ndarray, ls: np.ndarray, ln: np.ndarray) -> np.ndarray:
@@ -362,11 +404,10 @@ def viterbi_align(hmm: UnitHmm, seq) -> StatePath:
     T, n = frames.shape[0], hmm.n
     if T < n:
         raise NoPathError(f"{T} frames cannot visit all {n} states")
-    obs = hmm.obs_log_prob(frames)
-    states, total, _ = _viterbi(obs[:, None], hmm.log_self, hmm.log_next, np.array([T]))
+    states, total = _chain_paths(hmm.obs_log_prob(frames)[:, None], hmm.log_self, hmm.log_next, [T])
     if not np.isfinite(total[0]):
         raise NoPathError("no path of finite probability reaches the final state")
-    return StatePath(states=states[:, 0], log_prob=float(total[0]))
+    return StatePath(states=states, log_prob=float(total[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +464,8 @@ def viterbi_train(
 
     prev_total = -np.inf
     for it in range(max_iter):
-        obs = segs.pad(model.obs_log_prob(segs.frames))
-        paths, totals, _ = _viterbi(obs, model.log_self, model.log_next, segs.lengths)
+        obs = segs.pad(model.obs_log_prob(segs.frames))  # becomes the lattice
+        s, totals = _chain_paths(obs, model.log_self, model.log_next, segs.lengths)
         if not np.all(np.isfinite(totals)):
             raise NoPathError("no path of finite probability reaches the final state")
         total = float(sum(totals.tolist()))
@@ -435,15 +476,11 @@ def viterbi_train(
         prev_total = total
 
         # Counts are small integers, so their summation order is immaterial.
-        s = segs.unpad(paths)
         stayed = s[cur + 1] == s[cur]
         self_counts = np.bincount(s[cur][stayed], minlength=n).astype(np.float64)
         adv_counts = np.bincount(s[cur][~stayed], minlength=n).astype(np.float64)
         adv_counts[n - 1] = segs.count  # every sequence leaves once
-        new_obs = []
-        for j in range(n):
-            g, _ = em_step(model.obs[j], segs.frames[s == j], floor)
-            new_obs.append(g)
+        new_obs = [em_step(model.obs[j], segs.frames[s == j], floor)[0] for j in range(n)]
         model = UnitHmm(model.unit_id, *_reestimate_transitions(self_counts, adv_counts), new_obs)
     return model
 

@@ -34,6 +34,7 @@ from actionseg.hmm import (
     StatePath,
     UnitHmm,
     _apply_beam,
+    _ends_by_frame,
     _forward,
     _frames,
     _reestimate_transitions,
@@ -485,14 +486,6 @@ def reference_candidates(graph: DecodingGraph) -> dict:
     pred = np.zeros(csr.total, dtype=np.int64)
     t1 = np.full(csr.total, -np.inf)
     t2 = np.zeros(csr.total)
-    tb_cands = []
-    for s in range(csr.total):
-        if s in csr.tb_entries:
-            tb_cands.append(list(csr.tb_entries[s][1]))
-        elif s in csr.offsets:
-            tb_cands.append([])
-        else:
-            tb_cands.append([(None, s - 1, float(csr.log_adv[s - 1]), 0.0)])
     counts = np.diff(np.append(csr.e_start, csr.e_src.size))
     for k in np.flatnonzero(counts == 1):
         s, e = csr.entry_first[k], csr.e_start[k]
@@ -510,7 +503,6 @@ def reference_candidates(graph: DecodingGraph) -> dict:
         "m_exit": csr.e_exit[many],
         "m_exit_log": csr.e_exit_log[many],
         "m_w": csr.e_w[many],
-        "tb_cands": tb_cands,
     }
 
 
@@ -907,6 +899,57 @@ def reference_ends_by_frame(lengths) -> dict[int, np.ndarray]:
     actionseg.hmm._ends_by_frame, which must match it exactly."""
     last = np.asarray(lengths) - 1
     return {int(t): np.flatnonzero(last == t) for t in np.unique(last)}
+
+
+def reference_viterbi(
+    obs: np.ndarray, ls: np.ndarray, ln: np.ndarray, lengths: np.ndarray, beam: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The unit-chain recursion that actionseg.hmm._chain_paths replaced,
+    with a boolean back-pointer table over a (T, B, n) padded observation
+    table.  Best paths: (T, B) states, (B,) log-probabilities (-inf or NaN
+    when a sequence has no path of finite probability), and dead (see
+    below).
+
+    On equal scores the advancing predecessor wins, which makes each path
+    the lexicographically smallest optimum (frames sit in the lowest state
+    index compatible with the best score).  With a beam, every frame's
+    scores are pruned row by row by _apply_beam, and dead[b] is the first
+    frame at which sequence b has no score above -inf (a NaN counts as
+    none), or lengths[b] if that never happens; without one, dead is None.
+    A NaN candidate loses to the stay here, where the max-product kernel
+    propagates it.
+    """
+    T, B, n = obs.shape
+    ends = _ends_by_frame(lengths)
+    take_adv = np.zeros((T, B, n), dtype=bool)
+    adv = np.full((B, n), -np.inf)
+    delta = np.full((B, n), -np.inf)
+    delta[:, 0] = 0.0  # every path enters at state 0
+    delta += obs[0]
+    dead = None if beam is None else np.array(lengths)
+    final = np.empty(B)
+    for t in range(T):
+        if t:
+            stay = delta + ls
+            np.add(delta[:, :-1], ln[:-1], out=adv[:, 1:])
+            np.greater_equal(adv, stay, out=take_adv[t])
+            delta = np.where(take_adv[t], adv, stay) + obs[t]
+        if beam is not None:
+            _apply_beam(delta, beam)
+            dead[~(delta.max(axis=1) > -np.inf) & (dead > t)] = t
+        if t in ends:
+            final[ends[t]] = delta[ends[t], n - 1]
+
+    states = np.empty((T, B), dtype=np.int64)
+    s = np.full(B, n - 1)
+    rows = np.arange(B)
+    for t in range(T - 1, -1, -1):
+        if t in ends:
+            s[ends[t]] = n - 1
+        states[t] = s
+        # Filler frames may step below state 0; clamp them so they index.
+        s = np.maximum(s - take_adv[t, rows, s], 0)
+    return states, final + ln[n - 1], dead
 
 
 def reference_viterbi_align(hmm: UnitHmm, seq) -> StatePath:

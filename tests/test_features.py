@@ -151,7 +151,10 @@ def test_fit_pca_peak_memory_stays_under_four_copies_of_the_pool():
     # the QR step drops the (N, d) U that the direct SVD builds twice;
     # measured in a fresh single-threaded interpreter.  ru_maxrss survives
     # exec, so a child exec'd from this large process would start at its
-    # high-water mark: a small launcher in between resets it.
+    # high-water mark: a small launcher in between resets it.  glibc's
+    # mmap threshold is fixed at its default: left dynamic, it depends on
+    # what the interpreter freed before the fit (it differs with and
+    # without cached bytecode), and moved the reading by a copy.
     pytest.importorskip("resource")
     N, d, n_blocks = 20000, 128, 100
     code = f"""
@@ -165,7 +168,13 @@ fit_pca(blocks, 4)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(src),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MALLOC_MMAP_THRESHOLD_="131072",
+    )
     launch = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
     out = subprocess.run(
         [sys.executable, "-c", launch, code], env=env, capture_output=True, text=True, timeout=120

@@ -2,13 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionseg.data import FeatureSequence, UnitLexicon
+from actionseg.decoder import _first_dead, decode
 from actionseg.errors import DataError, NoPathError
 from actionseg.gmm import Gmm
 from actionseg.hmm import (
     StatePath,
     UnitHmm,
+    _chain_paths,
     _ends_by_frame,
     baum_welch,
     init_hmm,
@@ -19,6 +23,7 @@ from actionseg.hmm import (
     viterbi_train,
 )
 from helpers import (
+    chain_graph,
     forward_loglik,
     oracle_forward,
     oracle_viterbi,
@@ -26,6 +31,7 @@ from helpers import (
     reference_baum_welch,
     reference_ends_by_frame,
     reference_forward_loglik,
+    reference_viterbi,
     reference_viterbi_align,
     reference_viterbi_train,
 )
@@ -419,3 +425,62 @@ def test_ends_by_frame_matches_flatnonzero_form():
         for t in want:
             assert type(t) is int and got[t].dtype == want[t].dtype, f"trial {trial}"
             np.testing.assert_array_equal(got[t], want[t])
+
+
+@st.composite
+def chain_batches(draw):
+    """A (T, B, n) padded observation table of B sequences of mixed lengths
+    (some shorter than n), transitions, and a beam of None or 1..n.  Scores
+    may be rounded so that paths tie, and some real cells are -inf or NaN."""
+    n, B = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    lengths = np.array(draw(st.lists(st.integers(1, n + 8), min_size=B, max_size=B)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obs = np.zeros((int(lengths.max()), B, n))
+    for b, T in enumerate(lengths):
+        obs[:T, b] = rng.normal(0.0, 3.0, (T, n))
+    p_self = rng.uniform(0.05, 0.95, n)
+    ls, ln = np.log(p_self), np.log1p(-p_self)
+    if draw(st.booleans()):  # ties
+        obs, ls, ln = np.round(obs), np.full(n, np.log(0.5)), np.full(n, np.log(0.5))
+    for value, most in ((-np.inf, 6), (np.nan, 2)):
+        for _ in range(draw(st.integers(0, most))):
+            b = int(rng.integers(B))
+            obs[int(rng.integers(lengths[b])), b, int(rng.integers(n))] = value
+    beam = draw(st.one_of(st.none(), st.integers(1, n)))
+    return obs, ls, ln, lengths, beam
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(chain_batches())
+def test_chain_kernel_matches_the_retired_recursion(case):
+    obs, ls, ln, lengths, beam = case
+    n = obs.shape[2]
+    want_states, want_totals, want_dead = reference_viterbi(obs.copy(), ls, ln, lengths, beam)
+    lattice = obs.copy()
+    states, totals = _chain_paths(lattice, ls, ln, lengths, beam)
+    starts = np.append(0, np.cumsum(lengths))
+    for b, T in enumerate(lengths.tolist()):
+        if beam is not None:  # a NaN frame is dead on both sides, whichever way NaN flows
+            assert _first_dead(lattice[:T, b]) == want_dead[b], b
+        # NaN flows into every state an advance or stay can reach, where the
+        # oracle's comparison kept the stay: the total is NaN exactly when a
+        # NaN observation can still reach the exit.
+        t, s = np.nonzero(np.isnan(obs[:T, b]))
+        reaches = bool(np.any(n - 1 - s <= T - 1 - t))
+        assert np.isnan(totals[b]) == reaches, b
+        if np.isnan(obs[:T, b]).any() and (reaches or beam is not None):
+            continue  # a beam ranks NaN cells, which differ, against the rest
+        assert repr(totals[b]) == repr(want_totals[b]), b
+        if np.isfinite(totals[b]):
+            np.testing.assert_array_equal(states[starts[b] : starts[b + 1]], want_states[:T, b])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_viterbi_align_scores_as_decoding_its_one_unit_graph(n, extra, seed):
+    rng = np.random.default_rng(seed)
+    hmm = random_unit_hmm(rng, 3, n, int(rng.integers(1, 3)), 2)
+    frames = rng.normal(0.0, 2.0, (n + extra, 2))
+    got = viterbi_align(hmm, frames).log_prob
+    want = decode(chain_graph({3: hmm}, (3,)), frames).log_prob
+    assert repr(got) == repr(want)
