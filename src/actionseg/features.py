@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .data import FeatureSequence
 from .errors import DataError
@@ -68,53 +69,97 @@ class PcaModel:
         }
 
 
-def _pool_rows(blocks: Iterable) -> np.ndarray:
-    """Stack (n_i, d) row blocks into one new float64 array the caller owns.
+def _pool_rows(blocks: Iterable) -> tuple[np.ndarray, np.ndarray]:
+    """Pool (n_i, d) row blocks, centred, into a new C-ordered (d, N)
+    array: the (N, d) pool in Fortran order.  Returns it and the mean.
 
-    The block list is dropped on return, before the caller's SVD.
+    Each block fills one column range, so the (N, d) concatenation is
+    never formed.  The mean keeps the bits of `X.mean(axis=0)` on that
+    C-ordered concatenation: for d >= 2 numpy adds its rows in order, so
+    the running sum is carried as the first row of each block's sum, with
+    every block taken in C order (a Fortran-ordered one is copied), so the
+    bits do not depend on the blocks' layout; for d = 1 the pool's one row
+    is the concatenation, summed pairwise.
     """
     arrays = []
     for block in blocks:
-        arr = np.atleast_2d(np.asarray(block, dtype=np.float64))
+        arr = np.atleast_2d(np.asarray(block, dtype=np.float64, order="C"))
         if arrays and arr.shape[1] != arrays[0].shape[1]:
             raise DataError(
                 f"PCA input block {len(arrays)} has width {arr.shape[1]}, "
                 f"earlier blocks have width {arrays[0].shape[1]}"
             )
         arrays.append(arr)
-    if sum(arr.shape[0] for arr in arrays) == 0:
+    N = sum(arr.shape[0] for arr in arrays)
+    if N == 0:
         raise DataError("PCA input has no rows")
-    return np.concatenate(arrays)
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise DataError("PCA input contains non-finite values")
+    d = arrays[0].shape[1]
+    pool = np.empty((d, N))
+    total = None
+    start = 0
+    for arr in arrays:
+        pool[:, start : start + arr.shape[0]] = arr.T
+        start += arr.shape[0]
+        if d > 1 and arr.shape[0]:
+            total = np.add.reduce(np.vstack([arr] if total is None else [total, arr]), axis=0)
+    mean = pool.T.mean(axis=0) if d == 1 else total / N
+    pool -= mean[:, None]
+    return pool, mean
+
+
+def _qr_r(pool: np.ndarray) -> np.ndarray:
+    """The (d, d) factor R of the Fortran (N, d) matrix held by the
+    C-ordered (d, N) pool, which LAPACK's dgeqrf overwrites in place.
+
+    This is the call `np.linalg.qr(X, mode="r")` makes on its own Fortran
+    copy of X, with the workspace sized as numpy sizes it, max(1, d, the
+    size dgeqrf asks for), so the blocking and R's bits are the same.
+    """
+    d, N = pool.shape
+    tau = np.empty(d)
+    work = np.empty(1)
+    info = lapack_lite.dgeqrf(N, d, pool, N, tau, work, -1, 0)["info"]
+    if info == 0:
+        lwork = max(1, d, int(work[0]))
+        work = np.empty(lwork)
+        info = lapack_lite.dgeqrf(N, d, pool, N, tau, work, lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+    return np.triu(pool[:, :d].T)
 
 
 def fit_pca(blocks: Iterable, target_dim: int) -> PcaModel:
     """Principal directions of the sample covariance of the pooled row
     blocks, from the SVD of the centered (N, d) pool.
 
+    The pool is built once, centred, in Fortran order (see _pool_rows).
     The singular vectors U are never formed.  When N >= 11d/6 (LAPACK
     dgesdd's MNTHR = INT(MINMN*11/6)), dgesdd itself first QR-factors its
     input and takes the SVD of the (d, d) factor R (Chan's R-SVD, ACM
-    TOMS 1982).  Doing that QR step here runs the same routines on the
-    same R, so S and Vt keep the bits of the direct thin SVD, while the
-    (N, d) U that dgesdd would build and return is skipped.  Below the
-    threshold dgesdd never forms R, so the direct call stays.
+    TOMS 1982).  Here dgeqrf factors the pool in place and the SVD runs on
+    its R, so S and Vt keep the bits of the direct thin SVD, while neither
+    the (N, d) U that dgesdd would build nor the two pool copies that
+    `np.linalg.qr` makes (its own, then its Fortran buffer) exist.  Below
+    the threshold dgesdd never forms R, so the direct call stays.
+
+    Peak memory is the blocks plus one pool: numpy asks for huge pages
+    for large arrays, so the whole pool is resident from its first column
+    write, while the blocks are still held.  Building a C-ordered pool
+    and copying it to Fortran order would add a copy at the peak.
 
     The sign of each basis column is fixed so its largest-magnitude entry
     is positive.  Raises when the centered data's numerical rank cannot
     support target_dim directions.
     """
-    X = _pool_rows(blocks)
-    if not np.all(np.isfinite(X)):
-        raise DataError("PCA input contains non-finite values")
-    N, d = X.shape
+    pool, mean = _pool_rows(blocks)
+    d, N = pool.shape
     if target_dim < 1:
         raise DataError("target dimension must be at least 1")
     if target_dim > d:
         raise DataError(f"cannot keep {target_dim} of {d} dimensions")
-    mean = X.mean(axis=0)
-    X -= mean
-    if N >= d * 11 // 6:
-        X = np.linalg.qr(X, mode="r")
+    X = _qr_r(pool) if N >= d * 11 // 6 else pool.T
     _, S, Vt = np.linalg.svd(X, full_matrices=False)
     tol = (S.max(initial=0.0)) * max(N, d) * np.finfo(np.float64).eps
     rank = int(np.sum(S > tol))

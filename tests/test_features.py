@@ -94,8 +94,9 @@ def test_fit_pca_rank_and_argument_errors():
         fit_pca([X], 3)
     with pytest.raises(DataError):
         fit_pca([X], 0)
-    with pytest.raises(DataError):
-        fit_pca([np.array([[1.0, np.nan]])], 1)
+    for target in (0, 1, 3):  # values are checked before the target
+        with pytest.raises(DataError, match="^PCA input contains non-finite values$"):
+            fit_pca([X, np.array([[1.0, np.nan]])], target)
 
 
 def _uneven_blocks(X: np.ndarray, rng) -> list[np.ndarray]:
@@ -111,32 +112,59 @@ def _fit_or_error(fit, blocks, target_dim):
         return str(exc)
 
 
-@pytest.mark.parametrize("d", [2, 3, 8, 48, 128])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 48, 128])
 @pytest.mark.parametrize("offset", [-1, 0, 1, "10d"])
 def test_fit_pca_matches_the_direct_svd_bit_for_bit(d, offset):
     # dgesdd QR-factors its input once N >= MNTHR = d*11//6; fit_pca does
-    # that step itself there, and below it must keep the direct call
-    N = 10 * d if offset == "10d" else d * 11 // 6 + offset
+    # that step itself there, and below it must keep the direct call.  At
+    # d = 1 every N is past the threshold and the mean is a pairwise sum,
+    # so the sizes straddle numpy's pairwise blocks of 8 and 128 instead
+    if d == 1:
+        N = {-1: 10, 0: 129, 1: 130, "10d": 1000}[offset]
+    else:
+        N = 10 * d if offset == "10d" else d * 11 // 6 + offset
     rng = np.random.default_rng(1000 * d + N)
     scales = np.geomspace(1e-3, 1e3, d)
     cases = [
         (rng.normal(size=(N, d)) * scales, min(d, N - 1), False),
         (rng.normal(size=(N, 1)) * rng.normal(size=(1, d)) * scales, 2, True),  # rank 1
     ]
-    for X, target, deficient in cases:
+    for X, target, deficient in cases[: 1 if d == 1 else 2]:
         want = _fit_or_error(reference_fit_pca, X, target)
-        blocks = _uneven_blocks(X, rng)
-        kept = [b.copy() for b in blocks]
-        got = _fit_or_error(fit_pca, (b for b in blocks), target)
         assert isinstance(want, str) == deficient
         if deficient:
             assert want == "data rank 1 cannot support 2 principal directions"
-            assert got == want
-        else:
-            assert np.array_equal(got.mean, want.mean)
-            assert np.array_equal(got.basis, want.basis)
-        for b, k in zip(blocks, kept):  # the pool is centred, not the blocks
-            assert np.array_equal(b, k)
+        # the mean's bits depend on how its rows are added, so the pool is
+        # cut into uneven blocks, one block (in C and in Fortran order), and
+        # one row per block
+        for blocks in (_uneven_blocks(X, rng), [X], [np.asfortranarray(X)], list(X)):
+            kept = [b.copy() for b in blocks]
+            gen = (b for b in blocks)
+            got = _fit_or_error(fit_pca, gen, target)
+            assert next(gen, None) is None  # read through, in one pass
+            if deficient:
+                assert got == want
+            else:
+                assert np.array_equal(got.mean, want.mean)
+                assert np.array_equal(got.basis, want.basis)
+            for b, k in zip(blocks, kept):  # the pool is centred, not the blocks
+                assert np.array_equal(b, k)
+
+
+@pytest.mark.parametrize("d", [2, 48, 128, 160])
+def test_in_place_dgeqrf_gives_numpy_qr_r_bit_for_bit(d):
+    # fit_pca factors its pool with numpy.linalg.lapack_lite.dgeqrf, the
+    # routine np.linalg.qr calls; a numpy that moves or changes it fails
+    # here.  Past 128 columns (dgeqrf's crossover NX) the blocked code
+    # runs, and the workspace size sets its blocking and so R's bits
+    from numpy.linalg import lapack_lite
+
+    assert features.lapack_lite is lapack_lite
+    rng = np.random.default_rng(d)
+    for N in (d * 11 // 6, d * 11 // 6 + 1, 10 * d):
+        X = rng.normal(size=(N, d)) * np.geomspace(1e-3, 1e3, d)
+        pool = np.ascontiguousarray(X.T)  # the (N, d) matrix in Fortran order
+        assert np.array_equal(features._qr_r(pool), np.linalg.qr(X, mode="r"))
 
 
 def test_fit_pca_rejects_empty_input_and_mixed_widths():
@@ -145,11 +173,16 @@ def test_fit_pca_rejects_empty_input_and_mixed_widths():
             fit_pca(blocks, 1)
     with pytest.raises(DataError, match="^PCA input block 2 has width 5, earlier blocks have width 3$"):
         fit_pca([np.zeros((4, 3)), np.ones((1, 3)), np.zeros((2, 5))], 1)
+    # every block's width is checked before any value
+    with pytest.raises(DataError, match="^PCA input block 1 has width 3, earlier blocks have width 2$"):
+        fit_pca([np.array([[np.nan, 1.0]]), np.zeros((2, 3))], 1)
 
 
-def test_fit_pca_peak_memory_stays_under_four_copies_of_the_pool():
-    # the QR step drops the (N, d) U that the direct SVD builds twice;
-    # measured in a fresh single-threaded interpreter.  ru_maxrss survives
+def test_fit_pca_peak_memory_stays_under_two_and_a_half_copies_of_the_pool():
+    # the pool is built once, in Fortran order, and factored in place, so
+    # only the blocks and that pool are resident; the concatenated pool
+    # plus np.linalg.qr's two copies of it read three copies.
+    # Measured in a fresh single-threaded interpreter.  ru_maxrss survives
     # exec, so a child exec'd from this large process would start at its
     # high-water mark: a small launcher in between resets it.  glibc's
     # mmap threshold is fixed at its default: left dynamic, it depends on
@@ -181,7 +214,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
     )
     assert out.returncode == 0, out.stderr
     grown = int(out.stdout) * 1024  # ru_maxrss counts KiB on Linux
-    assert grown < 3.9 * N * d * 8, grown / (N * d * 8)
+    assert grown < 2.5 * N * d * 8, grown / (N * d * 8)
 
 
 def test_pca_model_validation_and_round_trip():
