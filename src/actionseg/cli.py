@@ -173,6 +173,17 @@ def _load_clips(args) -> tuple[ModelBundle, list[ClipRecord]]:
     return bundle, _select_records(load_manifest(args.manifest), args.split, args.clip)
 
 
+def _decode_all(args, bundle: ModelBundle, records) -> list:
+    """Decode each record's features on the bundle's composed graph, with
+    --beam, and with the bundle's priors under --prior on."""
+    graph = compose(bundle.grammar, bundle.hmms)
+    priors = bundle.priors if args.prior == "on" else None
+    return parallel_map(
+        lambda rec: decode(graph, load_features(rec.features), beam=args.beam, priors=priors),
+        records,
+    )
+
+
 def _emit(args, doc: dict, doc_name: str, segs=(), lexicon: UnitLexicon | None = None) -> None:
     """Print doc; with --out, also write one .seg file per (clip id,
     segmentation) in segs and doc itself as doc_name there."""
@@ -205,13 +216,7 @@ def cmd_train(args) -> None:
 
 def cmd_decode(args) -> None:
     bundle, records = _load_clips(args)
-    graph = compose(bundle.grammar, bundle.hmms)
-    priors = bundle.priors if args.prior == "on" else None
-
-    def run(rec: ClipRecord):
-        return decode(graph, load_features(rec.features), beam=args.beam, priors=priors)
-
-    results = parallel_map(run, records)
+    results = _decode_all(args, bundle, records)
     doc = {"clips": {r.clip_id: res.to_dict(bundle.lexicon) for r, res in zip(records, results)}}
     segs = [(rec.clip_id, res.segmentation) for rec, res in zip(records, results)]
     _emit(args, doc, "results.json", segs, bundle.lexicon)
@@ -219,23 +224,16 @@ def cmd_decode(args) -> None:
 
 def cmd_classify(args) -> None:
     bundle, records = _load_clips(args)
-    graph = compose(bundle.grammar, bundle.hmms)
-    priors = bundle.priors if args.prior == "on" else None
-
-    def run(rec: ClipRecord):
-        res = decode(graph, load_features(rec.features), beam=args.beam, priors=priors)
-        return res.activity, res.log_prob
-
-    results = parallel_map(run, records)
+    results = _decode_all(args, bundle, records)
     doc = {
         "clips": {
-            rec.clip_id: {"activity": act, "log_prob": float(lp)}
-            for rec, (act, lp) in zip(records, results)
+            rec.clip_id: {"activity": res.activity, "log_prob": float(res.log_prob)}
+            for rec, res in zip(records, results)
         }
     }
     truth = [rec.activity for rec in records]
     if all(truth):
-        doc["accuracy"], doc["confusion"] = accuracy(truth, [act for act, _ in results])
+        doc["accuracy"], doc["confusion"] = accuracy(truth, [res.activity for res in results])
     _emit(args, doc, "classification.json")
 
 
@@ -463,13 +461,8 @@ def cmd_grid(args) -> None:
 
         bundle = train_supervised(setting_manifest, "train", K, _train_config(args))
         save_bundle(sdir / "model", bundle)
-        graph = compose(bundle.grammar, bundle.hmms)
-        priors = bundle.priors if args.prior == "on" else None
         test_records = [setting_manifest.clip(cid) for cid in test_ids]
-        results = parallel_map(
-            lambda rec: decode(graph, load_features(rec.features), beam=args.beam, priors=priors),
-            test_records,
-        )
+        results = _decode_all(args, bundle, test_records)
         gt_pool, pred_pool = [], []
         for rec, res in zip(test_records, results):
             ids = frame_labels(res.segmentation, res.segmentation.num_frames)

@@ -69,14 +69,6 @@ class Grammar:
     def num_sentences(self) -> int:
         return sum(len(s) for s in self.sentences.values())
 
-    def language_by_names(self) -> dict[str, tuple[tuple[str, ...], ...]]:
-        """The same languages with unit ids replaced by names (for
-        comparisons across differently ordered lexicons)."""
-        return {
-            act: tuple(tuple(self.lexicon.name_of(u) for u in s) for s in sents)
-            for act, sents in self.sentences.items()
-        }
-
 
 def build_grammar(
     transcripts: Sequence[tuple[str, Transcript]],

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import FeatureSequence, UnitLexicon
 from .errors import DataError, NoPathError
-from .gmm import Gmm, GmmBank, _logsumexp, em_step, fit_em, gmm_from_resp, variance_floor
+from .gmm import Gmm, GmmBank, _logsumexp, fit_em, gmm_from_resp, variance_floor
 from .util import derive_seed, json_numbers, read_json, write_json
 
 SELF_LOOP_INIT = 0.9
@@ -213,20 +213,16 @@ def init_hmm(
 # ---------------------------------------------------------------------------
 # recursions
 #
-# One max-product kernel and one trace-back serve every Viterbi search:
-# graph decoding, forced alignment and unit training, where B chains of n
-# states are one graph of B * n states.  Batches of B sequences are padded
-# past each end; lengths[b] frames of sequence b are real, from frame 0,
-# and take the same elementwise steps as alone, so a batch reproduces the
-# per-sequence results bit for bit.  No result reads the filler.
-
-
-def _ends_by_frame(lengths: np.ndarray) -> dict[int, np.ndarray]:
-    """Last frame -> indices of the sequences that end there, ascending."""
-    last = np.asarray(lengths) - 1
-    order = np.argsort(last, kind="stable")
-    ends, first = np.unique(last[order], return_index=True)
-    return dict(zip(ends.tolist(), np.split(order, first[1:])))
+# One kernel, _max_product, runs every left-to-right recursion, in the
+# max semiring or the log semiring: with np.maximum it is the Viterbi
+# search of graph decoding, forced alignment and unit training, and with
+# np.logaddexp it is Baum-Welch's forward pass.  B chains of n states are
+# one graph of B * n states.  Batches of B sequences are padded past each
+# end; lengths[b] frames of sequence b are real, from frame 0, and take
+# the same elementwise steps as alone, so a batch reproduces the
+# per-sequence results bit for bit.  No result reads the filler.  The
+# backward pass runs from each sequence's last frame, over the sequences
+# padded the other way round, so it too starts every sequence at row 0.
 
 
 def _apply_beam(scores: np.ndarray, beam: int) -> None:
@@ -239,15 +235,19 @@ def _apply_beam(scores: np.ndarray, beam: int) -> None:
         scores[scores < cutoff] = -np.inf
 
 
-def _max_product(S: np.ndarray, start, step: tuple, beam: int | None, rows: int) -> None:
+def _max_product(
+    S: np.ndarray, start, step: tuple, beam: int | None, rows: int, plus=np.maximum
+) -> None:
     """Turn the (T, W) observation log-likelihoods S into the score lattice,
     in place, from the start weights at frame 0.  step is (log_self, pred,
     adds, multi): state s stays with log_self[s] or advances from pred[s],
     scoring score[pred[s]] plus each of adds at s in turn (-inf: no
-    candidate); np.maximum lets an advance win a tie and propagates NaN.
+    candidate).  plus joins a state's candidates: np.maximum, which lets an
+    advance win a tie and propagates NaN, makes the lattice the best path
+    scores; np.logaddexp makes it the forward log-probabilities.
     multi is (first, starts, exits, adds) for states of several
     candidates: candidate k scores score[exits[k]] plus each of adds at k,
-    and state first[i] takes the best from starts[i] on.  A beam prunes
+    and state first[i] joins those from starts[i] on.  A beam prunes
     each block of W / rows states per frame."""
     T, W = S.shape
     log_self, pred, adds, (first, starts, exits, m_adds) = step
@@ -265,8 +265,8 @@ def _max_product(S: np.ndarray, start, step: tuple, beam: int | None, rows: int)
             cand = score.take(exits)
             for a in m_adds:
                 cand += a
-            adv[first] = np.maximum.reduceat(cand, starts)
-        np.maximum(adv, stay, out=adv)
+            adv[first] = plus.reduceat(cand, starts)
+        plus(adv, stay, out=adv)
         row += adv
         if beam is not None:
             _apply_beam(block, beam)
@@ -308,6 +308,18 @@ def _trace_back(S: np.ndarray, step: tuple, last, end) -> tuple[np.ndarray, np.n
     return np.array(states, dtype=np.int64), np.array(moved, dtype=bool)
 
 
+def _chain_step(ls: np.ndarray, ln: np.ndarray, B: int) -> tuple:
+    """_max_product's start weights and step for B side-by-side chains of
+    one unit's n states: each chain enters at its state 0, and its state s
+    stays with ls[s] or advances from s - 1 with ln[s - 1]."""
+    n = ls.size
+    pred = np.arange(B * n) - 1
+    pred[::n] += 1  # a chain's first state has no candidate, and a NaN stays in its chain
+    none = np.empty(0, dtype=np.int64)  # no state of several candidates
+    step = (np.tile(ls, B), pred, (np.tile(np.append(-np.inf, ln[:-1]), B),), (none, none, none, ()))
+    return np.tile(np.append(0.0, np.full(n - 1, -np.inf)), B), step
+
+
 def _chain_paths(obs: np.ndarray, ls, ln, lengths, beam: int | None = None) -> tuple:
     """The best paths of B unit chains through their (T, B, n) padded
     observation table, which becomes their lattice: each sequence's states
@@ -316,56 +328,32 @@ def _chain_paths(obs: np.ndarray, ls, ln, lengths, beam: int | None = None) -> t
     advance winning ties makes each path the lexicographically smallest
     optimum."""
     T, B, n = obs.shape
-    pred = np.arange(B * n) - 1
-    pred[::n] += 1  # a chain's first state has no candidate, and a NaN stays in its chain
-    none = np.empty(0, dtype=np.int64)  # no state of several candidates
-    step = (np.tile(ls, B), pred, (np.tile(np.append(-np.inf, ln[:-1]), B),), (none, none, none, ()))
+    start, step = _chain_step(ls, ln, B)
     S = obs.reshape(T, B * n)
-    _max_product(S, np.tile(np.append(0.0, np.full(n - 1, -np.inf)), B), step, beam, B)
+    _max_product(S, start, step, beam, B)
     last, base = np.asarray(lengths) - 1, np.arange(B) * n
     states, _ = _trace_back(S, step, last, base + n - 1)
     return states - np.repeat(base, lengths), S[last, base + n - 1] + ln[n - 1]
 
 
-def _forward(obs: np.ndarray, ls: np.ndarray, ln: np.ndarray) -> np.ndarray:
-    """(T, B, n) forward log-probabilities; a sequence's total is its
-    alpha[lengths[b] - 1, b, n - 1] + ln[n - 1]."""
+def _backward(obs: np.ndarray, ls: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """(T, B, n) backward log-probabilities of sequences padded from their
+    last frame (see _Segments.pad): each leaves through the exit at row 0."""
     T, B, n = obs.shape
-    alpha = np.empty((T, B, n))
-    alpha[0] = -np.inf
-    alpha[0, :, 0] = obs[0, :, 0]
+    beta = np.empty((T, B, n))
+    beta[0] = -np.inf
+    beta[0, :, n - 1] = ln[n - 1]
     adv = np.full((B, n), -np.inf)
     for t in range(1, T):
-        np.add(alpha[t - 1, :, :-1], ln[:-1], out=adv[:, 1:])
-        np.logaddexp(alpha[t - 1] + ls, adv, out=alpha[t])
-        alpha[t] += obs[t]
-    return alpha
-
-
-def _backward(
-    obs: np.ndarray, ls: np.ndarray, ln: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """(T, B, n) backward log-probabilities; each sequence's recursion
-    starts at its own last frame, which leaves through the exit."""
-    T, B, n = obs.shape
-    ends = _ends_by_frame(lengths)
-    beta = np.empty((T, B, n))
-    beta[T - 1] = -np.inf
-    adv = np.full((B, n), -np.inf)
-    for t in range(T - 1, -1, -1):
-        if t < T - 1:
-            stay = ls + obs[t + 1] + beta[t + 1]
-            np.add(ln[:-1] + obs[t + 1, :, 1:], beta[t + 1, :, 1:], out=adv[:, :-1])
-            np.logaddexp(stay, adv, out=beta[t])
-        if t in ends:
-            beta[t, ends[t]] = -np.inf
-            beta[t, ends[t], n - 1] = ln[n - 1]
+        stay = ls + obs[t - 1] + beta[t - 1]
+        np.add(ln[:-1] + obs[t - 1, :, 1:], beta[t - 1, :, 1:], out=adv[:, :-1])
+        np.logaddexp(stay, adv, out=beta[t])
     return beta
 
 
 class _Segments:
     """A unit's training sequences, concatenated in order, with the index
-    maps between the concatenated rows and the padded (T, B) layout."""
+    maps between the concatenated rows and the padded (T, B) layouts."""
 
     def __init__(self, arrs: list[np.ndarray]):
         self.count = len(arrs)
@@ -374,19 +362,21 @@ class _Segments:
         self.starts = np.concatenate([[0], np.cumsum(self.lengths)])
         self.seg = np.repeat(np.arange(self.count), self.lengths)
         self.time = np.arange(self.frames.shape[0]) - self.starts[self.seg]
+        self.back = self.lengths[self.seg] - 1 - self.time  # frames counted from each end
         # Frame pairs (t, t + 1) within a sequence, by the row of frame t.
         paired = np.ones(self.frames.shape[0], dtype=bool)
         paired[self.starts[1:] - 1] = False
         self.cur = np.flatnonzero(paired)
 
-    def pad(self, rows: np.ndarray) -> np.ndarray:
-        """(N, k) concatenated rows -> (T_max, B, k), zero past each end."""
+    def pad(self, rows: np.ndarray, reverse: bool = False) -> np.ndarray:
+        """(N, k) concatenated rows -> (T_max, B, k), zero past each end;
+        reversed, row t holds frame lengths[b] - 1 - t of sequence b."""
         out = np.zeros((int(self.lengths.max()), self.count, rows.shape[1]))
-        out[self.time, self.seg] = rows
+        out[self.back if reverse else self.time, self.seg] = rows
         return out
 
-    def unpad(self, padded: np.ndarray) -> np.ndarray:
-        return padded[self.time, self.seg]
+    def unpad(self, padded: np.ndarray, reverse: bool = False) -> np.ndarray:
+        return padded[self.back if reverse else self.time, self.seg]
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +420,88 @@ def _usable_frames(model: UnitHmm, seqs) -> list[np.ndarray]:
     return usable
 
 
-def _reestimate_transitions(
-    self_counts: np.ndarray, adv_counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Floored, renormalized (log_self, log_next) from (expected) counts."""
-    num_self = self_counts + TRANS_FLOOR
-    num_adv = adv_counts + TRANS_FLOOR
-    tot = num_self + num_adv
-    return np.log(num_self / tot), np.log(num_adv / tot)
+def _reestimate(hmm: UnitHmm, seqs, max_iter: int, tol: float, history, posteriors) -> UnitHmm:
+    """The one loop of Viterbi training and Baum-Welch, hard and soft EM
+    (Juang & Rabiner, IEEE TASSP 1990), on a copy of hmm.  Each iteration
+    scores every frame under each state once, and posteriors(model, segs,
+    obs) yields each sequence's log-likelihood, then, only if the loop
+    goes on, the expected stays of each state, the expected
+    advances of states 0 .. n - 2, and each state's rows with their
+    log-posteriors.  Transitions are the floored, renormalized counts;
+    each mixture is one M-step on its state's rows.  Every statistic is
+    one sum over the rows of all sequences, concatenated in input order."""
+    model = hmm.copy()
+    usable = _usable_frames(model, seqs)
+    if max_iter <= 0:
+        return model
+    segs = _Segments(usable)
+    floor = variance_floor(segs.frames)
+    squares = segs.frames * segs.frames
+
+    prev_total = -np.inf
+    for it in range(max_iter):
+        # One density pass per state: its component table gives both the
+        # observation column and, below, the component responsibilities.
+        comps = [g._component_log_prob(segs.frames) for g in model.obs]
+        obs = np.column_stack([_logsumexp(c, axis=1) for c in comps])
+        post = posteriors(model, segs, obs)
+        total = 0.0
+        for v in next(post).tolist():
+            total += v
+        if history is not None:
+            history.append(total)
+        if it > 0 and total - prev_total < tol:
+            break
+        prev_total = total
+
+        stays, advances, owned = next(post)
+        new_obs = []
+        for j, (g, comp, (rows, gamma_log)) in enumerate(zip(model.obs, comps, owned)):
+            r = np.exp(gamma_log + comp[rows] - obs[rows, j : j + 1])
+            new_obs.append(gmm_from_resp(g, r, segs.frames[rows], squares[rows], floor))
+        num_self = stays + TRANS_FLOOR
+        num_adv = np.append(advances, segs.count) + TRANS_FLOOR  # every sequence leaves once
+        tot = num_self + num_adv
+        model = UnitHmm(model.unit_id, np.log(num_self / tot), np.log(num_adv / tot), new_obs)
+    return model
+
+
+def _best_paths(model: UnitHmm, segs: _Segments, obs: np.ndarray):
+    """Viterbi training's posteriors: each state owns the frames that the
+    best paths put in it, at log-posterior 0."""
+    s, totals = _chain_paths(segs.pad(obs), model.log_self, model.log_next, segs.lengths)
+    if not np.all(np.isfinite(totals)):
+        raise NoPathError("no path of finite probability reaches the final state")
+    yield totals
+    n, cur = model.n, segs.cur
+    # Counts are small integers, so their summation order is immaterial.
+    stayed = s[cur + 1] == s[cur]
+    yield (
+        np.bincount(s[cur][stayed], minlength=n).astype(np.float64),
+        np.bincount(s[cur][~stayed], minlength=n - 1).astype(np.float64),
+        [(np.flatnonzero(s == j), 0.0) for j in range(n)],
+    )
+
+
+def _forward_backward(model: UnitHmm, segs: _Segments, obs: np.ndarray):
+    """Baum-Welch's posteriors: each state owns every frame, at its state
+    posterior.  The backward pass runs only when they are asked for."""
+    ls, ln, n = model.log_self, model.log_next, model.n
+    S = segs.pad(obs)  # becomes the forward lattice
+    T, B, _ = S.shape
+    _max_product(S.reshape(T, B * n), *_chain_step(ls, ln, B), None, B, np.logaddexp)
+    alpha = segs.unpad(S)
+    ll = alpha[segs.starts[1:] - 1, n - 1] + ln[n - 1]
+    yield ll
+
+    beta = segs.unpad(_backward(segs.pad(obs, reverse=True), ls, ln), reverse=True)
+    cur, nxt = segs.cur, segs.cur + 1
+    ll_rows = ll[segs.seg][:, None]
+    gamma_log = alpha + beta - ll_rows
+    xi_self = np.exp(alpha[cur] + ls + obs[nxt] + beta[nxt] - ll_rows[cur])
+    xi_adv = np.exp(alpha[cur, :-1] + ln[:-1] + obs[nxt, 1:] + beta[nxt, 1:] - ll_rows[cur])
+    owned = [(slice(None), gamma_log[:, j : j + 1]) for j in range(n)]
+    yield xi_self.sum(axis=0), xi_adv.sum(axis=0), owned
 
 
 def viterbi_train(
@@ -456,33 +520,7 @@ def viterbi_train(
     are skipped with a warning.  The per-iteration total path
     log-likelihood is appended to history when given.
     """
-    model = hmm.copy()
-    segs = _Segments(_usable_frames(model, seqs))
-    floor = variance_floor(segs.frames)
-    n = model.n
-    cur = segs.cur
-
-    prev_total = -np.inf
-    for it in range(max_iter):
-        obs = segs.pad(model.obs_log_prob(segs.frames))  # becomes the lattice
-        s, totals = _chain_paths(obs, model.log_self, model.log_next, segs.lengths)
-        if not np.all(np.isfinite(totals)):
-            raise NoPathError("no path of finite probability reaches the final state")
-        total = float(sum(totals.tolist()))
-        if history is not None:
-            history.append(total)
-        if it > 0 and total - prev_total < tol:
-            break
-        prev_total = total
-
-        # Counts are small integers, so their summation order is immaterial.
-        stayed = s[cur + 1] == s[cur]
-        self_counts = np.bincount(s[cur][stayed], minlength=n).astype(np.float64)
-        adv_counts = np.bincount(s[cur][~stayed], minlength=n).astype(np.float64)
-        adv_counts[n - 1] = segs.count  # every sequence leaves once
-        new_obs = [em_step(model.obs[j], segs.frames[s == j], floor)[0] for j in range(n)]
-        model = UnitHmm(model.unit_id, *_reestimate_transitions(self_counts, adv_counts), new_obs)
-    return model
+    return _reestimate(hmm, seqs, max_iter, tol, history, _best_paths)
 
 
 def baum_welch(
@@ -500,55 +538,9 @@ def baum_welch(
     never decreases.
     With max_iter = 0 an unchanged copy is returned.
 
-    All sequences run through one batched forward and backward pass, and
-    each expected count or mixture statistic is one sum over the rows of
-    every sequence, concatenated in input order.
+    All sequences run through one batched forward and backward pass.
     """
-    model = hmm.copy()
-    usable = _usable_frames(model, seqs)
-    if max_iter <= 0:
-        return model
-    segs = _Segments(usable)
-    floor = variance_floor(segs.frames)
-    n = model.n
-    squares = segs.frames * segs.frames
-    cur, nxt = segs.cur, segs.cur + 1
-    last = segs.starts[1:] - 1
-
-    prev_total = -np.inf
-    for it in range(max_iter):
-        ls, ln = model.log_self, model.log_next
-        # One density pass per state: its component table gives both the
-        # observation column and, below, the component responsibilities.
-        comps = [g._component_log_prob(segs.frames) for g in model.obs]
-        obs = np.column_stack([_logsumexp(c, axis=1) for c in comps])
-        padded = segs.pad(obs)
-        alpha = segs.unpad(_forward(padded, ls, ln))
-        ll = alpha[last, n - 1] + ln[n - 1]
-        total = 0.0
-        for v in ll:
-            total += v
-        if history is not None:
-            history.append(float(total))
-        if it > 0 and total - prev_total < tol:
-            break
-        prev_total = total
-
-        beta = segs.unpad(_backward(padded, ls, ln, segs.lengths))
-        ll_rows = ll[segs.seg][:, None]
-        gamma_log = alpha + beta - ll_rows
-        xi_self = np.exp(alpha[cur] + ls + obs[nxt] + beta[nxt] - ll_rows[cur])
-        xi_adv = np.exp(
-            alpha[cur, :-1] + ln[:-1] + obs[nxt, 1:] + beta[nxt, 1:] - ll_rows[cur]
-        )
-        self_exp = xi_self.sum(axis=0)
-        adv_exp = np.append(xi_adv.sum(axis=0), segs.count)  # every sequence leaves once
-        new_obs = []
-        for j, (g, comp) in enumerate(zip(model.obs, comps)):
-            r = np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1])
-            new_obs.append(gmm_from_resp(g, r, segs.frames, squares, floor))
-        model = UnitHmm(model.unit_id, *_reestimate_transitions(self_exp, adv_exp), new_obs)
-    return model
+    return _reestimate(hmm, seqs, max_iter, tol, history, _forward_backward)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,13 @@ from actionseg.features import (
 from actionseg.gmm import Gmm, _logsumexp, variance_floor
 from actionseg.grammar import DecodingGraph, Grammar, GraphNode, build_grammar, compose
 from actionseg.hmm import (
+    TRANS_FLOOR,
     StatePath,
     UnitHmm,
     _apply_beam,
-    _ends_by_frame,
-    _forward,
+    _chain_step,
     _frames,
-    _reestimate_transitions,
+    _max_product,
     _usable_frames,
 )
 
@@ -367,6 +367,15 @@ def random_sentence_grammar(
         units = (lexicon.silence_id, *inner, lexicon.silence_id)
         transcripts.append((f"act{k % 2}", Transcript(units)))
     return build_grammar(transcripts, lexicon), lexicon
+
+
+def language_by_names(grammar: Grammar) -> dict[str, tuple[tuple[str, ...], ...]]:
+    """A grammar's languages with unit ids replaced by names (for
+    comparisons across differently ordered lexicons)."""
+    return {
+        act: tuple(tuple(grammar.lexicon.name_of(u) for u in s) for s in sents)
+        for act, sents in grammar.sentences.items()
+    }
 
 
 def compose_random_graph(rng, unit_names, hmms, n_sentences=2, max_inner=1):
@@ -895,10 +904,57 @@ def chain_graph(hmms, units) -> DecodingGraph:
 
 
 def reference_ends_by_frame(lengths) -> dict[int, np.ndarray]:
-    """One flatnonzero per distinct end frame: the direct form of
-    actionseg.hmm._ends_by_frame, which must match it exactly."""
+    """Last frame -> indices of the sequences that end there, ascending."""
     last = np.asarray(lengths) - 1
     return {int(t): np.flatnonzero(last == t) for t in np.unique(last)}
+
+
+def reference_forward(obs: np.ndarray, ls: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """The forward recursion that baum_welch ran before its forward pass
+    moved onto actionseg.hmm._max_product: (T, B, n) forward
+    log-probabilities of a padded observation table; a sequence's total is
+    its alpha[lengths[b] - 1, b, n - 1] + ln[n - 1]."""
+    T, B, n = obs.shape
+    alpha = np.empty((T, B, n))
+    alpha[0] = -np.inf
+    alpha[0, :, 0] = obs[0, :, 0]
+    adv = np.full((B, n), -np.inf)
+    for t in range(1, T):
+        np.add(alpha[t - 1, :, :-1], ln[:-1], out=adv[:, 1:])
+        np.logaddexp(alpha[t - 1] + ls, adv, out=alpha[t])
+        alpha[t] += obs[t]
+    return alpha
+
+
+def reference_backward(
+    obs: np.ndarray, ls: np.ndarray, ln: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """The backward recursion that actionseg.hmm._backward replaced: (T, B,
+    n) backward log-probabilities of a table padded past each end, where
+    each sequence's recursion starts at its own last frame, which leaves
+    through the exit."""
+    T, B, n = obs.shape
+    ends = reference_ends_by_frame(lengths)
+    beta = np.empty((T, B, n))
+    beta[T - 1] = -np.inf
+    adv = np.full((B, n), -np.inf)
+    for t in range(T - 1, -1, -1):
+        if t < T - 1:
+            stay = ls + obs[t + 1] + beta[t + 1]
+            np.add(ln[:-1] + obs[t + 1, :, 1:], beta[t + 1, :, 1:], out=adv[:, :-1])
+            np.logaddexp(stay, adv, out=beta[t])
+        if t in ends:
+            beta[t, ends[t]] = -np.inf
+            beta[t, ends[t], n - 1] = ln[n - 1]
+    return beta
+
+
+def reference_transitions(self_counts: np.ndarray, adv_counts: np.ndarray) -> tuple:
+    """Floored, renormalized (log_self, log_next) from (expected) counts."""
+    num_self = self_counts + TRANS_FLOOR
+    num_adv = adv_counts + TRANS_FLOOR
+    tot = num_self + num_adv
+    return np.log(num_self / tot), np.log(num_adv / tot)
 
 
 def reference_viterbi(
@@ -920,7 +976,7 @@ def reference_viterbi(
     propagates it.
     """
     T, B, n = obs.shape
-    ends = _ends_by_frame(lengths)
+    ends = reference_ends_by_frame(lengths)
     take_adv = np.zeros((T, B, n), dtype=bool)
     adv = np.full((B, n), -np.inf)
     delta = np.full((B, n), -np.inf)
@@ -986,13 +1042,15 @@ def reference_viterbi_align(hmm: UnitHmm, seq) -> StatePath:
 
 def forward_loglik(hmm: UnitHmm, seq) -> float:
     """Total log-probability summed over all legal paths (-inf when T < n),
-    through the forward recursion that baum_welch runs."""
+    through the forward pass that baum_welch runs: the max-product kernel
+    in the log semiring."""
     frames = _frames(seq, hmm.dim)
     T, n = frames.shape[0], hmm.n
     if T < n:
         return float("-inf")
-    alpha = _forward(hmm.obs_log_prob(frames)[:, None], hmm.log_self, hmm.log_next)
-    return float(alpha[T - 1, 0, n - 1] + hmm.log_next[n - 1])
+    S = hmm.obs_log_prob(frames)
+    _max_product(S, *_chain_step(hmm.log_self, hmm.log_next, 1), None, 1, np.logaddexp)
+    return float(S[T - 1, n - 1] + hmm.log_next[n - 1])
 
 
 def reference_forward_loglik(hmm: UnitHmm, seq) -> float:
@@ -1023,7 +1081,9 @@ def reference_viterbi_train(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=N
     prev_total = -np.inf
     for it in range(max_iter):
         paths = [reference_viterbi_align(model, a) for a in usable]
-        total = float(sum(p.log_prob for p in paths))
+        total = 0.0
+        for p in paths:  # left to right, as Python < 3.12's sum() adds floats
+            total += p.log_prob
         if history is not None:
             history.append(total)
         if it > 0 and total - prev_total < tol:
@@ -1049,7 +1109,7 @@ def reference_viterbi_train(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=N
             X = np.concatenate(per_state[j])
             g, _ = reference_em_step(model.obs[j], X, floor)
             new_obs.append(g)
-        model = UnitHmm(model.unit_id, *_reestimate_transitions(self_counts, adv_counts), new_obs)
+        model = UnitHmm(model.unit_id, *reference_transitions(self_counts, adv_counts), new_obs)
     return model
 
 
@@ -1113,5 +1173,5 @@ def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None
         new_obs = [
             reference_m_step(model.obs[j], np.concatenate(resp[j]), X, floor) for j in range(n)
         ]
-        model = UnitHmm(model.unit_id, *_reestimate_transitions(self_exp, adv_exp), new_obs)
+        model = UnitHmm(model.unit_id, *reference_transitions(self_exp, adv_exp), new_obs)
     return model

@@ -42,6 +42,7 @@ from actionseg.synth import load_truth
 from helpers import (
     compose_random_graph,
     forward_loglik,
+    language_by_names,
     oracle_decode_best,
     oracle_forward,
     oracle_viterbi,
@@ -250,7 +251,7 @@ def test_every_decoded_transcript_is_a_grammar_sentence(synth_run):
     bundle = synth_run["bundle"]
     language = {
         sent
-        for sents in bundle.grammar.language_by_names().values()
+        for sents in language_by_names(bundle.grammar).values()
         for sent in sents
     }
     violations = 0

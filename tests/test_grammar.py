@@ -18,6 +18,7 @@ from actionseg.grammar import (
     unconstrained_graph,
 )
 from helpers import (
+    language_by_names,
     random_sentence_grammar,
     random_unit_hmm,
     reference_compose,
@@ -77,7 +78,7 @@ def test_ebnf_round_trip_exact():
     assert back.sentences == g.sentences
     # without a lexicon the ids may differ but the named language must not
     fresh = parse_ebnf(text)
-    assert fresh.language_by_names() == g.language_by_names()
+    assert language_by_names(fresh) == language_by_names(g)
 
 
 def test_ebnf_round_trip_randomized():
@@ -87,7 +88,7 @@ def test_ebnf_round_trip_randomized():
             rng, [f"u{i}" for i in range(int(rng.integers(2, 5)))], 3, 3
         )
         back = parse_ebnf(export_ebnf(g), lexicon=lex)
-        assert back.language_by_names() == g.language_by_names(), f"trial {trial}"
+        assert language_by_names(back) == language_by_names(g), f"trial {trial}"
 
 
 def test_ebnf_whitespace_insensitive():
