@@ -457,7 +457,8 @@ def _reestimate(hmm: UnitHmm, seqs, max_iter: int, tol: float, history, posterio
         stays, advances, owned = next(post)
         new_obs = []
         for j, (g, comp, (rows, gamma_log)) in enumerate(zip(model.obs, comps, owned)):
-            r = np.exp(gamma_log + comp[rows] - obs[rows, j : j + 1])
+            with np.errstate(invalid="ignore"):  # -inf - -inf: state j cannot emit the frame
+                r = np.exp(np.fmax(gamma_log + comp[rows] - obs[rows, j : j + 1], -np.inf))
             new_obs.append(gmm_from_resp(g, r, segs.frames[rows], squares[rows], floor))
         num_self = stays + TRANS_FLOOR
         num_adv = np.append(advances, segs.count) + TRANS_FLOOR  # every sequence leaves once

@@ -1158,7 +1158,10 @@ def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None
             for j in range(n):
                 g = model.obs[j]
                 comp = reference_kernel_log_prob(a, g.weights, g.means, g.variances)
-                resp[j].append(np.exp(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1]))
+                with np.errstate(invalid="ignore"):  # -inf - -inf: state j cannot emit the frame
+                    resp[j].append(
+                        np.exp(np.fmax(gamma_log[:, j : j + 1] + comp - obs[:, j : j + 1], -np.inf))
+                    )
 
         if history is not None:
             history.append(float(total))

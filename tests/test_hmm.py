@@ -272,6 +272,21 @@ def test_baum_welch_keeps_topology():
         assert np.exp(out.log_self[j]) + np.exp(out.log_next[j]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_baum_welch_re_estimates_a_state_whose_density_is_zero_on_a_frame():
+    # state 1's density is -inf on the first frame; there its responsibility
+    # is 0, not the NaN of -inf - -inf that used to leave its mixture unchanged
+    def gaussian(var):
+        return Gmm(weights=np.array([1.0]), means=np.zeros((1, 1)), variances=np.array([[var]]))
+
+    half = np.log([0.5, 0.5])
+    hmm = UnitHmm(0, half, half, [gaussian(1e300), gaussian(1e-10)])
+    frames = np.array([[1e150], [1e-5], [-2e-5], [3e-5]])
+    assert hmm.obs_log_prob(frames)[0, 1] == -np.inf
+    out = baum_welch(hmm, [frames], max_iter=2)
+    assert out.obs[1].means[0, 0] == pytest.approx(2e-5 / 3)
+    assert out == reference_baum_welch(hmm, [frames], max_iter=2)
+
+
 def test_baum_welch_improves_mismatched_model():
     rng = np.random.default_rng(41)
     # two clearly separated emission regimes, model initialized off-center
