@@ -216,13 +216,13 @@ def init_hmm(
 # One kernel, _max_product, runs every left-to-right recursion, in the
 # max semiring or the log semiring: with np.maximum it is the Viterbi
 # search of graph decoding, forced alignment and unit training, and with
-# np.logaddexp it is Baum-Welch's forward pass.  B chains of n states are
+# np.logaddexp it is Baum-Welch's forward pass and, on the chains reversed
+# in time and in state order, its backward pass.  B chains of n states are
 # one graph of B * n states.  Batches of B sequences are padded past each
 # end; lengths[b] frames of sequence b are real, from frame 0, and take
 # the same elementwise steps as alone, so a batch reproduces the
 # per-sequence results bit for bit.  No result reads the filler.  The
-# backward pass runs from each sequence's last frame, over the sequences
-# padded the other way round, so it too starts every sequence at row 0.
+# backward pass runs over the sequences padded from their last frame.
 
 
 def _apply_beam(scores: np.ndarray, beam: int) -> None:
@@ -244,7 +244,8 @@ def _max_product(
     scoring score[pred[s]] plus each of adds at s in turn (-inf: no
     candidate).  plus joins a state's candidates: np.maximum, which lets an
     advance win a tie and propagates NaN, makes the lattice the best path
-    scores; np.logaddexp makes it the forward log-probabilities.
+    scores; np.logaddexp makes it the forward log-probabilities, or, on
+    chains reversed in time and in state order, the backward ones plus S.
     multi is (first, starts, exits, adds) for states of several
     candidates: candidate k scores score[exits[k]] plus each of adds at k,
     and state first[i] joins those from starts[i] on.  A beam prunes
@@ -334,21 +335,6 @@ def _chain_paths(obs: np.ndarray, ls, ln, lengths, beam: int | None = None) -> t
     last, base = np.asarray(lengths) - 1, np.arange(B) * n
     states, _ = _trace_back(S, step, last, base + n - 1)
     return states - np.repeat(base, lengths), S[last, base + n - 1] + ln[n - 1]
-
-
-def _backward(obs: np.ndarray, ls: np.ndarray, ln: np.ndarray) -> np.ndarray:
-    """(T, B, n) backward log-probabilities of sequences padded from their
-    last frame (see _Segments.pad): each leaves through the exit at row 0."""
-    T, B, n = obs.shape
-    beta = np.empty((T, B, n))
-    beta[0] = -np.inf
-    beta[0, :, n - 1] = ln[n - 1]
-    adv = np.full((B, n), -np.inf)
-    for t in range(1, T):
-        stay = ls + obs[t - 1] + beta[t - 1]
-        np.add(ln[:-1] + obs[t - 1, :, 1:], beta[t - 1, :, 1:], out=adv[:, :-1])
-        np.logaddexp(stay, adv, out=beta[t])
-    return beta
 
 
 class _Segments:
@@ -486,7 +472,9 @@ def _best_paths(model: UnitHmm, segs: _Segments, obs: np.ndarray):
 
 def _forward_backward(model: UnitHmm, segs: _Segments, obs: np.ndarray):
     """Baum-Welch's posteriors: each state owns every frame, at its state
-    posterior.  The backward pass runs only when they are asked for."""
+    posterior.  The backward pass runs only when they are asked for, as the
+    forward pass of the chains reversed in time and in state order, entered
+    at the exit: state s advances from s + 1 with ln[s], into beta + obs."""
     ls, ln, n = model.log_self, model.log_next, model.n
     S = segs.pad(obs)  # becomes the forward lattice
     T, B, _ = S.shape
@@ -495,12 +483,16 @@ def _forward_backward(model: UnitHmm, segs: _Segments, obs: np.ndarray):
     ll = alpha[segs.starts[1:] - 1, n - 1] + ln[n - 1]
     yield ll
 
-    beta = segs.unpad(_backward(segs.pad(obs, reverse=True), ls, ln), reverse=True)
+    start, step = _chain_step(ls[::-1], np.append(ln[-2::-1], 0.0), B)
+    S = segs.pad(obs[:, ::-1], reverse=True)
+    _max_product(S.reshape(T, B * n), start + ln[n - 1], step, None, B, np.logaddexp)
+    beta_obs = segs.unpad(S, reverse=True)[:, ::-1]
     cur, nxt = segs.cur, segs.cur + 1
     ll_rows = ll[segs.seg][:, None]
-    gamma_log = alpha + beta - ll_rows
-    xi_self = np.exp(alpha[cur] + ls + obs[nxt] + beta[nxt] - ll_rows[cur])
-    xi_adv = np.exp(alpha[cur, :-1] + ln[:-1] + obs[nxt, 1:] + beta[nxt, 1:] - ll_rows[cur])
+    with np.errstate(invalid="ignore"):  # -inf - -inf where obs is -inf: see _reestimate
+        gamma_log = alpha + (beta_obs - obs) - ll_rows
+    xi_self = np.exp(alpha[cur] + ls + beta_obs[nxt] - ll_rows[cur])
+    xi_adv = np.exp(alpha[cur, :-1] + ln[:-1] + beta_obs[nxt, 1:] - ll_rows[cur])
     owned = [(slice(None), gamma_log[:, j : j + 1]) for j in range(n)]
     yield xi_self.sum(axis=0), xi_adv.sum(axis=0), owned
 

@@ -929,10 +929,11 @@ def reference_forward(obs: np.ndarray, ls: np.ndarray, ln: np.ndarray) -> np.nda
 def reference_backward(
     obs: np.ndarray, ls: np.ndarray, ln: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """The backward recursion that actionseg.hmm._backward replaced: (T, B,
-    n) backward log-probabilities of a table padded past each end, where
-    each sequence's recursion starts at its own last frame, which leaves
-    through the exit."""
+    """The backward recursion that baum_welch ran before its backward pass
+    moved onto actionseg.hmm._max_product, over the chains reversed in time
+    and in state order: (T, B, n) backward log-probabilities of a table
+    padded past each end, where each sequence's recursion starts at its own
+    last frame, which leaves through the exit."""
     T, B, n = obs.shape
     ends = reference_ends_by_frame(lengths)
     beta = np.empty((T, B, n))
@@ -1144,17 +1145,19 @@ def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None
             ll = alpha[T - 1, n - 1] + ln[n - 1]
             total += ll
 
-            beta = np.full((T, n), -np.inf)
-            beta[T - 1, n - 1] = ln[n - 1]
+            # beta + obs, each step's terms in the order of the kernel's pass
+            # over the reversed chain
+            beta_obs = np.full((T, n), -np.inf)
+            beta_obs[T - 1, n - 1] = obs[T - 1, n - 1] + ln[n - 1]
             for t in range(T - 2, -1, -1):
-                stay = ls + obs[t + 1] + beta[t + 1]
                 adv = np.full(n, -np.inf)
-                adv[:-1] = ln[:-1] + obs[t + 1, 1:] + beta[t + 1, 1:]
-                beta[t] = np.logaddexp(stay, adv)
+                adv[:-1] = beta_obs[t + 1, 1:] + ln[:-1]
+                beta_obs[t] = obs[t] + np.logaddexp(adv, beta_obs[t + 1] + ls)
 
-            gamma_log = alpha + beta - ll
-            xi_self.append(np.exp(alpha[:-1] + ls + obs[1:] + beta[1:] - ll))
-            xi_adv.append(np.exp(alpha[:-1, :-1] + ln[:-1] + obs[1:, 1:] + beta[1:, 1:] - ll))
+            with np.errstate(invalid="ignore"):  # -inf - -inf where obs is -inf
+                gamma_log = alpha + (beta_obs - obs) - ll
+            xi_self.append(np.exp(alpha[:-1] + ls + beta_obs[1:] - ll))
+            xi_adv.append(np.exp(alpha[:-1, :-1] + ln[:-1] + beta_obs[1:, 1:] - ll))
             for j in range(n):
                 g = model.obs[j]
                 comp = reference_kernel_log_prob(a, g.weights, g.means, g.variances)

@@ -13,9 +13,7 @@ from actionseg.gmm import Gmm
 from actionseg.hmm import (
     StatePath,
     UnitHmm,
-    _backward,
     _chain_paths,
-    _chain_step,
     _max_product,
     _Segments,
     baum_welch,
@@ -241,16 +239,27 @@ def test_baum_welch_forward_loglik_nondecreasing():
         assert np.all(diffs >= -1e-8 * scale), f"trial {trial}: {history}"
 
 
+def _recording_kernel(mp: pytest.MonkeyPatch) -> list[np.ndarray]:
+    """Patch hmm's _max_product to record each lattice it computes."""
+    lattices = []
+
+    def record(S, *args):
+        _max_product(S, *args)
+        lattices.append(S)
+
+    mp.setattr(hmm_module, "_max_product", record)
+    return lattices
+
+
 def test_baum_welch_runs_no_backward_pass_on_the_iteration_that_converges(monkeypatch):
-    # the posteriors are lazy: the converging iteration needs only the total
-    passes = []
-    backward = hmm_module._backward
-    monkeypatch.setattr(hmm_module, "_backward", lambda *a: passes.append(1) or backward(*a))
+    # the posteriors are lazy: the converging iteration needs only the total,
+    # so two iterations run the forward, the backward, then the forward pass
+    passes = _recording_kernel(monkeypatch)
     rng = np.random.default_rng(39)
     seqs = [FeatureSequence(rng.normal(size=(12, 2))) for _ in range(3)]
     history: list[float] = []
     baum_welch(init_hmm(0, seqs, K=1), seqs, max_iter=5, tol=np.inf, history=history)
-    assert len(history) == 2 and len(passes) == 1
+    assert len(history) == 2 and len(passes) == 3
 
 
 def test_baum_welch_zero_iterations_returns_unchanged_copy():
@@ -530,15 +539,25 @@ def forward_batches(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(forward_batches())
 def test_forward_and_backward_passes_match_the_retired_recursions(case):
+    # The lattices that Baum-Welch's posteriors run through the kernel: the
+    # forward pass, and the backward pass over the reverse-padded sequences
+    # with their states reversed, which holds beta + obs.
     seqs, ls, ln = case
     segs = _Segments(seqs)
     obs = segs.frames
     B, n = segs.count, obs.shape[1]
-    want_alpha = segs.unpad(reference_forward(segs.pad(obs), ls, ln))
-    want_beta = segs.unpad(reference_backward(segs.pad(obs), ls, ln, segs.lengths))
-    lattice = segs.pad(obs)
-    _max_product(lattice.reshape(-1, B * n), *_chain_step(ls, ln, B), None, B, np.logaddexp)
-    alpha = segs.unpad(lattice)
-    beta = segs.unpad(_backward(segs.pad(obs, reverse=True), ls, ln), reverse=True)
-    assert alpha.tobytes() == want_alpha.tobytes()
-    assert beta.tobytes() == want_beta.tobytes()
+    model = UnitHmm(0, ls, ln, constant_obs_hmm(n).obs)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        lattices = _recording_kernel(mp)
+        list(hmm_module._forward_backward(model, segs, obs))
+    forward, backward = (S.reshape(-1, B, n) for S in lattices)
+    alpha = segs.unpad(forward)
+    assert alpha.tobytes() == segs.unpad(reference_forward(segs.pad(obs), ls, ln)).tobytes()
+    # The backward pass sums its terms in another order than the retired
+    # recursion, so finite cells agree to rounding; the rest exactly.
+    beta_obs = segs.unpad(backward, reverse=True)[:, ::-1]
+    want = segs.unpad(reference_backward(segs.pad(obs), ls, ln, segs.lengths)) + obs
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(beta_obs), finite)
+    assert np.array_equal(beta_obs[~finite], want[~finite])
+    np.testing.assert_allclose(beta_obs[finite], want[finite], rtol=1e-13, atol=1e-13)
