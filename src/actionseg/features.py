@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
 from .data import FeatureSequence
 from .errors import DataError
@@ -69,98 +68,67 @@ class PcaModel:
         }
 
 
-def _pool_rows(blocks: Iterable) -> tuple[np.ndarray, np.ndarray]:
-    """Pool (n_i, d) row blocks, centred, into a new C-ordered (d, N)
-    array: the (N, d) pool in Fortran order.  Returns it and the mean.
-
-    Each block fills one column range, so the (N, d) concatenation is
-    never formed.  The mean keeps the bits of `X.mean(axis=0)` on that
-    C-ordered concatenation: for d >= 2 numpy adds its rows in order, so
-    the running sum is carried as the first row of each block's sum, with
-    every block taken in C order (a Fortran-ordered one is copied), so the
-    bits do not depend on the blocks' layout; for d = 1 the pool's one row
-    is the concatenation, summed pairwise.
-    """
-    arrays = []
-    for block in blocks:
-        arr = np.atleast_2d(np.asarray(block, dtype=np.float64, order="C"))
-        if arrays and arr.shape[1] != arrays[0].shape[1]:
-            raise DataError(
-                f"PCA input block {len(arrays)} has width {arr.shape[1]}, "
-                f"earlier blocks have width {arrays[0].shape[1]}"
-            )
-        arrays.append(arr)
-    N = sum(arr.shape[0] for arr in arrays)
-    if N == 0:
-        raise DataError("PCA input has no rows")
-    if not all(np.isfinite(arr).all() for arr in arrays):
-        raise DataError("PCA input contains non-finite values")
-    d = arrays[0].shape[1]
-    pool = np.empty((d, N))
-    total = None
-    start = 0
-    for arr in arrays:
-        pool[:, start : start + arr.shape[0]] = arr.T
-        start += arr.shape[0]
-        if d > 1 and arr.shape[0]:
-            total = np.add.reduce(np.vstack([arr] if total is None else [total, arr]), axis=0)
-    mean = pool.T.mean(axis=0) if d == 1 else total / N
-    pool -= mean[:, None]
-    return pool, mean
+_QR_ROWS = 1024  # rows per fold of fit_pca's streaming QR
 
 
-def _qr_r(pool: np.ndarray) -> np.ndarray:
-    """The (d, d) factor R of the Fortran (N, d) matrix held by the
-    C-ordered (d, N) pool, which LAPACK's dgeqrf overwrites in place.
-
-    This is the call `np.linalg.qr(X, mode="r")` makes on its own Fortran
-    copy of X, with the workspace sized as numpy sizes it, max(1, d, the
-    size dgeqrf asks for), so the blocking and R's bits are the same.
-    """
-    d, N = pool.shape
-    tau = np.empty(d)
-    work = np.empty(1)
-    info = lapack_lite.dgeqrf(N, d, pool, N, tau, work, -1, 0)["info"]
-    if info == 0:
-        lwork = max(1, d, int(work[0]))
-        work = np.empty(lwork)
-        info = lapack_lite.dgeqrf(N, d, pool, N, tau, work, lwork, 0)["info"]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
-    return np.triu(pool[:, :d].T)
+def _fold(R: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """R factor of R stacked on the rows, each with a leading 1."""
+    return np.linalg.qr(np.vstack([R, np.hstack([np.ones((len(rows), 1)), rows])]), mode="r")
 
 
 def fit_pca(blocks: Iterable, target_dim: int) -> PcaModel:
     """Principal directions of the sample covariance of the pooled row
-    blocks, from the SVD of the centered (N, d) pool.
+    blocks, from the SVD of the R factor of the centered (N, d) rows.
 
-    The pool is built once, centred, in Fortran order (see _pool_rows).
-    The singular vectors U are never formed.  When N >= 11d/6 (LAPACK
-    dgesdd's MNTHR = INT(MINMN*11/6)), dgesdd itself first QR-factors its
-    input and takes the SVD of the (d, d) factor R (Chan's R-SVD, ACM
-    TOMS 1982).  Here dgeqrf factors the pool in place and the SVD runs on
-    its R, so S and Vt keep the bits of the direct thin SVD, while neither
-    the (N, d) U that dgesdd would build nor the two pool copies that
-    `np.linalg.qr` makes (its own, then its Fortran buffer) exist.  Below
-    the threshold dgesdd never forms R, so the direct call stays.
-
-    Peak memory is the blocks plus one pool: numpy asks for huge pages
-    for large arrays, so the whole pool is resident from its first column
-    write, while the blocks are still held.  Building a C-ordered pool
-    and copying it to Fortran order would add a copy at the peak.
+    The blocks are read in one pass and none is held.  Each row is
+    shifted by the first input row and given a leading 1, and the rows
+    are folded into the running R factor _QR_ROWS at a time, by one QR of
+    R stacked on them (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J.
+    Sci. Comput. 2012).  The groups do not depend on how the caller cuts
+    the rows, so neither do the bits.  With the column of ones first,
+    R[0, 1:] / R[0, 0] is the shifted rows' mean and R[1:, 1:] is the R
+    factor of the centered rows, which has their singular values and
+    right singular vectors.  The shift keeps a constant column exactly
+    zero, so it has rank 0 as under exact centring.
 
     The sign of each basis column is fixed so its largest-magnitude entry
     is positive.  Raises when the centered data's numerical rank cannot
     support target_dim directions.
     """
-    pool, mean = _pool_rows(blocks)
-    d, N = pool.shape
+    d = R = shift = None
+    waiting, n_waiting, N, finite = [], 0, 0, True
+    for i, block in enumerate(blocks):
+        arr = np.atleast_2d(np.asarray(block, dtype=np.float64))
+        if d is None:
+            d, R = arr.shape[1], np.empty((0, arr.shape[1] + 1))
+        if arr.shape[1] != d:
+            raise DataError(
+                f"PCA input block {i} has width {arr.shape[1]}, earlier blocks have width {d}"
+            )
+        N += len(arr)
+        finite = finite and bool(np.isfinite(arr).all())
+        if not finite or not len(arr):
+            continue  # a bad input is only marked, so every width is checked
+        shift = arr[0].copy() if shift is None else shift
+        waiting.append(arr - shift)
+        n_waiting += len(arr)
+        if n_waiting >= _QR_ROWS:
+            rows = np.vstack(waiting)
+            cut = n_waiting - n_waiting % _QR_ROWS
+            for start in range(0, cut, _QR_ROWS):
+                R = _fold(R, rows[start : start + _QR_ROWS])
+            waiting, n_waiting = [rows[cut:].copy()], n_waiting - cut
+    if N == 0:
+        raise DataError("PCA input has no rows")
+    if not finite:
+        raise DataError("PCA input contains non-finite values")
     if target_dim < 1:
         raise DataError("target dimension must be at least 1")
     if target_dim > d:
         raise DataError(f"cannot keep {target_dim} of {d} dimensions")
-    X = _qr_r(pool) if N >= d * 11 // 6 else pool.T
-    _, S, Vt = np.linalg.svd(X, full_matrices=False)
+    if n_waiting:
+        R = _fold(R, np.vstack(waiting))
+    _, S, Vt = np.linalg.svd(R[1:, 1:], full_matrices=False)
     tol = (S.max(initial=0.0)) * max(N, d) * np.finfo(np.float64).eps
     rank = int(np.sum(S > tol))
     if rank < target_dim:
@@ -172,7 +140,7 @@ def fit_pca(blocks: Iterable, target_dim: int) -> PcaModel:
         i = int(np.argmax(np.abs(basis[:, j])))
         if basis[i, j] < 0:
             basis[:, j] = -basis[:, j]
-    return PcaModel(mean=mean, basis=basis)
+    return PcaModel(mean=shift + R[0, 1:] / R[0, 0], basis=basis)
 
 
 def apply_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:

@@ -410,10 +410,10 @@ def _reestimate(hmm: UnitHmm, seqs, max_iter: int, tol: float, history, posterio
     """The one loop of Viterbi training and Baum-Welch, hard and soft EM
     (Juang & Rabiner, IEEE TASSP 1990), on a copy of hmm.  Each iteration
     scores every frame under each state once, and posteriors(model, segs,
-    obs) yields each sequence's log-likelihood, then, only if the loop
-    goes on, the expected stays of each state, the expected
-    advances of states 0 .. n - 2, and each state's rows with their
-    log-posteriors.  Transitions are the floored, renormalized counts;
+    obs) yields each sequence's log-likelihood (one that is not finite
+    is a NoPathError), then, only if the loop goes on, the expected
+    stays of each state, the expected advances of states 0 .. n - 2, and
+    each state's rows with their log-posteriors.  Transitions are the floored, renormalized counts;
     each mixture is one M-step on its state's rows.  Every statistic is
     one sum over the rows of all sequences, concatenated in input order."""
     model = hmm.copy()
@@ -431,8 +431,11 @@ def _reestimate(hmm: UnitHmm, seqs, max_iter: int, tol: float, history, posterio
         comps = [g._component_log_prob(segs.frames) for g in model.obs]
         obs = np.column_stack([_logsumexp(c, axis=1) for c in comps])
         post = posteriors(model, segs, obs)
+        totals = next(post)
+        if not np.all(np.isfinite(totals)):
+            raise NoPathError("no path of finite probability reaches the final state")
         total = 0.0
-        for v in next(post).tolist():
+        for v in totals.tolist():
             total += v
         if history is not None:
             history.append(total)
@@ -457,8 +460,6 @@ def _best_paths(model: UnitHmm, segs: _Segments, obs: np.ndarray):
     """Viterbi training's posteriors: each state owns the frames that the
     best paths put in it, at log-posterior 0."""
     s, totals = _chain_paths(segs.pad(obs), model.log_self, model.log_next, segs.lengths)
-    if not np.all(np.isfinite(totals)):
-        raise NoPathError("no path of finite probability reaches the final state")
     yield totals
     n, cur = model.n, segs.cur
     # Counts are small integers, so their summation order is immaterial.

@@ -1143,6 +1143,8 @@ def reference_baum_welch(hmm: UnitHmm, seqs, max_iter=10, tol=1e-4, history=None
                 adv[1:] = alpha[t - 1, :-1] + ln[:-1]
                 alpha[t] = np.logaddexp(alpha[t - 1] + ls, adv) + obs[t]
             ll = alpha[T - 1, n - 1] + ln[n - 1]
+            if not np.isfinite(ll):
+                raise NoPathError("no path of finite probability reaches the final state")
             total += ll
 
             # beta + obs, each step's terms in the order of the kernel's pass

@@ -97,6 +97,18 @@ def test_fit_pca_rank_and_argument_errors():
     for target in (0, 1, 3):  # values are checked before the target
         with pytest.raises(DataError, match="^PCA input contains non-finite values$"):
             fit_pca([X, np.array([[1.0, np.nan]])], target)
+    # zero variance: fit_pca shifts every row by the first one, so a constant
+    # column stays exactly zero, as under the direct SVD's exact centring.
+    # One row leaves R[1:, 1:] with no rows, and its SVD with no values
+    constant = np.full((5, 3), 2.0)
+    steady = rng.normal(size=(40, 3)) * 1e-3
+    steady[:, 1] = 2.0
+    row = np.array([[1.5, -2.0, 3.0]])
+    for X, target, rank in ((constant, 1, 0), (steady, 3, 2), (row, 1, 0)):
+        msg = f"data rank {rank} cannot support {target} principal directions"
+        assert _fit_or_error(reference_fit_pca, X, target) == msg
+        for blocks in ([X], list(X)):
+            assert _fit_or_error(fit_pca, blocks, target) == msg
 
 
 def _uneven_blocks(X: np.ndarray, rng) -> list[np.ndarray]:
@@ -115,14 +127,17 @@ def _fit_or_error(fit, blocks, target_dim):
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 48, 128])
 @pytest.mark.parametrize("offset", [-1, 0, 1, "10d"])
 def test_fit_pca_matches_the_direct_svd_bit_for_bit(d, offset):
-    # dgesdd QR-factors its input once N >= MNTHR = d*11//6; fit_pca does
-    # that step itself there, and below it must keep the direct call.  At
-    # d = 1 every N is past the threshold and the mean is a pairwise sum,
-    # so the sizes straddle numpy's pairwise blocks of 8 and 128 instead
+    # fit_pca folds its rows into a QR _QR_ROWS at a time, so every cut of
+    # the same rows gives the same bits; against the direct SVD the mean
+    # agrees to 1e-12 of its scale and each basis column to 1e-12 of
+    # S[0] / gap, the Davis-Kahan bound for a backward-stable SVD.  N runs
+    # round 11d/6, where the direct SVD was kept, and "10d" spans more
+    # than three folds
+    Q = features._QR_ROWS
     if d == 1:
-        N = {-1: 10, 0: 129, 1: 130, "10d": 1000}[offset]
+        N = {-1: 2, 0: 10, 1: 129}.get(offset, 3 * Q + 10)
     else:
-        N = 10 * d if offset == "10d" else d * 11 // 6 + offset
+        N = 3 * Q + 10 * d if offset == "10d" else d * 11 // 6 + offset
     rng = np.random.default_rng(1000 * d + N)
     scales = np.geomspace(1e-3, 1e3, d)
     cases = [
@@ -134,37 +149,28 @@ def test_fit_pca_matches_the_direct_svd_bit_for_bit(d, offset):
         assert isinstance(want, str) == deficient
         if deficient:
             assert want == "data rank 1 cannot support 2 principal directions"
-        # the mean's bits depend on how its rows are added, so the pool is
-        # cut into uneven blocks, one block (in C and in Fortran order), and
-        # one row per block
-        for blocks in (_uneven_blocks(X, rng), [X], [np.asfortranarray(X)], list(X)):
+        cuts = [_uneven_blocks(X, rng), [X], [np.asfortranarray(X)], list(X)]
+        cuts += [[X[i : i + n] for i in range(0, N, n)] for n in (Q - 1, Q, Q + 1)]
+        fits = []
+        for blocks in cuts:
             kept = [b.copy() for b in blocks]
             gen = (b for b in blocks)
-            got = _fit_or_error(fit_pca, gen, target)
+            fits.append(_fit_or_error(fit_pca, gen, target))
             assert next(gen, None) is None  # read through, in one pass
-            if deficient:
-                assert got == want
-            else:
-                assert np.array_equal(got.mean, want.mean)
-                assert np.array_equal(got.basis, want.basis)
-            for b, k in zip(blocks, kept):  # the pool is centred, not the blocks
+            for b, k in zip(blocks, kept):  # the rows are shifted, not the blocks
                 assert np.array_equal(b, k)
-
-
-@pytest.mark.parametrize("d", [2, 48, 128, 160])
-def test_in_place_dgeqrf_gives_numpy_qr_r_bit_for_bit(d):
-    # fit_pca factors its pool with numpy.linalg.lapack_lite.dgeqrf, the
-    # routine np.linalg.qr calls; a numpy that moves or changes it fails
-    # here.  Past 128 columns (dgeqrf's crossover NX) the blocked code
-    # runs, and the workspace size sets its blocking and so R's bits
-    from numpy.linalg import lapack_lite
-
-    assert features.lapack_lite is lapack_lite
-    rng = np.random.default_rng(d)
-    for N in (d * 11 // 6, d * 11 // 6 + 1, 10 * d):
-        X = rng.normal(size=(N, d)) * np.geomspace(1e-3, 1e3, d)
-        pool = np.ascontiguousarray(X.T)  # the (N, d) matrix in Fortran order
-        assert np.array_equal(features._qr_r(pool), np.linalg.qr(X, mode="r"))
+        if deficient:
+            assert fits == [want] * len(cuts)
+            continue
+        for got in fits[1:]:
+            assert np.array_equal(got.mean, fits[0].mean)
+            assert np.array_equal(got.basis, fits[0].basis)
+        got = fits[0]
+        assert np.all(np.abs(got.mean - want.mean) <= 1e-12 * (np.abs(want.mean) + scales))
+        S = np.append(np.linalg.svd(X - X.mean(axis=0), compute_uv=False), 0.0)
+        gap = [np.delete(np.abs(S - S[j]), j).min() for j in range(target)]
+        err = np.abs(got.basis - want.basis).max(axis=0)
+        assert np.all(err * gap <= 1e-12 * S[0]), err * gap / S[0]
 
 
 def test_fit_pca_rejects_empty_input_and_mixed_widths():
@@ -178,10 +184,9 @@ def test_fit_pca_rejects_empty_input_and_mixed_widths():
         fit_pca([np.array([[np.nan, 1.0]]), np.zeros((2, 3))], 1)
 
 
-def test_fit_pca_peak_memory_stays_under_two_and_a_half_copies_of_the_pool():
-    # the pool is built once, in Fortran order, and factored in place, so
-    # only the blocks and that pool are resident; the concatenated pool
-    # plus np.linalg.qr's two copies of it read three copies.
+def test_fit_pca_peak_memory_stays_under_three_quarters_of_a_copy_of_the_pool():
+    # the rows are folded into a QR _QR_ROWS at a time and no block is
+    # held, so the pool never exists; pooling the rows alone reads a copy.
     # Measured in a fresh single-threaded interpreter.  ru_maxrss survives
     # exec, so a child exec'd from this large process would start at its
     # high-water mark: a small launcher in between resets it.  glibc's
@@ -214,7 +219,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
     )
     assert out.returncode == 0, out.stderr
     grown = int(out.stdout) * 1024  # ru_maxrss counts KiB on Linux
-    assert grown < 2.5 * N * d * 8, grown / (N * d * 8)
+    assert grown < 0.75 * N * d * 8, grown / (N * d * 8)
 
 
 def test_pca_model_validation_and_round_trip():

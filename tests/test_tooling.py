@@ -185,6 +185,24 @@ def test_every_private_function_is_called_in_src():
     assert not unused, f"private functions no code in src names: {unused}"
 
 
+def test_every_numpy_import_is_the_public_namespace():
+    # src reaches numpy only as `import numpy as np`: a submodule import
+    # such as `from numpy.linalg import lapack_lite` is private API that a
+    # numpy release may move, untested at the declared version floor
+    found = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                found.append(f"{path.name}:{node.lineno}: from {node.module} import ...")
+            elif isinstance(node, ast.Import):
+                found += [
+                    f"{path.name}:{node.lineno}: import {a.name} as {a.asname}"
+                    for a in node.names
+                    if a.name.split(".")[0] == "numpy" and (a.name, a.asname) != ("numpy", "np")
+                ]
+    assert not found, found
+
+
 # numpy routes each of these through BLAS, whose kernel changes the bits
 _BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
 
