@@ -362,26 +362,20 @@ def cmd_encode(args) -> None:
     out = Path(args.out)
     clip_dir = out / "clips"
     clip_dir.mkdir(parents=True, exist_ok=True)
-    encoded = parallel_map(lambda rec: encoder.encode(raw[rec.clip_id]), all_records)
-    new_clips = []
-    for rec, seq in zip(all_records, encoded):
+
+    def encode_clip(rec: ClipRecord) -> ClipRecord:
+        # each clip is written as soon as it is encoded, so only one is held
         path = clip_dir / f"{rec.clip_id}.feat"
-        save_features(path, seq)
-        new_clips.append(
-            ClipRecord(
-                clip_id=rec.clip_id,
-                features=str(path),
-                activity=rec.activity,
-                segmentation=rec.segmentation,
-                transcript=rec.transcript,
-            )
-        )
+        save_features(path, encoder.encode(raw[rec.clip_id]))
+        return ClipRecord(rec.clip_id, str(path), rec.activity, rec.segmentation, rec.transcript)
+
+    new_clips = parallel_map(encode_clip, all_records)
     save_manifest(out / "manifest.json", DatasetManifest(tuple(new_clips), manifest.splits))
     save_encoder(out / "encoder.json", encoder)
     _print_json(
         {
             "clips": len(new_clips),
-            "dim": int(encoded[0].dim),
+            "dim": pca2.out_dim if pca2 is not None else fv.out_dim,
             "out": str(out),
             "window": args.window,
         }

@@ -253,15 +253,18 @@ def fit_fv_codebook(frame_arrays: Sequence[np.ndarray], K: int, seed: int = 0) -
 
     At most FV_SAMPLE_CAP frames are drawn without replacement; the draw
     is a pure function of the seed, which callers should record alongside
-    the model.
+    the model.  The drawn rows are gathered from each array in turn, so
+    the pool is never concatenated whole.
     """
-    X = np.concatenate([np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in frame_arrays])
-    if X.shape[0] > FV_SAMPLE_CAP:
+    arrays = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in frame_arrays]
+    starts = np.cumsum([0] + [a.shape[0] for a in arrays])
+    if starts[-1] > FV_SAMPLE_CAP:
         rng = child_rng(seed, "fv-codebook-sample")
-        idx = rng.choice(X.shape[0], size=FV_SAMPLE_CAP, replace=False)
+        idx = rng.choice(int(starts[-1]), size=FV_SAMPLE_CAP, replace=False)
         idx.sort()
-        X = X[idx]
-    return fit_em(X, K, seed=derive_seed(seed, "fv-codebook-em"))
+        cuts = np.searchsorted(idx, starts)
+        arrays = [a[idx[lo:hi] - s] for a, s, lo, hi in zip(arrays, starts, cuts, cuts[1:])]
+    return fit_em(np.concatenate(arrays), K, seed=derive_seed(seed, "fv-codebook-em"))
 
 
 # ---------------------------------------------------------------------------

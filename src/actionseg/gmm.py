@@ -214,14 +214,21 @@ def _component_log_prob(
     elementwise steps and the same order of additions over the m
     dimensions whatever the leading stack shape, so a stacked evaluation
     equals the one-mixture evaluation bit for bit.  A long axis takes one
-    (K, m) mixture, scored by _contract; GmmBank contracts its mixtures
+    (K, m) mixture, scored by _contract in row blocks of about
+    _BLOCK_ELEMS doubles of temporaries; GmmBank contracts its mixtures
     one at a time itself.  A frame far enough from a component overflows
     its quadratic term to inf, and a zero weight has log -inf: both are
     the right limit (log-density -inf), so neither is reported.
     """
     N, m = X.shape
     if not 0 < m < _SHORT_AXIS:
-        return _contract(X, _long_axis_terms(weights, means, variances))
+        terms = _long_axis_terms(weights, means, variances)
+        K = weights.shape[0]
+        out = np.empty((N, K))
+        rows = max(1, _BLOCK_ELEMS // (m + 2 * K))  # a centred row and two (K,) contractions
+        for r in range(0, N, rows):
+            _contract(X[r : r + rows], terms, out=out[r : r + rows])
+        return out
     lead = (N,) + (1,) * (means.ndim - 1)
     with np.errstate(over="ignore", divide="ignore"):
         quad = None
@@ -275,8 +282,9 @@ def _contract(X: np.ndarray, terms: tuple, out: np.ndarray | None = None) -> np.
 
 
 # Doubles of temporaries per row block in GmmBank.log_prob (see
-# _row_doubles): blocks near this size amortize the per-call overhead,
-# and peak memory does not grow with the frame count.
+# _row_doubles) and in _component_log_prob's long-axis branch: blocks near
+# this size amortize the per-call overhead, and peak memory does not grow
+# with the frame count.
 _BLOCK_ELEMS = 1 << 17
 
 
@@ -376,6 +384,19 @@ def _kmeanspp_centers(X: np.ndarray, K: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
+def _nearest_center(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest center, the first of tied ones.  Each
+    center's squared distances are one (N,) column, summed over the m
+    dimensions as np.sum does along a contiguous axis, so the (N, K)
+    table holds the bits of a broadcast (N, K, m) sum without its size."""
+    d2 = np.empty((X.shape[0], centers.shape[0]))
+    for k, c in enumerate(centers):
+        diff = X - c
+        np.multiply(diff, diff, out=diff)
+        d2[:, k] = np.sum(diff, axis=1)
+    return np.argmin(d2, axis=1)
+
+
 def fit_em(
     samples: np.ndarray,
     K: int,
@@ -410,8 +431,7 @@ def fit_em(
     centers = _kmeanspp_centers(X, K, rng)
 
     # Hard-assign to the seeded centers for the initial parameters.
-    d2 = np.sum((X[:, None, :] - centers[None]) ** 2, axis=2)
-    assign = np.argmin(d2, axis=1)
+    assign = _nearest_center(X, centers)
     weights = np.empty(K)
     means = np.empty_like(centers)
     variances = np.empty_like(centers)

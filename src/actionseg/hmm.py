@@ -421,8 +421,11 @@ def _reestimate(hmm: UnitHmm, seqs, max_iter: int, tol: float, history, posterio
     if max_iter <= 0:
         return model
     segs = _Segments(usable)
+    if not np.isfinite(segs.frames).all():
+        # an infinite or NaN frame scores -inf or NaN under every state,
+        # and has no variance to floor
+        raise NoPathError("no path of finite probability reaches the final state")
     floor = variance_floor(segs.frames)
-    squares = segs.frames * segs.frames
 
     prev_total = -np.inf
     for it in range(max_iter):
@@ -444,16 +447,26 @@ def _reestimate(hmm: UnitHmm, seqs, max_iter: int, tol: float, history, posterio
         prev_total = total
 
         stays, advances, owned = next(post)
-        new_obs = []
-        for j, (g, comp, (rows, gamma_log)) in enumerate(zip(model.obs, comps, owned)):
-            with np.errstate(invalid="ignore"):  # -inf - -inf: state j cannot emit the frame
-                r = np.exp(np.fmax(gamma_log + comp[rows] - obs[rows, j : j + 1], -np.inf))
-            new_obs.append(gmm_from_resp(g, r, segs.frames[rows], squares[rows], floor))
+        new_obs = [
+            _refit_state(g, comp[rows], gamma_log, obs[rows, j : j + 1], segs.frames[rows], floor)
+            for j, (g, comp, (rows, gamma_log)) in enumerate(zip(model.obs, comps, owned))
+        ]
+        del comps, obs, post, owned  # not alive while the next density pass builds its own
         num_self = stays + TRANS_FLOOR
         num_adv = np.append(advances, segs.count) + TRANS_FLOOR  # every sequence leaves once
         tot = num_self + num_adv
         model = UnitHmm(model.unit_id, np.log(num_self / tot), np.log(num_adv / tot), new_obs)
     return model
+
+
+def _refit_state(g: Gmm, comp, gamma_log, obs, frames: np.ndarray, floor: np.ndarray) -> Gmm:
+    """One M-step of a state's mixture g on its frames: comp is their
+    component table, gamma_log their state log-posteriors and obs the
+    state's log-densities, so each component's responsibility is
+    gamma_log + comp - obs."""
+    with np.errstate(invalid="ignore"):  # -inf - -inf: the state cannot emit the frame
+        r = np.exp(np.fmax(gamma_log + comp - obs, -np.inf))
+    return gmm_from_resp(g, r, frames, frames * frames, floor)
 
 
 def _best_paths(model: UnitHmm, segs: _Segments, obs: np.ndarray):

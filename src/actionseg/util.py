@@ -68,8 +68,12 @@ def dump_json(obj: Any, indent: int | None = 2) -> str:
 
 
 def write_json(path, obj: Any) -> None:
+    """Write dump_json(obj) to path as it is encoded, never holding the
+    whole text.  With an indent, json.dumps and json.dump both run the
+    pure-Python encoder, which yields the same chunks to either."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(obj))
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def read_text(path) -> str:

@@ -8,6 +8,7 @@ evidence the recursions are right.
 from __future__ import annotations
 
 import bisect
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -109,8 +110,9 @@ def reference_contraction_log_prob(
     """actionseg.gmm._component_log_prob on a long feature axis, for one
     (K, m) mixture: c + xs.(mus/var) + xs^2.(-1/(2 var)) over the frames
     xs and means mus centred on the mixture's mean of its K means, with
-    NaN taken as -inf.  The operations and their order are src's, so the
-    results are equal bit for bit."""
+    NaN taken as -inf.  The operations and their order are src's, taken
+    over all N rows at once where src takes row blocks, so the results
+    are equal bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     m = X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -189,6 +191,19 @@ def reference_m_step(prev: Gmm, resp: np.ndarray, X: np.ndarray, floor: np.ndarr
         new_mu[k] = mu
         new_var[k] = np.maximum(Sxx[k] / Nk[k] - mu * mu, floor)
     return Gmm(weights=new_w, means=new_mu, variances=new_var)
+
+
+def reference_nearest_center(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """actionseg.gmm._nearest_center from one broadcast (N, K, m) array of
+    squared differences, summed over its last axis."""
+    d2 = np.sum((X[:, None, :] - centers[None]) ** 2, axis=2)
+    return np.argmin(d2, axis=1)
+
+
+def reference_write_json(path, obj) -> None:
+    """actionseg.util.write_json from the whole text of json.dumps."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def reference_fit_pca(samples: np.ndarray, target_dim: int) -> PcaModel:

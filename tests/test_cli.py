@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,15 @@ import actionseg
 from actionseg.cli import main
 from actionseg.decoder import majority_vote
 from actionseg.data import (
+    ClipRecord,
+    DatasetManifest,
     FeatureSequence,
     load_features,
     load_manifest,
     read_segment_names,
     read_transcript_names,
     save_features,
+    save_manifest,
     write_segment_names,
 )
 
@@ -632,6 +636,34 @@ def test_bootstrap_runs(capsys, workspace, tmp_path):
     assert doc["rounds"] == 1
     assert doc["annotated_clips"] == 6 and doc["transcript_clips"] == 6
     assert (tmp_path / "boot" / "hmms.json").exists()
+
+
+def test_encode_holds_one_encoded_clip_at_a_time(tmp_path):
+    # Doubling the clips adds their raw frames (d = 2 doubles a frame) to
+    # the traced peak, not their encoded ones (2 K d = 64 doubles a frame):
+    # each clip is written before the next is encoded.  Every clip has the
+    # same length and the encoder is fit on the same 2 clips both times,
+    # so fitting and each clip's own work do not change.
+    T, d, K = 100, 2, 16
+    rng = np.random.default_rng(47)
+    for i in range(8):
+        save_features(tmp_path / f"c{i}.feat", FeatureSequence(rng.normal(size=(T, d)), f"c{i}"))
+    peaks = {}
+    for n in (4, 8):
+        clips = tuple(ClipRecord(f"c{i}", tmp_path / f"c{i}.feat", "act") for i in range(n))
+        save_manifest(tmp_path / f"m{n}.json", DatasetManifest(clips, {"fit": ("c0", "c1")}))
+        argv = ["encode", "--manifest", str(tmp_path / f"m{n}.json"), "--split", "fit",
+                "--gmm-k", str(K), "--out", str(tmp_path / f"enc{n}")]
+        if n == 4:
+            assert quiet_main(argv) == 0  # first-call imports and caches are not traced
+        tracemalloc.start()
+        try:
+            assert quiet_main(argv) == 0
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert load_features(tmp_path / "enc8" / "clips" / "c7.feat").frames.shape == (T, 2 * K * d)
+    assert peaks[8] - peaks[4] < T * 2 * K * d * 8, peaks
 
 
 def test_encode_reencodes_every_clip(capsys, workspace, tmp_path):

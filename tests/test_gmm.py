@@ -28,6 +28,7 @@ from helpers import (
     reference_gmm_log_prob,
     reference_kernel_log_prob,
     reference_logsumexp,
+    reference_nearest_center,
 )
 
 
@@ -504,3 +505,72 @@ def test_bank_temporaries_stay_within_the_row_budget(S, K, m):
         extra[N] = peak - out.nbytes
         assert extra[N] <= 8 * gmm_module._BLOCK_ELEMS, (N, extra[N])
     assert extra[8000] <= extra[2000] + 1024, extra
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 48])
+@pytest.mark.parametrize("K", [1, 2, 8])
+def test_assignment_and_fit_em_equal_the_broadcast_oracle_bit_for_bit(monkeypatch, K, m):
+    # Integer frames and centres tie exactly; a repeated centre ties on
+    # every row.  The first tied centre wins, as np.argmin does over the
+    # broadcast (N, K, m) table.  Centres 1e-15 apart leave real frames
+    # to rounding, so a sum over the m dimensions in another order would
+    # move some assignment.
+    rng = np.random.default_rng(31)
+    X = rng.integers(-6, 7, size=(300, m)).astype(np.float64)
+    centers = X[rng.choice(len(X), K, replace=False)].copy()
+    centers[-1] = centers[0]
+    got = gmm_module._nearest_center(X, centers)
+    assert np.array_equal(got, reference_nearest_center(X, centers))
+    assert K == 1 or not (got == K - 1).any()
+    real = rng.normal(size=(4000, m))
+    near = real[0] + 1e-15 * rng.normal(size=(K, m))
+    assert np.array_equal(gmm_module._nearest_center(real, near), reference_nearest_center(real, near))
+    frames = X + (np.random.default_rng(32).integers(0, 2, size=X.shape) if m > 1 else 0)
+    fits = [fit_em(frames, K, seed=5, max_iter=3)]
+    monkeypatch.setattr(gmm_module, "_nearest_center", reference_nearest_center)
+    fits.append(fit_em(frames, K, seed=5, max_iter=3))
+    for name in ("weights", "means", "variances"):
+        assert np.array_equal(_bits(getattr(fits[0], name)), _bits(getattr(fits[1], name))), name
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 48])
+@pytest.mark.parametrize("K", [1, 2, 8])
+def test_component_log_prob_equals_the_unblocked_oracle_across_row_blocks(monkeypatch, K, m):
+    # a small budget, so N = 1500 rows span at least three row blocks on
+    # every long axis; a short axis takes no contraction at all
+    monkeypatch.setattr(gmm_module, "_BLOCK_ELEMS", 4096)
+    blocks = []
+    contract = gmm_module._contract
+
+    def counted(X, terms, out=None):
+        blocks.append(len(X))
+        return contract(X, terms, out=out)
+
+    monkeypatch.setattr(gmm_module, "_contract", counted)
+    rng = np.random.default_rng(37)
+    gmm = random_gmm(rng, K, m)
+    X = rng.normal(0.0, 2.0, (1500, m))
+    X[-1] = 1e300  # a last-block row whose quadratic term overflows: -inf
+    got = gmm._component_log_prob(X)
+    want = reference_kernel_log_prob(X, gmm.weights, gmm.means, gmm.variances)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.isneginf(got[-1]).all()
+    if m >= gmm_module._SHORT_AXIS:
+        assert len(blocks) >= 3 and sum(blocks) == len(X), blocks
+    else:
+        assert blocks == []
+
+
+def test_fit_em_holds_no_frames_by_centres_by_dimensions_array():
+    # The initial hard assignment takes one (N,) distance column per
+    # centre.  A broadcast (N, K, m) table alone would take N K m doubles,
+    # twice the bound at this shape.
+    N, K, m = 20000, 16, 16
+    X = np.random.default_rng(41).normal(size=(N, m))
+    tracemalloc.start()
+    try:
+        fit_em(X, K, seed=1, max_iter=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * N * (K + m) * 8, peak

@@ -207,11 +207,11 @@ def test_every_numpy_import_is_the_public_namespace():
 _BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
 
 
-@pytest.mark.parametrize("module", ["gmm", "hmm"])
+@pytest.mark.parametrize("module", ["gmm", "hmm", "decoder", "grammar"])
 def test_training_arithmetic_never_calls_blas(module):
-    # trained models must not depend on the BLAS kernel: no matrix product
-    # operator, no dot or matmul, and no einsum(optimize=...), which may
-    # hand its contraction to BLAS
+    # trained models and decoded results must not depend on the BLAS
+    # kernel: no matrix product operator, no dot or matmul, and no
+    # einsum(optimize=...), which may hand its contraction to BLAS
     found = []
     for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):

@@ -1,10 +1,12 @@
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from actionseg.util import child_rng, derive_seed, dump_json, parallel_map, read_json, write_json
+from helpers import reference_write_json
 
 
 def test_child_rng_reproducible():
@@ -78,3 +80,38 @@ def test_json_file_round_trip(tmp_path):
     first = p.read_bytes()
     write_json(p, doc)
     assert p.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {
+            "log_next": [-0.25, None, -1e-300],  # -inf is written as null
+            "units": [{"name": "\u00c6r\u00f8 \u2615 \u5207\u308b", "frames": []}, {"name": "", "x": {}}],
+            "nested": [[[]], [1, 2.0, -0.0, 1e308, 5e-324], {"b": [[], {}], "a": None}],
+        },
+        [],
+        {},
+        "\u00d8",
+        1.5,
+    ],
+    ids=["nested", "empty-list", "empty-object", "string", "number"],
+)
+def test_write_json_equals_the_dumps_writer_byte_for_byte(tmp_path, doc):
+    write_json(tmp_path / "streamed.json", doc)
+    reference_write_json(tmp_path / "whole.json", doc)
+    assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+
+
+def test_write_json_holds_less_than_its_own_text(tmp_path):
+    rng = np.random.default_rng(43)
+    doc = {"rows": [[float(v) for v in row] for row in rng.normal(size=(200, 100))]}
+    size = len(dump_json(doc))
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "doc.json", doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size, (peak, size)
+    assert (tmp_path / "doc.json").stat().st_size == size
