@@ -37,16 +37,10 @@ components lie many standard deviations apart, a frame that sits on one
 of them scores with an absolute error of about m eps mus^2/var, where the
 direct form's error is about m eps.
 
-Log-sum-exp.  The sum over the K components is scipy.special.logsumexp's
-arithmetic, taken by numpy reductions over the component axis.  Two
-terms, the CLI's default component count, take a shorter form:
-log1p(exp(lo - hi)) + hi, from their maximum hi and minimum lo.  On a
-row whose terms differ and whose result is finite, the reductions add
-exp(-inf - hi) = +0.0 to exp(lo - hi), divide it by its one maximum and
-add log(1.0) = +0.0 to a log1p that is at least +0.0: three steps that
-change no bit (tests/test_gmm.py pins the +0.0s).  Tied rows and rows
-with a result that is not finite (infinite or NaN terms) are redone by
-the reductions.
+Log-sum-exp.  The sum over the K components is the shifted form
+hi + log1p(sum over k other than the first argmax of exp(a_k - hi)), with
+hi the maximum, which Blanchard, Higham & Higham analyse and recommend
+(IMA J. Numer. Anal. 2021).
 """
 from __future__ import annotations
 
@@ -145,57 +139,28 @@ _SHORT_AXIS = 8
 
 
 def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """log(sum(exp(a))) along one axis of a real array.
-
-    The arithmetic is that of scipy.special.logsumexp, step for step, so
-    results match it bit for bit: the maxima are taken out of the sum
-    (m tied maxima give log1p(s / m) + log(m) + max), and rows whose
-    result is not finite fall back to the direct log(sum(exp(a))).  An
-    axis of two takes the two-term form and redoes its other rows by
-    _logsumexp_reduce (see the module docstring); any other length is
-    _logsumexp_reduce.
-    """
-    if a.shape[axis] != 2:
-        return _logsumexp_reduce(a, axis, keepdims)
-    head = (slice(None),) * (axis % a.ndim)
-    out, ok = _logsumexp_pair(a[head + (0,)], a[head + (1,)])
-    if not ok.all():
-        redo = ~ok
-        out[redo] = _logsumexp_reduce(np.moveaxis(a, axis, -1)[redo], -1, False)
-    return np.expand_dims(out, axis) if keepdims else out
-
-
-def _logsumexp_pair(p0, p1) -> tuple[np.ndarray, np.ndarray]:
-    """log(exp(p0) + exp(p1)) as log1p(exp(lo - hi)) + hi, and where that
-    equals _logsumexp_reduce over the pair: the untied rows whose result
-    is finite.  The other rows are left for _logsumexp_reduce."""
+    """log(sum(exp(a))) along one axis of a real array, as
+    hi + log1p(sum of exp(a_k - hi) over every k but the first argmax),
+    with hi the maximum; a row whose hi is not finite gives hi.  Two
+    terms take log1p(exp(lo - hi)) + hi from their minimum lo, which is
+    the same arithmetic on the same bits (a tie gives log1p(1) = log 2)."""
     with np.errstate(invalid="ignore", over="ignore"):
-        hi = np.maximum(p0, p1)
-        out = np.minimum(p0, p1, out=np.empty(np.shape(hi)))  # an array even for one row
-        out -= hi
-        np.exp(out, out=out)
+        if a.shape[axis] == 2:
+            head = (slice(None),) * (axis % a.ndim)
+            p0, p1 = a[head + (slice(0, 1),)], a[head + (slice(1, 2),)]
+            hi = np.maximum(p0, p1)
+            out = np.minimum(p0, p1)
+            out -= hi
+            np.exp(out, out=out)
+        else:
+            hi = np.max(a, axis=axis, keepdims=True)
+            shifted = np.subtract(a, hi)
+            np.put_along_axis(shifted, np.argmax(a, axis=axis, keepdims=True), -np.inf, axis=axis)
+            np.exp(shifted, out=shifted)
+            out = np.sum(shifted, axis=axis, keepdims=True)
         np.log1p(out, out=out)
         out += hi
-        ok = np.isfinite(out)
-        ok &= p0 != p1
-    return out, ok
-
-
-def _logsumexp_reduce(a: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
-    """_logsumexp by numpy reductions over the axis, whatever its length."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        ties = a == a_max
-        m = np.sum(ties, axis=axis, keepdims=True, dtype=np.float64)
-        shifted = np.where(ties, -np.inf, a)
-        np.subtract(shifted, a_max, out=shifted)
-        np.exp(shifted, out=shifted)
-        s = np.sum(shifted, axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+        np.copyto(out, hi, where=~np.isfinite(hi))
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
@@ -293,16 +258,17 @@ def _row_doubles(S: int, K: int, m: int) -> int:
     mixtures of K components in m dimensions: the (S, K) component
     log-densities, with the density kernel's temporaries and then with
     _logsumexp's.  numpy's ufunc buffers, up to two of np.getbufsize()
-    doubles whatever the rows, come on top."""
+    doubles whatever the rows, come on top; GmmBank.log_prob reserves
+    them out of _BLOCK_ELEMS."""
     clp = S * K
     # a long feature axis: beside the (S, K) table, one mixture's centred
     # row and its two (K,) contractions; a short one: up to three (S, K)
     # slices, the running sum among them
     kernel = clp + m + 2 * K if m >= _SHORT_AXIS else clp * min(m, 3)
-    # two terms: two (S,) arrays and two (S,) masks; any other count: a
-    # shifted (S, K) copy, its one-byte (S, K) tie mask and up to seven
-    # (S,) arrays
-    lse = 3 * S if K == 2 else clp + clp // 8 + 7 * S
+    # two terms: the (S,) maxima and result, and a one-byte (S,) mask;
+    # any other count: a shifted (S, K) copy, and beside the maxima the
+    # argmax indices and put_along_axis's index arrays, then the result
+    lse = 2 * S + S // 8 + 1 if K == 2 else clp + 3 * S
     return max(kernel, clp + lse)
 
 
@@ -345,7 +311,8 @@ class GmmBank:
         N = X.shape[0]
         out = np.empty((N, self.size))
         for cols, K, params in self._groups:
-            rows = max(1, _BLOCK_ELEMS // _row_doubles(len(cols), K, self.dim))
+            spare = _BLOCK_ELEMS - 2 * np.getbufsize()  # less the ufunc buffers
+            rows = max(1, spare // _row_doubles(len(cols), K, self.dim))
             for r in range(0, N, rows):
                 block = X[r : r + rows]
                 if self._long:
@@ -397,6 +364,22 @@ def _nearest_center(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
+def _distinct_rows(X: np.ndarray, cap: int) -> int:
+    """min(cap, the number of distinct rows of X (N, m)), counted as
+    np.unique(X, axis=0) counts them (-0.0 equals 0.0; a row holding NaN
+    equals no other), without sorting a copy of X: each of at most cap
+    passes takes the first row not yet matched and masks out every row
+    equal to it."""
+    unmatched = np.ones(X.shape[0], dtype=bool)
+    for count in range(cap):
+        if not unmatched.any():
+            return count
+        first = int(np.argmax(unmatched))
+        unmatched[first] = False
+        unmatched &= (X != X[first]).any(axis=1)
+    return cap
+
+
 def fit_em(
     samples: np.ndarray,
     K: int,
@@ -420,7 +403,7 @@ def fit_em(
         raise ValueError("K must be at least 1")
     if N < K:
         raise ValueError(f"need at least K={K} samples, got {N}")
-    n_distinct = np.unique(X, axis=0).shape[0]
+    n_distinct = _distinct_rows(X, K)
     if n_distinct < K:
         raise ValueError(
             f"samples collapse onto {n_distinct} distinct points; cannot fit K={K} components"

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import FeatureSequence, UnitLexicon
 from .errors import DataError, NoPathError
-from .gmm import Gmm, GmmBank, _logsumexp, fit_em, gmm_from_resp, variance_floor
+from .gmm import Gmm, GmmBank, _distinct_rows, _logsumexp, fit_em, gmm_from_resp, variance_floor
 from .util import derive_seed, json_numbers, read_json, write_json
 
 SELF_LOOP_INIT = 0.9
@@ -199,7 +199,7 @@ def init_hmm(
             slice_of = (np.arange(T) * n) // T
             chunks.append(a[slice_of == j])
         X = np.concatenate(chunks)
-        k_eff = min(K, np.unique(X, axis=0).shape[0])
+        k_eff = _distinct_rows(X, K)
         states.append(fit_em(X, max(1, k_eff), seed=derive_seed(seed, unit_id, j), floor=floor))
 
     return UnitHmm(

@@ -67,22 +67,23 @@ def random_unit_hmm(rng: np.random.Generator, unit_id: int, n: int, K: int, m: i
 
 
 def reference_logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """actionseg.gmm._logsumexp by numpy reductions over the whole axis,
-    whatever its length: scipy.special.logsumexp's arithmetic."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        ties = a == a_max
-        m = np.sum(ties, axis=axis, keepdims=True, dtype=np.float64)
-        shifted = np.where(ties, -np.inf, a)
-        np.subtract(shifted, a_max, out=shifted)
-        np.exp(shifted, out=shifted)
-        s = np.sum(shifted, axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    """actionseg.gmm._logsumexp by its general branch for every length,
+    reduced over the caller's axis: hi + log1p(sum of exp(a_k - hi) over
+    every k but the first argmax), and hi where hi is not finite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        hi = np.max(a, axis=axis, keepdims=True)
+        shape = [1] * a.ndim
+        shape[axis] = -1
+        first = np.arange(a.shape[axis]).reshape(shape) == np.argmax(a, axis=axis, keepdims=True)
+        terms = np.where(first, 0.0, np.exp(a - hi))
+        out = np.log1p(np.sum(terms, axis=axis, keepdims=True)) + hi
+        out = np.where(np.isfinite(hi), out, hi)
     return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def reference_distinct_rows(X: np.ndarray, cap: int) -> int:
+    """actionseg.gmm._distinct_rows by sorting a copy of X."""
+    return min(cap, np.unique(X, axis=0).shape[0])
 
 
 def reference_component_log_prob(

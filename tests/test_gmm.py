@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from helpers import (
     log_gaussian,
     random_gmm,
     reference_component_log_prob,
+    reference_distinct_rows,
     reference_em_step,
     reference_gmm_log_prob,
     reference_kernel_log_prob,
@@ -34,6 +36,32 @@ from helpers import (
 
 def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+# scipy.special.logsumexp took the shifted log1p form in a later release
+# than the oldest that pyproject.toml admits; before, it took
+# log(sum(exp(a - max))) + max, and log(1 + e^-40) rounds to 0.
+_SCIPY_SHIFTED = float(scipy_logsumexp([0.0, -40.0])) > 0.0
+
+
+def _assert_agrees_with_scipy(got, a, axis, keepdims):
+    """scipy's bits on rows with one maximum, where its shifted form is
+    ours; within 4 ulp of max(1, |max|, |result|) on the other rows, where
+    scipy divides the sum by the count of tied maxima, and on every row
+    under a scipy without the shifted form.  Non-finite rows are equal."""
+    with np.errstate(all="ignore"):  # scipy does not silence its overflow
+        want = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
+        hi = np.max(a, axis=axis, keepdims=keepdims)
+        single = np.sum(a == np.max(a, axis=axis, keepdims=True), axis=axis, keepdims=keepdims) == 1
+        scale = np.spacing(np.maximum(np.maximum(np.abs(hi), np.abs(want)), 1.0))
+        near = np.abs(got - want) <= 4 * scale
+    assert np.shape(got) == np.shape(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert ((got == want) | near | nan).all()
+    if _SCIPY_SHIFTED:
+        exact = single & ~nan
+        assert np.array_equal(_bits(got)[exact], _bits(want)[exact])
 
 
 def test_logsumexp_equals_scipy_bit_for_bit():
@@ -55,9 +83,7 @@ def test_logsumexp_equals_scipy_bit_for_bit():
             (flat, 1, False), (flat, 1, True), (a, -1, False), (a, 2, True),
         ):
             got = gmm_module._logsumexp(arr, axis=axis, keepdims=keepdims)
-            want = scipy_logsumexp(arr, axis=axis, keepdims=keepdims)
-            assert got.shape == want.shape
-            assert np.array_equal(_bits(got), _bits(want)), (trial, axis, keepdims)
+            _assert_agrees_with_scipy(got, arr, axis, keepdims)
             cases += 1
     assert cases == 2400
 
@@ -264,11 +290,11 @@ def test_numpy_sums_short_axes_left_to_right():
 
 
 def test_numpy_log_of_one_and_exp_of_minus_inf_are_plus_zero():
-    # The two-term log-sum-exp leaves out three steps of the reduction
-    # form that change nothing: adding exp(-inf - max), dividing by one
-    # tie and adding log(1.0).  That holds because both give +0.0 (not
-    # -0.0) on arrays, where numpy's SIMD loops run; this fails if a
-    # release changes that.
+    # The two-term log-sum-exp leaves out the general branch's
+    # exp(-inf - hi) for the first argmax, and scipy adds log(1.0) on a
+    # row with one maximum; neither changes a bit because both give +0.0
+    # (not -0.0) on arrays, where numpy's SIMD loops run.  This fails if
+    # a release changes that.
     for n in (1, 3, 8, 17, 1001):
         assert not _bits(np.log(np.ones(n))).any(), n
         assert not _bits(np.exp(np.full(n, -np.inf))).any(), n
@@ -283,8 +309,7 @@ _LSE_POOL = [
 ]
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(
+_TWO_TERMS = dict(
     others=st.lists(st.integers(1, 6), max_size=2),
     position=st.sampled_from([0, 1, -1]),
     keepdims=st.booleans(),
@@ -292,9 +317,10 @@ _LSE_POOL = [
     tied=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_two_term_logsumexp_equals_references_bit_for_bit(
-    others, position, keepdims, special, tied, seed
-):
+
+
+def _two_terms(others, position, special, tied, seed):
+    """An array with an axis of two, and that axis."""
     rng = np.random.default_rng(seed)
     at = len(others) if position == -1 or position > len(others) else position
     shape = (*others[:at], 2, *others[at:])
@@ -305,16 +331,81 @@ def test_two_term_logsumexp_equals_references_bit_for_bit(
     lead = (slice(None),) * at
     copy = rng.random(a[lead + (0,)].shape) < tied
     a[lead + (1,)] = np.where(copy, a[lead + (0,)], a[lead + (1,)])
-    axis = at if position != -1 else -1
+    return a, at if position != -1 else -1
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(**_TWO_TERMS)
+def test_two_term_logsumexp_equals_references_bit_for_bit(
+    others, position, keepdims, special, tied, seed
+):
+    a, axis = _two_terms(others, position, special, tied, seed)
     got = gmm_module._logsumexp(a, axis=axis, keepdims=keepdims)
     want = reference_logsumexp(a, axis=axis, keepdims=keepdims)
-    with np.errstate(all="ignore"):  # scipy does not silence its overflow
-        scipy_want = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
-    for other in (want, scipy_want):
-        assert np.shape(got) == np.shape(other)
-        nan = np.isnan(other)
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(_bits(got)[~nan], _bits(other)[~nan])
+    assert np.shape(got) == np.shape(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
+    _assert_agrees_with_scipy(got, a, axis, keepdims)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(**_TWO_TERMS)
+def test_two_term_branch_equals_the_general_branch_bit_for_bit(
+    others, position, keepdims, special, tied, seed
+):
+    # A third term of -inf sends the rows down the general branch, and it
+    # adds exp(-inf - hi) = +0.0 to their sums: no bit moves.
+    a, axis = _two_terms(others, position, special, tied, seed)
+    pad = list(a.shape)
+    pad[axis] = 1
+    padded = np.concatenate([a, np.full(pad, -np.inf)], axis=axis)
+    got = gmm_module._logsumexp(a, axis=axis, keepdims=keepdims)
+    general = gmm_module._logsumexp(padded, axis=axis, keepdims=keepdims)
+    assert np.shape(got) == np.shape(general)
+    assert np.array_equal(_bits(got), _bits(general))
+
+
+def _fsum_logsumexp(row) -> float:
+    """log(sum(exp(row))) with the sum of the shifted exponentials exact."""
+    if any(math.isnan(x) for x in row):
+        return math.nan
+    hi = max(row)
+    if math.isinf(hi):
+        return hi
+    return hi + math.log(math.fsum(math.exp(x - hi) for x in row))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    axis=st.integers(-3, 2),
+    scale=st.sampled_from([1.0, 30.0, 1e4, 1e300]),
+    special=st.floats(0.0, 0.3),
+    tied=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_logsumexp_stays_within_its_error_bound_of_fsum(shape, axis, scale, special, tied, seed):
+    # Each row's error against fsum's is at most eps (|result| + 2K): the
+    # shift, exp and log1p each round once, and K - 2 additions round
+    # terms of at most 1.  Tied maxima, infinities and NaN on every axis.
+    rng = np.random.default_rng(seed)
+    axis %= len(shape)
+    a = np.round(rng.normal(0.0, scale, shape), int(rng.integers(0, 3)))
+    pick = rng.random(shape) < special
+    a[pick] = rng.choice(_LSE_POOL, size=int(pick.sum()))
+    with np.errstate(invalid="ignore"):
+        a = np.where(rng.random(shape) < tied, np.max(a, axis=axis, keepdims=True), a)
+    got = gmm_module._logsumexp(a, axis=axis)
+    K = a.shape[axis]
+    rows = np.moveaxis(a, axis, -1).reshape(-1, K)
+    want = np.array([_fsum_logsumexp(r) for r in rows.tolist()]).reshape(got.shape)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite & ~nan], want[~finite & ~nan])
+    err = np.abs(got[finite] - want[finite])
+    assert (err <= np.finfo(np.float64).eps * (np.abs(want[finite]) + 2 * K)).all()
 
 
 def _mixture_stack(rng, stack, K, m, ties, tiny_weight, floor_var, integer):
@@ -574,3 +665,25 @@ def test_fit_em_holds_no_frames_by_centres_by_dimensions_array():
     finally:
         tracemalloc.stop()
     assert peak < 4 * N * (K + m) * 8, peak
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    N=st.integers(1, 40),
+    m=st.integers(1, 4),
+    pool=st.integers(1, 6),
+    cap=st.integers(1, 12),
+    signed_zero=st.booleans(),
+    nan=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_rows_equals_the_unique_oracle(N, m, pool, cap, signed_zero, nan, seed):
+    # Rows drawn from a small pool repeat, and cap runs past the count of
+    # distinct rows; -0.0 equals 0.0, and a row holding NaN equals no row.
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-1, 2, (pool, m)).astype(np.float64)[rng.integers(0, pool, N)]
+    if signed_zero:
+        X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0
+    if nan:
+        X[rng.integers(0, N, 2), rng.integers(0, m, 2)] = np.nan
+    assert gmm_module._distinct_rows(X, cap) == reference_distinct_rows(X, cap)
