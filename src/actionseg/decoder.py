@@ -7,18 +7,21 @@ log-probability; at a unit's first state the exit of each node with an
 edge into it, plus the exit log-probability, the edge weight and the
 entered unit's prior.  The step is hmm._max_product, which forced
 alignment and unit training run on unit chains.  A composed grammar
-enters each node by at most one edge, so the step is one gather of
-predecessor scores plus per-state log weights, and one np.maximum with
-the stay; np.maximum.reduceat picks the best for states of several
-candidates, which only hand-built and unconstrained graphs have.
-Observation log-likelihoods come from one batched evaluation of every
-distinct unit state per sequence, gathered into a (T, states) table in
-graph-state order that each frame's scores overwrite, so the table
-becomes the score lattice.  No links are carried: hmm._trace_back walks
-from the best terminal exit to frame 0 and redoes, for the one winning
-state per frame, that state's choice from the lattice row before it, with
-the same float operations in the same order, so the unit boundaries come
-out as the frame step chose them.
+enters each node by at most one edge, so the step is one gather of every
+state's own score and its predecessor's into one buffer, one addition of
+the stay and advance log weights, and one np.maximum of the two halves;
+np.maximum.reduceat picks the best for states of several candidates,
+which only hand-built and unconstrained graphs have.  Observation
+log-likelihoods come from one batched evaluation of every distinct unit
+state per sequence, gathered into a (T, states) table in graph-state
+order that each frame's scores overwrite, so the table becomes the
+score lattice.  No links are carried: hmm._trace_back walks from the
+best terminal exit to frame 0 and redoes, for the one winning state per
+frame, that state's choice from the lattice row before it, with the same
+float operations in the same order, so the unit boundaries come out as
+the frame step chose them.  Forced alignment instead reads each unit's
+start from hmm._chain_entries, which redoes the choices of a whole
+chain batch at once.
 
 np.maximum propagates a NaN candidate where a comparison would keep the
 stay, so the step needs every weight to be a log-probability: edge and
@@ -60,7 +63,7 @@ from .data import (
 from .errors import BeamPrunedError, DataError, DecodeError, NoPathError
 from .gmm import GmmBank
 from .grammar import DecodingGraph
-from .hmm import UnitHmm, _chain_paths, _frames, _max_product, _Segments, _trace_back
+from .hmm import UnitHmm, _chain_entries, _frames, _max_product, _Segments, _trace_back
 
 
 @dataclass(eq=False)
@@ -139,8 +142,10 @@ class _Layout:
 
     def obs_table(self, frames: np.ndarray) -> np.ndarray:
         """(T, total) observation log-likelihoods: one evaluation of every
-        distinct unit state, gathered into graph-state order."""
-        return self.bank.log_prob(frames)[:, self.state_col]
+        distinct unit state, gathered into graph-state order.  take keeps
+        the table C-ordered, where [:, state_col] gives a Fortran-ordered
+        one, so each frame's row of the lattice is contiguous."""
+        return self.bank.log_prob(frames).take(self.state_col, axis=1)
 
 
 # Layouts by graph.  Graphs are immutable, so a layout is built once, on
@@ -225,7 +230,7 @@ def decode(
 
     # A unit starts wherever the path advances into a node's first state,
     # which only an edge enters.
-    states, moved = _trace_back(S, step, [T - 1], [lay.exit_state[best_i]])
+    states, moved = _trace_back(S, step, lay.exit_state[best_i])
     starts = [0, *np.flatnonzero(moved & lay.first[states]).tolist()]
     ends = [t - 1 for t in starts[1:]] + [T - 1]
     nodes = np.searchsorted(lay.offsets, states[starts], side="right") - 1
@@ -243,7 +248,8 @@ def decode(
 # force_align runs the sequences of a transcript, longest first, in padded
 # batches of at most this many (frame, row, state) cells.  The kernel turns
 # a batch's observation table into its lattice in place (8 bytes a cell),
-# and the trace-back adds only the paths, one state per frame of each row.
+# and the entry-frame search adds 21 bytes per frame of each row, whatever
+# the states.
 # The rows the table is gathered from set the peak: 26 bytes a cell for a
 # 20-state chain under tracemalloc (1.6 MB a batch), 74 for a 1-state one.
 _ALIGN_CELLS = 1 << 16
@@ -261,7 +267,8 @@ def force_align(
     transcript (no silence bracketing is required here).  On that chain a
     unit entry is a 0-weight advance out of the previous unit, so the
     sequences of each transcript run together, as side-by-side chains,
-    through decode's max-product kernel and trace-back.  The first
+    through decode's max-product kernel, and each unit starts at the
+    entry frame of its first state.  The first
     sequence, in input order, that cannot be aligned raises what aligning
     it alone would raise.
     """
@@ -300,7 +307,7 @@ def force_align(
             block, rows = rows[:size], rows[size:]
             segs = _Segments([checked[i][1] for i in block])
             obs = segs.pad(bank.log_prob(segs.frames)[:, cols])  # C order: becomes the lattice
-            states, totals = _chain_paths(obs, ls, ln, segs.lengths, beam)
+            entry, totals = _chain_entries(obs, ls, ln, segs.lengths, beam)
             for b, i in enumerate(block):
                 # A row that loses every finite score never regains one, and
                 # a NaN observation (from a non-finite frame or parameter)
@@ -309,7 +316,7 @@ def force_align(
                 if not totals[b] > -np.inf:
                     out[i] = _no_path(beam, T, min(_first_dead(obs[:T, b]), T - 1))
                     continue
-                starts = np.searchsorted(states[segs.starts[b] : segs.starts[b + 1]], offsets)
+                starts = entry[b, offsets]
                 ends = np.append(starts[1:], T) - 1
                 out[i] = Segmentation(tuple(zip(units, starts.tolist(), ends.tolist())))
     for result in [*out, invalid]:

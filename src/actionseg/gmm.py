@@ -40,7 +40,19 @@ direct form's error is about m eps.
 Log-sum-exp.  The sum over the K components is the shifted form
 hi + log1p(sum over k other than the first argmax of exp(a_k - hi)), with
 hi the maximum, which Blanchard, Higham & Higham analyse and recommend
-(IMA J. Numer. Anal. 2021).
+(IMA J. Numer. Anal. 2021).  hi is a chain of np.maximum over the K
+slices, which on a short axis costs less than np.max's reduction and
+differs from it only in the sign of a zero maximum, which cannot reach
+the result.
+
+Underflow.  Most differences a_k - hi lie far below the exp's range: in
+graph decoding 80-90% of the two-term log-sum-exp's differences are
+below -745.2, where exp rounds to +0.0, and numpy's AVX-512 exp is much
+slower on such lanes (numpy 2.4 on an AVX-512 Xeon: 360 against 23 us
+for 26k doubles).  So every exp of a log-probability difference goes
+through _exp, which zeroes the entries below _EXP_ZERO before the exp
+and sets them to +0.0 after it, the value any faithfully rounded exp
+gives them: np.exp's bits without its slow lanes.
 """
 from __future__ import annotations
 
@@ -106,7 +118,8 @@ class Gmm:
     def responsibilities(self, X: np.ndarray) -> np.ndarray:
         """(N, K) posterior component probabilities for each row of X."""
         clp = self._component_log_prob(np.atleast_2d(X))
-        return np.exp(clp - _logsumexp(clp, axis=1, keepdims=True))
+        clp -= _logsumexp(clp, axis=1, keepdims=True)
+        return _exp(clp, out=clp)
 
     def to_dict(self) -> dict:
         return {
@@ -138,29 +151,54 @@ class Gmm:
 _SHORT_AXIS = 8
 
 
+# exp rounds every input below ln 2^-1075, about -745.133, to +0.0.
+_EXP_ZERO = -746.0
+
+
+def _exp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.exp(a, out=out), bit for bit, without numpy's slow underflow
+    lanes: entries below _EXP_ZERO are zeroed before the exp and set to
+    +0.0 after it.  Beside the result, the only temporary is a one-byte
+    mask."""
+    low = a < _EXP_ZERO
+    if not low.any():
+        return np.exp(a, out=out)
+    if out is None:
+        out = a.copy()
+    elif out is not a:
+        np.copyto(out, a)
+    np.copyto(out, 0.0, where=low)
+    np.exp(out, out=out)
+    np.copyto(out, 0.0, where=low)
+    return out
+
+
 def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along one axis of a real array, as
     hi + log1p(sum of exp(a_k - hi) over every k but the first argmax),
     with hi the maximum; a row whose hi is not finite gives hi.  Two
     terms take log1p(exp(lo - hi)) + hi from their minimum lo, which is
     the same arithmetic on the same bits (a tie gives log1p(1) = log 2)."""
+    head = (slice(None),) * (axis % a.ndim)
     with np.errstate(invalid="ignore", over="ignore"):
         if a.shape[axis] == 2:
-            head = (slice(None),) * (axis % a.ndim)
             p0, p1 = a[head + (slice(0, 1),)], a[head + (slice(1, 2),)]
             hi = np.maximum(p0, p1)
             out = np.minimum(p0, p1)
             out -= hi
-            np.exp(out, out=out)
+            _exp(out, out=out)
         else:
-            hi = np.max(a, axis=axis, keepdims=True)
+            hi = a[head + (slice(0, 1),)].copy()
+            for k in range(1, a.shape[axis]):
+                np.maximum(hi, a[head + (slice(k, k + 1),)], out=hi)
             shifted = np.subtract(a, hi)
-            np.put_along_axis(shifted, np.argmax(a, axis=axis, keepdims=True), -np.inf, axis=axis)
-            np.exp(shifted, out=shifted)
-            out = np.sum(shifted, axis=axis, keepdims=True)
+            np.put_along_axis(shifted, a.argmax(axis=axis, keepdims=True), -np.inf, axis=axis)
+            _exp(shifted, out=shifted)
+            out = np.add.reduce(shifted, axis=axis, keepdims=True)  # np.sum's reduction
         np.log1p(out, out=out)
         out += hi
-        np.copyto(out, hi, where=~np.isfinite(hi))
+        bad = np.isfinite(hi)
+        np.copyto(out, hi, where=np.logical_not(bad, out=bad))
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
@@ -247,29 +285,35 @@ def _contract(X: np.ndarray, terms: tuple, out: np.ndarray | None = None) -> np.
 
 
 # Doubles of temporaries per row block in GmmBank.log_prob (see
-# _row_doubles) and in _component_log_prob's long-axis branch: blocks near
+# _block_rows) and in _component_log_prob's long-axis branch: blocks near
 # this size amortize the per-call overhead, and peak memory does not grow
 # with the frame count.
 _BLOCK_ELEMS = 1 << 17
+# Doubles reserved for what the density kernel holds whatever the rows:
+# tracemalloc counts about 250 beyond its tables at its peak, for the
+# array objects of the tables and their views.
+_KERNEL_OBJECTS = 1024
 
 
-def _row_doubles(S: int, K: int, m: int) -> int:
-    """Doubles GmmBank.log_prob holds per frame row while it evaluates S
-    mixtures of K components in m dimensions: the (S, K) component
-    log-densities, with the density kernel's temporaries and then with
-    _logsumexp's.  numpy's ufunc buffers, up to two of np.getbufsize()
-    doubles whatever the rows, come on top; GmmBank.log_prob reserves
-    them out of _BLOCK_ELEMS."""
+def _block_rows(S: int, K: int, m: int) -> int:
+    """Frame rows per block of GmmBank.log_prob for S mixtures of K
+    components in m dimensions, so that a block's temporaries stay within
+    _BLOCK_ELEMS doubles.  Per row, the density kernel holds the (S, K)
+    component log-densities with its own temporaries: on a long feature
+    axis one mixture's centred row and its two (K,) contractions, on a
+    short one up to three (S, K) slices, the running sum among them.
+    _logsumexp then holds, beside the table: for two terms, the (S,)
+    maxima and result and one one-byte (S,) mask at a time; for any other
+    count, a shifted (S, K) copy and the maxima, then either the argmax
+    indices and put_along_axis's index arrays or _exp's one-byte (S, K)
+    mask.  numpy's ufunc buffers, up to two of np.getbufsize() doubles
+    whatever the rows, come on top of both phases, and the kernel's array
+    objects on top of the kernel."""
     clp = S * K
-    # a long feature axis: beside the (S, K) table, one mixture's centred
-    # row and its two (K,) contractions; a short one: up to three (S, K)
-    # slices, the running sum among them
     kernel = clp + m + 2 * K if m >= _SHORT_AXIS else clp * min(m, 3)
-    # two terms: the (S,) maxima and result, and a one-byte (S,) mask;
-    # any other count: a shifted (S, K) copy, and beside the maxima the
-    # argmax indices and put_along_axis's index arrays, then the result
-    lse = 2 * S + S // 8 + 1 if K == 2 else clp + 3 * S
-    return max(kernel, clp + lse)
+    lse = 2 * S + S // 8 + 1 if K == 2 else clp + max(3 * S, S + clp // 8 + 1)
+    spare = _BLOCK_ELEMS - 2 * np.getbufsize()
+    return max(1, min((spare - _KERNEL_OBJECTS) // kernel, spare // (clp + lse)))
 
 
 class GmmBank:
@@ -311,8 +355,7 @@ class GmmBank:
         N = X.shape[0]
         out = np.empty((N, self.size))
         for cols, K, params in self._groups:
-            spare = _BLOCK_ELEMS - 2 * np.getbufsize()  # less the ufunc buffers
-            rows = max(1, spare // _row_doubles(len(cols), K, self.dim))
+            rows = _block_rows(len(cols), K, self.dim)
             for r in range(0, N, rows):
                 block = X[r : r + rows]
                 if self._long:
@@ -445,7 +488,8 @@ def em_step(gmm: Gmm, X: np.ndarray, floor: np.ndarray) -> tuple[Gmm, float]:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     clp = gmm._component_log_prob(X)                       # (N, K)
     row_ll = _logsumexp(clp, axis=1)
-    resp = np.exp(clp - row_ll[:, None])                   # (N, K)
+    resp = np.subtract(clp, row_ll[:, None], out=clp)     # (N, K)
+    _exp(resp, out=resp)
     return gmm_from_resp(gmm, resp, X, X * X, floor), float(row_ll.mean())
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import FeatureSequence, UnitLexicon
 from .errors import DataError, NoPathError
-from .gmm import Gmm, GmmBank, _distinct_rows, _logsumexp, fit_em, gmm_from_resp, variance_floor
+from .gmm import Gmm, GmmBank, _distinct_rows, _exp, _logsumexp, fit_em, gmm_from_resp, variance_floor
 from .util import derive_seed, json_numbers, read_json, write_json
 
 SELF_LOOP_INIT = 0.9
@@ -223,6 +223,13 @@ def init_hmm(
 # the same elementwise steps as alone, so a batch reproduces the
 # per-sequence results bit for bit.  No result reads the filler.  The
 # backward pass runs over the sequences padded from their last frame.
+#
+# Each frame's step is one gather of every state's score and its
+# predecessor's, one addition of their log weights, then plus.  Best
+# paths are read back without links: graph decoding walks its one path
+# back in Python (_trace_back), and chain batches redo every choice of a
+# state over all frames at once and read each path's entry frames
+# (_chain_entries), so no chain frame is walked in Python.
 
 
 def _apply_beam(scores: np.ndarray, beam: int) -> None:
@@ -249,18 +256,26 @@ def _max_product(
     multi is (first, starts, exits, adds) for states of several
     candidates: candidate k scores score[exits[k]] plus each of adds at k,
     and state first[i] joins those from starts[i] on.  A beam prunes
-    each block of W / rows states per frame."""
+    each block of W / rows states per frame.
+
+    One gather serves the stay and the advance: each frame takes the
+    scores of every state and of its pred into one (2W,) buffer and adds
+    log_self and adds[0] to it in one call, the same operations on each
+    element, in the same order, as two separate steps."""
     T, W = S.shape
     log_self, pred, adds, (first, starts, exits, m_adds) = step
     blocks = S.reshape(T, rows, -1) if rows > 1 else S  # a 1-D row prunes faster
     S[0] += start
     if beam is not None:
         _apply_beam(blocks[0], beam)
-    stay, adv = np.empty(W), np.empty(W)
+    idx = np.concatenate((np.arange(W), pred))
+    weights = np.concatenate((log_self, adds[0]))
+    both = np.empty(2 * W)
+    stay, adv = both[:W], both[W:]
     for score, row, block in zip(S, S[1:], blocks[1:]):
-        np.add(score, log_self, out=stay)
-        score.take(pred, out=adv, mode="clip")  # valid indices; "raise" buffers out
-        for a in adds:
+        score.take(idx, out=both, mode="clip")  # valid indices; "raise" buffers out
+        both += weights
+        for a in adds[1:]:
             adv += a
         if first.size:
             cand = score.take(exits)
@@ -273,40 +288,37 @@ def _max_product(
             _apply_beam(block, beam)
 
 
-def _trace_back(S: np.ndarray, step: tuple, last, end) -> tuple[np.ndarray, np.ndarray]:
-    """The states of the paths through _max_product's lattice S that end in
-    state end[b] at frame last[b], and whether an advance entered each
-    frame: frames 0 .. last[b] of each path in turn.  Each choice is redone
-    from the row before with the kernel's float operations in its order,
-    so every tie goes as it did there (among several candidates, the first
+def _trace_back(S: np.ndarray, step: tuple, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states of the path through _max_product's lattice S that ends in
+    state end at the last frame, and whether an advance entered each of
+    its frames, walked back to frame 0.  Each choice is redone from the
+    row before with the kernel's float operations in its order, so every
+    tie goes as it did there (among several candidates, the first
     reaching the best wins)."""
     log_self, pred, adds, (first, starts, exits, m_adds) = step
     item, log_self, pred, adds = S.item, log_self.tolist(), pred.tolist(), [a.tolist() for a in adds]
     bounds = np.append(starts, exits.size).tolist()
     entries = dict(zip(first.tolist(), zip(bounds, bounds[1:])))  # state -> its candidates
-    states, moved = [], []
-    for t_end, s in zip(np.asarray(last).tolist(), np.asarray(end).tolist()):
-        path, adv_at = [0] * (t_end + 1), [False] * (t_end + 1)
-        for t in range(t_end, 0, -1):
-            path[t] = s
-            if s in entries:
-                k0, k1 = entries[s]
-                cand = S[t - 1].take(exits[k0:k1])
-                for a in m_adds:
-                    cand += a[k0:k1]
-                k = int(np.argmax(cand))
-                adv, came = cand.item(k), int(exits[k0 + k])
-            else:
-                came = pred[s]
-                adv = item(t - 1, came)
-                for a in adds:
-                    adv += a[s]
-            if adv >= item(t - 1, s) + log_self[s]:
-                adv_at[t], s = True, came
-        path[0] = s
-        states += path
-        moved += adv_at
-    return np.array(states, dtype=np.int64), np.array(moved, dtype=bool)
+    T, s = S.shape[0], int(end)
+    path, adv_at = [0] * T, [False] * T
+    for t in range(T - 1, 0, -1):
+        path[t] = s
+        if s in entries:
+            k0, k1 = entries[s]
+            cand = S[t - 1].take(exits[k0:k1])
+            for a in m_adds:
+                cand += a[k0:k1]
+            k = int(np.argmax(cand))
+            adv, came = cand.item(k), int(exits[k0 + k])
+        else:
+            came = pred[s]
+            adv = item(t - 1, came)
+            for a in adds:
+                adv += a[s]
+        if adv >= item(t - 1, s) + log_self[s]:
+            adv_at[t], s = True, came
+    path[0] = s
+    return np.array(path, dtype=np.int64), np.array(adv_at, dtype=bool)
 
 
 def _chain_step(ls: np.ndarray, ln: np.ndarray, B: int) -> tuple:
@@ -321,20 +333,51 @@ def _chain_step(ls: np.ndarray, ln: np.ndarray, B: int) -> tuple:
     return np.tile(np.append(0.0, np.full(n - 1, -np.inf)), B), step
 
 
-def _chain_paths(obs: np.ndarray, ls, ln, lengths, beam: int | None = None) -> tuple:
+def _chain_entries(obs: np.ndarray, ls, ln, lengths, beam: int | None = None) -> tuple:
     """The best paths of B unit chains through their (T, B, n) padded
-    observation table, which becomes their lattice: each sequence's states
-    in turn and (B,) log-probabilities (-inf or NaN: no path of finite
-    probability).  Paths enter at state 0 and leave through the exit; an
-    advance winning ties makes each path the lexicographically smallest
-    optimum."""
+    observation table, which becomes their lattice, as entry frames: a
+    (B, n + 1) table whose row b holds the frame at which path b entered
+    each state, then lengths[b]; and (B,) log-probabilities (-inf or NaN:
+    no path of finite probability).  Paths enter at state 0 and leave
+    through the exit; an advance winning ties makes each path the
+    lexicographically smallest optimum.
+
+    Each choice of a state s > 0 is redone for every frame at once, with
+    the kernel's float operations in its order (an advance wins a tie);
+    carrying "frame if it advanced, else 0" down the frames with
+    np.maximum.accumulate gives, at each frame, the last entry into s up
+    to it.  States are read from the exit down, one gather each, and only
+    over the frames that the paths can still reach.  A row without a
+    finite path gets entry frames that never decrease."""
     T, B, n = obs.shape
-    start, step = _chain_step(ls, ln, B)
-    S = obs.reshape(T, B * n)
-    _max_product(S, start, step, beam, B)
-    last, base = np.asarray(lengths) - 1, np.arange(B) * n
-    states, _ = _trace_back(S, step, last, base + n - 1)
-    return states - np.repeat(base, lengths), S[last, base + n - 1] + ln[n - 1]
+    _max_product(obs.reshape(T, B * n), *_chain_step(ls, ln, B), beam, B)
+    lengths = np.asarray(lengths)
+    rows = np.arange(B)
+    totals = obs[lengths - 1, rows, n - 1] + ln[n - 1]
+    entry = np.zeros((B, n + 1), dtype=np.int64)
+    entry[:, n] = lengths
+    frame = np.arange(1, T, dtype=np.int32)[:, None]
+    adv, stay = np.empty((T - 1, B)), np.empty((T - 1, B))
+    moved = np.empty((T - 1, B), dtype=bool)
+    since = np.zeros((T, B), dtype=np.int32)  # row 0: no advance enters frame 0
+    for s in range(n - 1, 0, -1):
+        at = np.maximum(entry[:, s + 1] - 1, 0)  # each path's last frame in s
+        h = int(at.max())
+        np.add(obs[:h, :, s - 1], ln[s - 1], out=adv[:h])
+        np.add(obs[:h, :, s], ls[s], out=stay[:h])
+        np.greater_equal(adv[:h], stay[:h], out=moved[:h])
+        np.multiply(moved[:h], frame[:h], out=since[1 : h + 1])
+        np.maximum.accumulate(since[: h + 1], axis=0, out=since[: h + 1])
+        entry[:, s] = since[at, rows]
+    return entry, totals
+
+
+def _chain_paths(obs: np.ndarray, ls, ln, lengths, beam: int | None = None) -> tuple:
+    """_chain_entries' paths as each sequence's states in turn, with their
+    (B,) log-probabilities."""
+    entry, totals = _chain_entries(obs, ls, ln, lengths, beam)
+    B, n = entry.shape[0], entry.shape[1] - 1
+    return np.repeat(np.tile(np.arange(n), B), np.diff(entry, axis=1).ravel()), totals
 
 
 class _Segments:
@@ -465,7 +508,8 @@ def _refit_state(g: Gmm, comp, gamma_log, obs, frames: np.ndarray, floor: np.nda
     state's log-densities, so each component's responsibility is
     gamma_log + comp - obs."""
     with np.errstate(invalid="ignore"):  # -inf - -inf: the state cannot emit the frame
-        r = np.exp(np.fmax(gamma_log + comp - obs, -np.inf))
+        r = np.fmax(gamma_log + comp - obs, -np.inf)
+    _exp(r, out=r)
     return gmm_from_resp(g, r, frames, frames * frames, floor)
 
 
@@ -505,10 +549,10 @@ def _forward_backward(model: UnitHmm, segs: _Segments, obs: np.ndarray):
     ll_rows = ll[segs.seg][:, None]
     with np.errstate(invalid="ignore"):  # -inf - -inf where obs is -inf: see _reestimate
         gamma_log = alpha + (beta_obs - obs) - ll_rows
-    xi_self = np.exp(alpha[cur] + ls + beta_obs[nxt] - ll_rows[cur])
-    xi_adv = np.exp(alpha[cur, :-1] + ln[:-1] + beta_obs[nxt, 1:] - ll_rows[cur])
+    xi_self = alpha[cur] + ls + beta_obs[nxt] - ll_rows[cur]
+    xi_adv = alpha[cur, :-1] + ln[:-1] + beta_obs[nxt, 1:] - ll_rows[cur]
     owned = [(slice(None), gamma_log[:, j : j + 1]) for j in range(n)]
-    yield xi_self.sum(axis=0), xi_adv.sum(axis=0), owned
+    yield _exp(xi_self, out=xi_self).sum(axis=0), _exp(xi_adv, out=xi_adv).sum(axis=0), owned
 
 
 def viterbi_train(

@@ -919,6 +919,36 @@ def chain_graph(hmms, units) -> DecodingGraph:
 # reference unit recursions and training
 
 
+def reference_max_product(
+    S: np.ndarray, start, step: tuple, beam: int | None, rows: int, plus=np.maximum
+) -> None:
+    """actionseg.hmm._max_product as it stepped each frame before the stay
+    and the advance shared one gather: np.add for the stay, take for the
+    advance, one += per add vector, plus, and += of the row, which must give
+    the same lattice bit for bit."""
+    T, W = S.shape
+    log_self, pred, adds, (first, starts, exits, m_adds) = step
+    blocks = S.reshape(T, rows, -1) if rows > 1 else S
+    S[0] += start
+    if beam is not None:
+        _apply_beam(blocks[0], beam)
+    stay, adv = np.empty(W), np.empty(W)
+    for score, row, block in zip(S, S[1:], blocks[1:]):
+        np.add(score, log_self, out=stay)
+        score.take(pred, out=adv, mode="clip")
+        for a in adds:
+            adv += a
+        if first.size:
+            cand = score.take(exits)
+            for a in m_adds:
+                cand += a
+            adv[first] = plus.reduceat(cand, starts)
+        plus(adv, stay, out=adv)
+        row += adv
+        if beam is not None:
+            _apply_beam(block, beam)
+
+
 def reference_ends_by_frame(lengths) -> dict[int, np.ndarray]:
     """Last frame -> indices of the sequences that end there, ascending."""
     last = np.asarray(lengths) - 1

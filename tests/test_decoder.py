@@ -18,7 +18,7 @@ from actionseg.grammar import (
     compose,
     unconstrained_graph,
 )
-from actionseg.hmm import UnitHmm
+from actionseg.hmm import UnitHmm, _max_product
 from helpers import (
     arena_decode,
     chain_graph,
@@ -29,6 +29,7 @@ from helpers import (
     random_unit_hmm,
     reference_decode,
     reference_force_align,
+    reference_max_product,
 )
 
 
@@ -491,6 +492,52 @@ def test_decode_of_hand_built_graphs_matches_every_oracle(case):
         else:
             assert got.to_dict() == want.to_dict(), oracle.__name__
             assert got.log_prob.hex() == want.log_prob.hex(), oracle.__name__
+
+
+def _kernel_call(graph, frames, beam, priors) -> tuple:
+    """decode's _max_product call on this clip: a copy of the observation
+    table it was given, and its other arguments."""
+    calls = []
+
+    def record(S, *args):
+        calls.append((S.copy(), args))
+        _max_product(S, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "_max_product", record)
+        try:
+            decode(graph, frames, beam=beam, priors=priors)
+        except DecodeError:
+            pass
+    (call,) = calls
+    return call
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(lattice_cases(), hand_built_cases()),
+    st.sampled_from([np.maximum, np.logaddexp]),
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([-np.inf, np.nan])),
+        max_size=4,
+    ),
+)
+def test_frame_step_matches_the_five_call_reference(case, plus, cells):
+    # One gather for the stay and the advance takes the same operations in
+    # the same order as the step it replaced, so the lattices agree bit for
+    # bit in either semiring: on composed, unconstrained and hand-built
+    # graphs (states of several candidates), under beams and priors, with
+    # -inf and NaN cells.
+    graph, frames, beam, priors = case
+    S, (start, step, beam_, rows) = _kernel_call(graph, frames, beam, priors)
+    T, W = S.shape
+    for u, v, value in cells:
+        S[min(int(u * T), T - 1), min(int(v * W), W - 1)] = value
+    got, want = S.copy(), S.copy()
+    with np.errstate(all="ignore"):
+        _max_product(got, start, step, beam_, rows, plus)
+        reference_max_product(want, start, step, beam_, rows, plus)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_layout_cache_holds_no_graph():

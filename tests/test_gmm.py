@@ -301,6 +301,82 @@ def test_numpy_log_of_one_and_exp_of_minus_inf_are_plus_zero():
         assert not _bits(np.exp(-np.inf - np.linspace(-1e300, 1e300, n))).any(), n
 
 
+def _exp_inputs() -> list[np.ndarray]:
+    """Arrays for _exp: a grid over [-800, 0], thickest where np.exp
+    underflows to subnormals, [-746, -708]; the values about _EXP_ZERO and
+    ln 2^-1075; -inf, NaN and both zeros; arrays with no entry below
+    _EXP_ZERO; and a strided 2-D view."""
+    edge = [gmm_module._EXP_ZERO, -745.1332191019412, -745.1332191019411, -708.3964185322641]
+    near = np.concatenate([np.nextafter(np.array(edge), v) for v in (-np.inf, np.inf)])
+    specials = np.array([-np.inf, np.nan, -0.0, 0.0, -np.nan, 1.0, 709.0, -1e308])
+    grid = np.concatenate(
+        [np.linspace(-800.0, 0.0, 8001), np.linspace(-746.0, -708.0, 38001), edge, near, specials]
+    )
+    rng = np.random.default_rng(41)
+    shuffled = rng.permutation(grid)
+    return [
+        grid,
+        shuffled,
+        specials,
+        np.linspace(-745.0, 0.0, 1001),  # no entry below _EXP_ZERO
+        np.array([-3.0]),
+        shuffled[:40000].reshape(200, 200)[:, ::3],
+        np.array([-900.0]),
+        np.empty(0),
+    ]
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_exp_equals_numpy_exp_bit_for_bit(i):
+    # _exp zeroes the entries below _EXP_ZERO before the exp and sets them
+    # to +0.0 after it: np.exp's bits, in place, into out or into a new array.
+    a = _exp_inputs()[i]
+    want = _bits(np.exp(a))
+    before = a.copy()
+    got = gmm_module._exp(a)
+    assert got is not a and np.array_equal(_bits(a), _bits(before))
+    assert np.array_equal(_bits(got), want)
+    out = np.full_like(a, 7.0)
+    assert gmm_module._exp(a, out=out) is out
+    assert np.array_equal(_bits(out), want) and np.array_equal(_bits(a), _bits(before))
+    inplace = a.copy()
+    assert gmm_module._exp(inplace, out=inplace) is inplace
+    assert np.array_equal(_bits(inplace), want)
+
+
+_MAX_POOL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, -745.5, -800.0, 5e-324, -5e-324]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.lists(st.integers(1, 5), max_size=2),
+    position=st.integers(0, 2),
+    K=st.integers(1, 9),
+    special=st.floats(0.0, 1.0),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_maximum_chain_equals_the_np_max_reference_bit_for_bit(
+    shape, position, K, special, zeros, seed
+):
+    # _logsumexp takes hi as a chain of np.maximum over the K slices; np.max
+    # may keep the other zero of a +-0.0 tie, whose sign cannot reach the
+    # result.  Ties of signed zeros, NaN and infinities on any axis.
+    rng = np.random.default_rng(seed)
+    axis = min(position, len(shape))
+    full = (*shape[:axis], K, *shape[axis:])
+    a = np.round(rng.normal(0.0, 400.0, full), int(rng.integers(0, 2)))
+    pick = rng.random(full) < special
+    a[pick] = rng.choice(_MAX_POOL, size=int(pick.sum()))
+    if zeros:
+        a[rng.random(full) < 0.5] = rng.choice([0.0, -0.0])
+    got = gmm_module._logsumexp(a, axis=axis)
+    want = reference_logsumexp(a, axis=axis)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
+
+
 # Values that stress the two-term log-sum-exp: signed zeros, the
 # infinities, NaN, subnormals, the extremes and values whose sums overflow.
 _LSE_POOL = [
@@ -577,7 +653,9 @@ def test_zero_weight_scores_minus_inf_without_a_warning(m):
 
 
 @pytest.mark.parametrize(
-    "S,K,m", [(22, 8, 48), (92, 2, 2), (40, 4, 2)], ids=["encoded-fv", "wide-grammar", "reduce"]
+    "S,K,m",
+    [(22, 8, 48), (92, 2, 2), (40, 4, 2), (50, 2, 5), (20, 2, 7), (30, 2, 3)],
+    ids=["encoded-fv", "wide-grammar", "reduce", "kernel-m5", "kernel-m7", "kernel-m3"],
 )
 def test_bank_temporaries_stay_within_the_row_budget(S, K, m):
     # Beyond its (N, size) output, GmmBank.log_prob holds one row block's

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actionseg import pipeline
+from actionseg import decoder, hmm, pipeline
 from actionseg.data import (
     ClipRecord,
     DatasetManifest,
@@ -283,6 +283,31 @@ def test_bootstrap_reads_each_clip_once_and_aligns_once_per_round(tmp_path, monk
     # one batch per round; the sequences go positionally, as a list
     assert len(aligns) == 2
     assert all(isinstance(args[2], list) and len(args[2]) == 2 for args in aligns)
+
+
+def test_training_walks_no_chain_frame_in_python(tmp_path, monkeypatch):
+    # Unit training and forced alignment read their paths from entry-frame
+    # tables; the per-frame walk, hmm._trace_back, serves decode alone.
+    rng = np.random.default_rng(105)
+    _, manifest = make_dataset(tmp_path, rng)
+    walks, searches = [], []
+
+    def counting(module, name, log):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            log.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module in (hmm, decoder):
+        counting(module, "_trace_back", walks)
+        counting(module, "_chain_entries", searches)
+    train_supervised(manifest, "train", K=1, cfg=quick_cfg())
+    bootstrap(manifest, BootstrapConfig(("c0", "c2"), ("c1", "c3"), rounds=1), K=1, cfg=quick_cfg())
+    assert searches  # the count below is of real chain searches
+    assert len(walks) == 0
 
 
 def test_bootstrap_reports_the_first_bad_clip_in_sorted_order(tmp_path):

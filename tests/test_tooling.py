@@ -227,6 +227,35 @@ def test_training_arithmetic_never_calls_blas(module):
     assert not found, found
 
 
+# the one np.exp outside gmm._exp checks that a transition row sums to 1
+_PLAIN_EXP = {"gmm._exp", "hmm.UnitHmm.__post_init__"}
+
+
+def test_every_exp_of_a_log_probability_goes_through_gmm_exp():
+    # numpy's SIMD exp is many times slower on lanes that underflow,
+    # which most log-probability differences do; gmm._exp skips them
+    found = []
+
+    def visit(node, where: str):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "exp"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "np"
+                and inner not in _PLAIN_EXP
+            ):
+                found.append(f"{inner} (line {child.lineno})")
+            visit(child, inner)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert not found, found
+
+
 class _SpecCaptured(Exception):
     pass
 
