@@ -518,7 +518,9 @@ def _add_clip_flags(p: argparse.ArgumentParser, out_help: str) -> None:
     p.add_argument("--clip", action="append", metavar="ID",
                    help="process just this clip (repeatable)")
     p.add_argument("--beam", type=_positive_int, default=None,
-                   help="keep this many active states per frame (default: exact)")
+                   help="restrict the result to what a search keeping this many states per "
+                        "frame finds; decode and classify search exactly first and prune only "
+                        "when they cannot prove the beam keeps that path (default: exact)")
     p.add_argument("--jobs", type=_positive_int, default=1, help=_JOBS_HELP)
     p.add_argument("--out", metavar="DIR", help=out_help)
 

@@ -33,9 +33,13 @@ frame ends the search (see decode), at the same frame whichever way the
 step picks.
 
 Decoding is exact by default: with the beam disabled the result is the
-maximum-probability pair of unit path and state path.  The optional beam
-keeps the best scoring states per frame (ties at the cutoff survive),
-trading exactness for speed.
+maximum-probability pair of unit path and state path.  A beam restricts
+the result to what the pruned search finds, which keeps the beam best
+scoring states per frame (ties at the cutoff survive).  decode searches
+exactly first and runs the pruned search only when it cannot prove that
+the beam keeps the exact path (see _beam_keeps).  So a beam does not
+speed decoding up, and a beam too tight for the proof costs both
+searches.
 
 Tie-breaking is deterministic everywhere.  A boundary-crossing entry
 beats a same-scored self-loop, earlier graph nodes beat later ones (the
@@ -179,6 +183,41 @@ def _no_path(beam: int | None, T: int, t: int) -> DecodeError:
     return NoPathError(f"no legal path covers all {T} frames")
 
 
+def _best_path(lay: _Layout, S: np.ndarray, start, step: tuple, beam: int | None) -> tuple:
+    """Search the observation table S, which becomes the lattice, and
+    return the best terminal node, its score, and the path's states and
+    advances (see hmm._trace_back).  Raises what decode raises when no
+    complete path survives."""
+    T = S.shape[0]
+    _max_product(S, start, step, beam, 1)
+    dead = _first_dead(S)
+    finals = [S.item(T - 1, lay.exit_state[i]) + lay.exit_log[i] for i in lay.terminal]
+    if dead < T or not any(f > -np.inf for f in finals):
+        raise _no_path(beam, T, min(dead, T - 1))
+    best_score = max(finals)  # the first terminal reaching it wins
+    best_i = lay.terminal[finals.index(best_score)]
+    return best_i, best_score, *_trace_back(S, step, lay.exit_state[best_i])
+
+
+def _beam_keeps(S: np.ndarray, states: np.ndarray, beam: int) -> bool:
+    """Whether a search pruned to the beam best states per frame finds the
+    path through the exact lattice S, with the same scores and choices:
+    at every frame fewer than beam states score above the path's own.
+
+    The pruned lattice is <= the exact one in every cell, since + and max
+    round monotonically and pruning only lowers scores to -inf.  So each
+    frame's pruning cutoff, its beam-th best score, is <= the exact
+    lattice's, and a path that clears the exact cutoff at every frame is
+    never pruned and keeps its exact scores.  Every tie-break along it
+    then goes the same way: the stay or advance choice, the first of
+    several candidates, the first terminal, since the competitors can
+    only lose score.  The certified exact result is therefore the pruned
+    search's, to the bit.  An exact lattice holding NaN has no path (see
+    _first_dead), so the comparisons here never see one."""
+    own = S[np.arange(S.shape[0]), states][:, None]
+    return bool((np.count_nonzero(S > own, axis=1) < beam).all())
+
+
 # A score plus weights near -1e308 overflows to -inf, the right limit.
 @np.errstate(over="ignore")
 def decode(
@@ -194,14 +233,15 @@ def decode(
     raises DataError, since the frame step takes log-probabilities (see
     the module docstring).  Raises DecodeError when no complete path
     exists; with an active beam the failure suggests widening it, since
-    the exact path may have been pruned.
+    the exact path may have been pruned.  A beam decode returns the
+    exact search's result when _beam_keeps proves the pruned search finds
+    the same, and otherwise runs the pruned search on a fresh table.
     """
     if beam is not None and beam < 1:
         raise ValueError("beam must keep at least one state")
     lay = _layout(graph)
     frames = _frames(seq, lay.bank.dim)
     T = frames.shape[0]
-    S = lay.obs_table(frames)  # _max_product makes it the lattice
     prior = [0.0 if priors is None else float(priors.get(n.unit_id, 0.0)) for n in graph.nodes]
     # t3: each node's prior, added at its first state to every candidate
     t3 = np.zeros(lay.total)
@@ -220,17 +260,20 @@ def decode(
     # log-likelihood is).  So t2 and t3, 0.0 within units, are skipped when
     # all zero: t2 for composed grammars, t3 without priors.
     step = (lay.log_self, lay.pred, (lay.t1, *(t for t in (lay.t2, t3) if t.any())), multi)
-    _max_product(S, start, step, beam, 1)
-    dead = _first_dead(S)
-    finals = [S.item(T - 1, lay.exit_state[i]) + lay.exit_log[i] for i in lay.terminal]
-    if dead < T or not any(f > -np.inf for f in finals):
-        raise _no_path(beam, T, min(dead, T - 1))
-    best_score = max(finals)  # the first terminal reaching it wins
-    best_i = lay.terminal[finals.index(best_score)]
+    S = lay.obs_table(frames)  # the search makes it the lattice
+    try:
+        path = _best_path(lay, S, start, step, None)
+    except NoPathError:
+        if beam is None:
+            raise
+        path = None
+    if beam is not None and (path is None or not _beam_keeps(S, path[2], beam)):
+        del S  # the pruned search gets a fresh table
+        path = _best_path(lay, lay.obs_table(frames), start, step, beam)
+    best_i, best_score, states, moved = path
 
     # A unit starts wherever the path advances into a node's first state,
     # which only an edge enters.
-    states, moved = _trace_back(S, step, lay.exit_state[best_i])
     starts = [0, *np.flatnonzero(moved & lay.first[states]).tolist()]
     ends = [t - 1 for t in starts[1:]] + [T - 1]
     nodes = np.searchsorted(lay.offsets, states[starts], side="right") - 1

@@ -1,12 +1,13 @@
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actionseg import decoder
+from actionseg import decoder, hmm
 from actionseg.data import Transcript, UnitLexicon, frame_labels
 from actionseg.decoder import decode, force_align, majority_vote
 from actionseg.errors import BeamPrunedError, DataError, DecodeError, NoPathError
@@ -495,8 +496,10 @@ def test_decode_of_hand_built_graphs_matches_every_oracle(case):
 
 
 def _kernel_call(graph, frames, beam, priors) -> tuple:
-    """decode's _max_product call on this clip: a copy of the observation
-    table it was given, and its other arguments."""
+    """decode's kernel input on this clip: a copy of the observation table,
+    the start weights, the step and the rows.  decode searches exactly
+    first, and a beam decode may then search a fresh copy of the table
+    with the beam, with the same other arguments."""
     calls = []
 
     def record(S, *args):
@@ -509,8 +512,12 @@ def _kernel_call(graph, frames, beam, priors) -> tuple:
             decode(graph, frames, beam=beam, priors=priors)
         except DecodeError:
             pass
-    (call,) = calls
-    return call
+    (S, (start, step, exact, rows)), *rest = calls
+    assert exact is None and len(rest) <= (beam is not None)
+    for S2, (start2, step2, beam2, rows2) in rest:
+        assert S2.tobytes() == S.tobytes() and start2 is start and step2 is step
+        assert (beam2, rows2) == (beam, rows)
+    return S, start, step, rows
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -529,15 +536,106 @@ def test_frame_step_matches_the_five_call_reference(case, plus, cells):
     # graphs (states of several candidates), under beams and priors, with
     # -inf and NaN cells.
     graph, frames, beam, priors = case
-    S, (start, step, beam_, rows) = _kernel_call(graph, frames, beam, priors)
+    S, start, step, rows = _kernel_call(graph, frames, beam, priors)
     T, W = S.shape
     for u, v, value in cells:
         S[min(int(u * T), T - 1), min(int(v * W), W - 1)] = value
     got, want = S.copy(), S.copy()
     with np.errstate(all="ignore"):
-        _max_product(got, start, step, beam_, rows, plus)
-        reference_max_product(want, start, step, beam_, rows, plus)
+        _max_product(got, start, step, beam, rows, plus)
+        reference_max_product(want, start, step, beam, rows, plus)
     assert got.tobytes() == want.tobytes()
+
+
+def test_beam_decode_equals_the_pruned_search():
+    # A beam decode keeps the exact search's result where _beam_keeps
+    # proves the pruned search finds the same.  Refusing every proof
+    # leaves the pruned search alone, and must change no result, bit,
+    # error or message: on composed, unconstrained and hand-built graphs,
+    # at every beam from 1 to all states plus one, with and without
+    # priors, with -inf and NaN cells in the observation table.
+    branches = Counter()
+    obs_table, beam_keeps = decoder._Layout.obs_table, decoder._beam_keeps
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(lattice_cases(), hand_built_cases()),
+        st.data(),
+        st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([-np.inf, -np.inf, np.nan])),
+            max_size=2,
+        ),
+    )
+    def check(case, data, cells):
+        graph, frames, _, priors = case
+        W = decoder._layout(graph).total
+        beam = data.draw(st.integers(1, W + 1), label="beam")
+
+        def table(lay, frames):
+            S = obs_table(lay, frames)
+            T = S.shape[0]
+            for u, v, value in cells:
+                S[min(int(u * T), T - 1), min(int(v * W), W - 1)] = value
+            return S
+
+        proofs = []
+
+        def keeps(*args):
+            proofs.append(beam_keeps(*args))
+            return proofs[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder._Layout, "obs_table", table)
+            mp.setattr(decoder, "_beam_keeps", keeps)
+            got = _result_or_error(decode, graph, frames, beam, priors)
+            mp.setattr(decoder, "_beam_keeps", lambda *args: False)
+            want = _result_or_error(decode, graph, frames, beam, priors)
+        branches[{(True,): "certified", (False,): "refuted"}.get(tuple(proofs), "no exact path")] += 1
+        assert not isinstance(got, tuple) or issubclass(got[0], DecodeError), got
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.to_dict() == want.to_dict()
+            assert got.log_prob.hex() == want.log_prob.hex()
+
+    check()
+    assert branches["certified"] and branches["refuted"], branches
+
+
+def test_certified_beam_decode_runs_one_exact_search(monkeypatch):
+    # Counted through patches: a beam decode whose path the certificate
+    # keeps makes one kernel call, exact, and prunes no frame; one it does
+    # not keep searches the clip again with the beam.
+    rng = np.random.default_rng(84)
+    hmms = {u: random_unit_hmm(rng, u, 2, 1, 2) for u in range(3)}
+    graph, _ = compose_random_graph(rng, ["a", "b"], hmms, n_sentences=3, max_inner=3)
+    frames = rng.normal(size=(30, 2))
+    kernels, prunes = [], []
+    apply_beam = hmm._apply_beam
+
+    def kernel(S, start, step, beam, *rest):
+        kernels.append(beam)
+        _max_product(S, start, step, beam, *rest)
+
+    def prune(scores, beam):
+        prunes.append(beam)
+        apply_beam(scores, beam)
+
+    monkeypatch.setattr(decoder, "_max_product", kernel)
+    monkeypatch.setattr(hmm, "_apply_beam", prune)
+    exact = decode(graph, frames)
+    assert (kernels, prunes) == ([None], [])
+    for beam in (8, 18, 19):
+        kernels.clear()
+        assert decode(graph, frames, beam=beam).to_dict() == exact.to_dict()
+        assert (kernels, prunes) == ([None], [])
+    kernels.clear()
+    decode(graph, frames, beam=6)  # the exact path is not among the 6 best at some frame
+    assert (kernels, prunes) == ([None, 6], [6] * 30)
+    kernels.clear()
+    with pytest.raises(BeamPrunedError, match="no surviving token at frame 29"):
+        decode(graph, frames, beam=1)
+    assert kernels == [None, 1]
 
 
 def test_layout_cache_holds_no_graph():
